@@ -19,7 +19,7 @@ from .bounds import (
     perturbation_bound,
     total_cost_bound,
 )
-from .euler import EulerConfig, PathResult, lyapunov_check, simulate, update_times
+from .euler import EulerConfig, lyapunov_check, update_times
 from .mlp import CostTally, Estimate, MlpParams, cost_recursion_bound, estimate
 from .problems import CATALOGUE, Problem, ProblemId, instantiate, validate
 from .rng import RNG_ALGORITHM, RandomStream, ThetaIndex, child, stream_for
@@ -33,7 +33,6 @@ __all__ = [
     "Estimate",
     "EulerConfig",
     "MlpParams",
-    "PathResult",
     "Problem",
     "ProblemId",
     "RNG_ALGORITHM",
@@ -49,7 +48,6 @@ __all__ = [
     "lyapunov_check",
     "lyapunov_phi",
     "perturbation_bound",
-    "simulate",
     "stream_for",
     "total_cost_bound",
     "update_times",

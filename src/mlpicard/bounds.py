@@ -149,14 +149,3 @@ def lyapunov_phi_batch(x: np.ndarray, a: float) -> np.ndarray:
     """Vectorized :func:`lyapunov_phi` over the leading axes of ``x``."""
     x = np.asarray(x, dtype=float)
     return 2.0 * a + 2.0 * np.sum(x * x, axis=-1)
-
-
-def lyapunov_gradient_constant() -> float:
-    """Constant ``4`` in ``|phi'(x)(y)| <= 4 phi(x)^(1/2) ||y||``."""
-    return 4.0
-
-
-def lyapunov_hessian_form(y) -> float:
-    """Second derivative form ``phi''(x)(y, y) = 4 ||y||^2`` (x-independent)."""
-    y = np.asarray(y, dtype=float)
-    return 4.0 * float(np.dot(y.ravel(), y.ravel()))

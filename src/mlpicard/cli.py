@@ -12,10 +12,9 @@ from .harness import (
     find_depth_for_epsilon,
     parse_config,
     run_experiment,
-    validation_summary,
     write_sweep_csv,
 )
-from .problems import CATALOGUE
+from .problems import CATALOGUE, instantiate, validate
 from .selftest import run_selftest
 
 
@@ -84,7 +83,8 @@ def _cmd_validate(args) -> int:
     for item in args.override or []:
         key, _, value = item.partition("=")
         overrides[key] = value
-    problem, report = validation_summary(args.name, args.samples, args.seed, overrides)
+    problem = instantiate(args.name, **overrides)
+    report = validate(problem, args.samples, args.seed)
     print(f"problem {problem.name} (d={problem.d}, T={problem.T}): "
           f"{len(report.violations)} violation(s) over {report.samples} samples "
           f"on [-{report.box_halfwidth}, {report.box_halfwidth}]^d")

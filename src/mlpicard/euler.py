@@ -12,8 +12,9 @@ membership is decided by index arithmetic around ``floor(t*N/T)``, never by
 floating-point equality against ``s``.
 
 Problems whose coefficients are state-independent take a closed-form update
-``x + mu0*(s-t) + sigma0 @ (sum of Brownian increments)`` (numpy pairwise
-summation over steps) that consumes the identical draw sequence.
+``x + mu0*(s-t) + sigma0 * (sum of Brownian increments)`` (numpy pairwise
+summation over steps) that consumes the identical draw sequence.  ``sigma0``
+is the diagonal of the diffusion coefficient.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import Problem
-from .rng import RandomStream, stream_for
+from .rng import stream_for
 
 
 class DomainError(ValueError):
@@ -38,13 +39,6 @@ class EulerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("EulerConfig.steps must be >= 1")
-
-
-@dataclass
-class PathResult:
-    state: np.ndarray
-    steps_used: int
-    gaussians_used: int
 
 
 def update_times(t: float, s: float, steps: int, T: float) -> list:
@@ -97,30 +91,16 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t: float,
         mu0, sig0 = problem.constant_coefficients
         total = incs.sum(axis=1)
         elapsed = np.asarray(end_times, dtype=float) - t
-        states = x + mu0 * elapsed[:, None] + np.einsum("dm,pm->pd", sig0, total)
+        states = x + mu0 * elapsed[:, None] + sig0 * total
         return states, counts
 
     states = np.tile(x, (P, 1))
     for k in range(kmax):
         active = counts > k
         ya = states[active]
-        step = problem.drift(ya) * deltas[active, k, None] + np.einsum(
-            "pdm,pm->pd", problem.diffusion(ya), incs[active, k]
-        )
-        states[active] = ya + step
+        states[active] = ya + (problem.drift(ya) * deltas[active, k, None]
+                               + problem.diffusion(ya) * incs[active, k])
     return states, counts
-
-
-def simulate(problem: Problem, cfg: EulerConfig, stream: RandomStream,
-             t: float, x, s: float) -> PathResult:
-    """Single forward path from ``(t, x)`` to time ``s`` in ``[t, T]``.
-
-    The stream must be past its uniform draw.  With ``s == t`` the state is
-    returned unchanged and nothing is drawn.
-    """
-    states, counts = simulate_batch(problem, cfg, [stream], t, x, np.asarray([s]))
-    used = int(counts[0])
-    return PathResult(state=states[0], steps_used=used, gaussians_used=used * problem.d)
 
 
 @dataclass
@@ -128,9 +108,6 @@ class LyapunovCheck:
     empirical_mean: float
     bound: float
     std_error: float
-
-    def __iter__(self):  # unpacks as (empirical_mean, bound)
-        return iter((self.empirical_mean, self.bound))
 
 
 def lyapunov_check(problem: Problem, cfg: EulerConfig, t: float, x, s: float,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .oracle import (
     mc_baseline,
     picard_quadrature_1d,
 )
-from .problems import Problem, instantiate, validate
+from .problems import Problem, instantiate
 
 RESULTS_HEADER = [
     "n", "M", "N", "value_mean", "value_se", "rmse_vs_reference",
@@ -53,17 +54,6 @@ SWEEP_HEADER = [
     "epsilon", "status", "n_star", "rmse", "rmse_plus_2se", "cost_sum",
     "total_cost_bound", "cost_times_eps_power", "tripped_bound",
 ]
-
-_PROBLEM_OVERRIDE_KEYS = ("d", "T", "a", "kappa", "lip_f", "source",
-                          "mu_bar", "sigma_bar", "strike")
-
-_KNOWN_KEYS = {
-    "problem", "t0", "x0", "depths", "euler_steps", "replications", "seed",
-    "reference", "reference_n", "reference_m", "reference_steps",
-    "reference_replications", "reference_seed", "cost_weights",
-    "cost_ceiling", "cache_dir", "output_dir", "workers", "max_depth",
-    *_PROBLEM_OVERRIDE_KEYS,
-}
 
 OUTPUT_DIR_ENV = "MLPICARD_OUTPUT_DIR"
 
@@ -136,16 +126,24 @@ class ReportRow:
         return "ok"
 
 
-def _parse_scalar(value: str, caster, key: str, line_no: int, errors: list):
+class _BadValue(ValueError):
+    """A rejected value whose args are its messages.  A ``partial`` result
+    that is not None is still applied, so later checks see what parsed."""
+
+    def __init__(self, *messages, partial=None):
+        super().__init__(*messages)
+        self.partial = partial
+
+
+def _parse_x0(value: str) -> np.ndarray:
     try:
-        return caster(value)
+        return np.asarray([float(v) for v in value.split(",")], dtype=float)
     except ValueError:
-        errors.append(f"line {line_no}: key {key!r} has invalid value {value!r}")
-        return None
+        raise _BadValue("x0 must be a comma-separated float list") from None
 
 
-def _parse_depths(value: str, line_no: int, errors: list):
-    depths = []
+def _parse_depths(value: str) -> list:
+    depths, bad = [], []
     for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -158,8 +156,53 @@ def _parse_depths(value: str, line_no: int, errors: list):
                 n = int(chunk)
                 depths.append((n, n))
         except ValueError:
-            errors.append(f"line {line_no}: depth entry {chunk!r} is not 'n' or 'n:M'")
+            bad.append(f"depth entry {chunk!r} is not 'n' or 'n:M'")
+    if bad:
+        raise _BadValue(*bad, partial=depths)
     return depths
+
+
+def _parse_weights(value: str) -> tuple:
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) != 4:
+        raise _BadValue("cost_weights needs exactly 4 values")
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError:
+        raise _BadValue("cost_weights must be floats") from None
+
+
+# Every config key: key -> (caster, target).  A target is an ExperimentConfig
+# attribute, or "overrides.<name>" / "budget.<field>" for a problem override
+# or an mc-baseline budget field.  Keys are converted in this order, which
+# fixes the order of the reported errors.
+_KEYS = {
+    "problem": (str, "problem"),
+    "d": (int, "overrides.d"),
+    **{key: (float, f"overrides.{key}")
+       for key in ("T", "a", "kappa", "lip_f", "source", "mu_bar", "sigma_bar", "strike")},
+    "t0": (float, "t0"),
+    "x0": (_parse_x0, "x0"),
+    "depths": (_parse_depths, "depths"),
+    "euler_steps": (int, "euler_override"),
+    "replications": (int, "replications"),
+    "seed": (int, "seed"),
+    "cost_ceiling": (float, "cost_ceiling"),
+    "workers": (int, "workers"),
+    "max_depth": (int, "max_depth"),
+    "reference_seed": (int, "reference_seed"),
+    "reference": (str, "reference"),
+    "cache_dir": (str, "cache_dir"),
+    "output_dir": (str, "output_dir"),
+    "cost_weights": (_parse_weights, "cost_weights"),
+    "reference_n": (int, "budget.n"),
+    "reference_m": (int, "budget.M"),
+    "reference_steps": (int, "budget.euler_steps"),
+    "reference_replications": (int, "budget.replications"),
+}
+
+# a '#' at the start of a line or after whitespace opens a comment
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -173,7 +216,7 @@ def parse_config(text: str) -> ExperimentConfig:
     seen: dict = {}
     entries: dict = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw_line).strip()
         if not line:
             continue
         if "=" not in line:
@@ -185,7 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"duplicate key {key!r} on lines {seen[key]} and {line_no}")
             continue
         seen[key] = line_no
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             errors.append(f"line {line_no}: unknown key {key!r}")
             continue
         entries[key] = (value, line_no)
@@ -193,76 +236,39 @@ def parse_config(text: str) -> ExperimentConfig:
     if "problem" not in entries and not any(v.startswith("line") and "'problem'" in v for v in errors):
         errors.append("missing required key 'problem'")
 
-    cfg = ExperimentConfig(problem=entries.get("problem", ("", 0))[0])
-
-    for key in _PROBLEM_OVERRIDE_KEYS:
-        if key in entries:
-            value, line_no = entries[key]
-            caster = int if key == "d" else float
-            parsed = _parse_scalar(value, caster, key, line_no, errors)
-            if parsed is not None:
-                cfg.overrides[key] = parsed
-
-    if "t0" in entries:
-        parsed = _parse_scalar(entries["t0"][0], float, "t0", entries["t0"][1], errors)
-        if parsed is not None:
-            cfg.t0 = parsed
-    if "x0" in entries:
-        value, line_no = entries["x0"]
+    cfg = ExperimentConfig(problem="")
+    collections = {"overrides": cfg.overrides, "budget": {}}
+    for key, (caster, target) in _KEYS.items():
+        if key not in entries:
+            continue
+        value, line_no = entries[key]
         try:
-            cfg.x0 = np.asarray([float(v) for v in value.split(",")], dtype=float)
+            parsed = caster(value)
+        except _BadValue as exc:
+            errors.extend(f"line {line_no}: {message}" for message in exc.args)
+            parsed = exc.partial
         except ValueError:
-            errors.append(f"line {line_no}: x0 must be a comma-separated float list")
-    if "depths" in entries:
-        cfg.depths = _parse_depths(entries["depths"][0], entries["depths"][1], errors)
-    if "euler_steps" in entries:
-        parsed = _parse_scalar(entries["euler_steps"][0], int, "euler_steps",
-                               entries["euler_steps"][1], errors)
-        if parsed is not None:
-            cfg.euler_override = parsed
-    for key, attr, caster in [
-        ("replications", "replications", int), ("seed", "seed", int),
-        ("cost_ceiling", "cost_ceiling", float), ("workers", "workers", int),
-        ("max_depth", "max_depth", int), ("reference_seed", "reference_seed", int),
-    ]:
-        if key in entries:
-            parsed = _parse_scalar(entries[key][0], caster, key, entries[key][1], errors)
-            if parsed is not None:
-                setattr(cfg, attr, parsed)
-    for key, attr in [("reference", "reference"), ("cache_dir", "cache_dir"),
-                      ("output_dir", "output_dir")]:
-        if key in entries:
-            setattr(cfg, attr, entries[key][0])
-    if "cost_weights" in entries:
-        value, line_no = entries["cost_weights"]
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 4:
-            errors.append(f"line {line_no}: cost_weights needs exactly 4 values")
+            errors.append(f"line {line_no}: key {key!r} has invalid value {value!r}")
+            continue
+        if parsed is None:
+            continue
+        collection, _, name = target.rpartition(".")
+        if collection:
+            collections[collection][name] = parsed
         else:
-            try:
-                cfg.cost_weights = tuple(float(p) for p in parts)
-            except ValueError:
-                errors.append(f"line {line_no}: cost_weights must be floats")
-    budget_keys = [k for k in ("reference_n", "reference_m", "reference_steps",
-                               "reference_replications") if k in entries]
-    if budget_keys:
-        if len(budget_keys) < 4:
+            setattr(cfg, name, parsed)
+
+    budget_given = [key for key in entries if _KEYS[key][1].startswith("budget.")]
+    if budget_given:
+        budget = collections["budget"]
+        if len(budget_given) < 4:
             errors.append("mc-baseline budget needs all of reference_n, reference_m, "
                           "reference_steps, reference_replications")
-        else:
-            vals = {}
-            for key in budget_keys:
-                parsed = _parse_scalar(entries[key][0], int, key, entries[key][1], errors)
-                if parsed is not None:
-                    vals[key] = parsed
-            if len(vals) == 4:
-                try:
-                    cfg.reference_budget = BaselineBudget(
-                        n=vals["reference_n"], M=vals["reference_m"],
-                        euler_steps=vals["reference_steps"],
-                        replications=vals["reference_replications"])
-                except ValueError as exc:
-                    errors.append(str(exc))
+        elif len(budget) == 4:
+            try:
+                cfg.reference_budget = BaselineBudget(**budget)
+            except ValueError as exc:
+                errors.append(str(exc))
 
     # environment override for the output directory
     cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
@@ -292,7 +298,10 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
             cfg.build_problem()
         except Exception as exc:
             errors.append(f"problem: {exc}")
-    # every configured depth must pass the cost ceiling
+    # every configured depth must pass the cost ceiling; a NaN ceiling would
+    # pass every comparison below
+    if not math.isfinite(cfg.cost_ceiling):
+        errors.append(f"cost_ceiling must be finite, got {cfg.cost_ceiling}")
     for n, M in cfg.depths:
         if n < 0 or M < 1:
             continue
@@ -301,6 +310,16 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
             errors.append(
                 f"depth ({n},{M}) exceeds the cost ceiling: "
                 f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}")
+    # so must the mc-baseline run, which a reference cache miss starts
+    budget = cfg.reference_budget
+    if cfg.reference == "mc-baseline" and budget is not None:
+        bound = budget.replications * cost_recursion_bound(
+            budget.n, budget.M, cfg.dimension, budget.euler_steps, cfg.cost_weights)
+        if bound > cfg.cost_ceiling:
+            errors.append(
+                f"reference budget ({budget.n},{budget.M}) x {budget.replications} exceeds "
+                f"the cost ceiling: replications * cost_recursion_bound = {bound:.6g} "
+                f"> {cfg.cost_ceiling:.6g}")
 
 
 def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
@@ -556,10 +575,3 @@ def write_sweep_csv(sweep_rows, path: str) -> None:
          r.total_cost_bound, r.cost_times_eps_power, r.tripped_bound]
         for r in sweep_rows
     ], path)
-
-
-def validation_summary(name: str, samples: int, seed: int, overrides=None) -> tuple:
-    """Run the hypothesis spot checks for a catalogue problem."""
-    problem = instantiate(name, **(overrides or {}))
-    report = validate(problem, samples, seed)
-    return problem, report

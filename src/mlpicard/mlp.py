@@ -112,6 +112,8 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d,):
         raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
     tally = CostTally()
     cfg = EulerConfig(steps=params.resolved_steps)
     value = _node(problem, cfg, params.M, params.root_seed, tuple(theta), params.n, t, x, tally)

@@ -141,7 +141,7 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
 def _picard_solve(problem, t, x, depth, nodes, time_cells, space_points):
     T = problem.T
     mu0 = float(problem.constant_coefficients[0][0])
-    sig0 = float(problem.constant_coefficients[1][0, 0])
+    sig0 = float(problem.constant_coefficients[1][0])
     z, w = np.polynomial.hermite.hermgauss(nodes)
 
     halfwidth = 6.0 * abs(sig0) * math.sqrt(T) + abs(mu0) * T + 1.0

@@ -4,7 +4,8 @@ A :class:`Problem` bundles the coefficient functions (drift ``mu``, diffusion
 ``sigma``), the terminal condition ``g``, the nonlinearity ``f``, and the
 regularity constants used by the bound evaluators.  Coefficient callables are
 vectorized over leading axes: ``drift(x)`` maps ``(..., d) -> (..., d)``,
-``diffusion(x)`` maps ``(..., d) -> (..., d, m)``, ``terminal(x)`` maps
+``diffusion(x)`` maps ``(..., d) -> (..., d)``, the diagonal of ``sigma``
+(every catalogue problem has diagonal ``sigma``), ``terminal(x)`` maps
 ``(..., d) -> (...)`` and ``nonlinearity(t, x, v)`` broadcasts over ``t``,
 ``x``, ``v``.
 
@@ -38,7 +39,6 @@ class ProblemError(ValueError):
 class Problem:
     name: str
     d: int
-    m: int
     T: float
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
@@ -50,14 +50,14 @@ class Problem:
     growth_beta: float   # beta
     growth_p: float      # p
     lyapunov_a: float    # a in phi(x) = 2a + 2||x||^2
-    # (mu0, sigma0) when the coefficients are state-independent; enables the
-    # closed-form path update in the Euler module
+    # (mu0, sigma0 diagonal) when the coefficients are state-independent;
+    # enables the closed-form path update in the Euler module
     constant_coefficients: Optional[tuple] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.T <= 0:
-            raise ProblemError("require d >= 1, m >= 1, T > 0")
+        if self.d < 1 or self.T <= 0:
+            raise ProblemError("require d >= 1, T > 0")
         if self.lip_f < 0 or self.coeff_lip < 1 or self.growth_b < 1:
             raise ProblemError("require L >= 0, c >= 1, b >= 1")
         if self.growth_beta < 1 or self.growth_p < 2 * self.growth_beta:
@@ -90,15 +90,6 @@ def _quadratic_terminal(x):
     return np.sum(x * x, axis=-1)
 
 
-def _diag_matrix(values: np.ndarray) -> np.ndarray:
-    """Embed (..., d) diagonal entries into (..., d, d) matrices."""
-    d = values.shape[-1]
-    out = np.zeros(values.shape + (d,))
-    idx = np.arange(d)
-    out[..., idx, idx] = values
-    return out
-
-
 def _growth_b_quadratic(d: int, T: float, a: float, box: float, extra_sup: float = 0.0) -> float:
     """Smallest documented b for max(|T f(.,0)|, |g|) <= b phi^(1/2) on the box.
 
@@ -113,13 +104,13 @@ def _growth_b_quadratic(d: int, T: float, a: float, box: float, extra_sup: float
 
 def _make_heat_quadratic(d: int, T: float, a: float, lip_f_unused=None) -> Problem:
     mu0 = np.zeros(d)
-    sig0 = np.eye(d)
+    sig0 = np.ones(d)
 
     def drift(x):
         return np.zeros_like(x)
 
     def diffusion(x):
-        return np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d))
+        return np.ones_like(x)
 
     def nonlinearity(t, x, v):
         return np.zeros_like(np.asarray(v, dtype=float))
@@ -127,7 +118,6 @@ def _make_heat_quadratic(d: int, T: float, a: float, lip_f_unused=None) -> Probl
     return Problem(
         name="heat-quadratic",
         d=d,
-        m=d,
         T=T,
         drift=drift,
         diffusion=diffusion,
@@ -153,7 +143,6 @@ def _make_linear_reaction(d: int, T: float, a: float) -> Problem:
     return Problem(
         name="linear-reaction",
         d=d,
-        m=d,
         T=T,
         drift=base.drift,
         diffusion=base.diffusion,
@@ -180,7 +169,7 @@ def _make_nonlinear_coeff_sine(d: int, T: float, a: float, kappa: float, lip_f: 
         return kappa * np.sin(x)
 
     def diffusion(x):
-        return _diag_matrix(1.0 + kappa * np.cos(x))
+        return 1.0 + kappa * np.cos(x)
 
     def nonlinearity(t, x, v):
         t, v = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(v, dtype=float))
@@ -188,12 +177,11 @@ def _make_nonlinear_coeff_sine(d: int, T: float, a: float, kappa: float, lip_f: 
 
     constant = None
     if kappa == 0.0:
-        constant = (np.zeros(d), np.eye(d))
+        constant = (np.zeros(d), np.ones(d))
 
     return Problem(
         name="nonlinear-coeff-sine",
         d=d,
-        m=d,
         T=T,
         drift=drift,
         diffusion=diffusion,
@@ -220,7 +208,7 @@ def _make_scaled_bs(d: int, T: float, a: float, mu_bar: float, sigma_bar: float,
         return mu_bar * x
 
     def diffusion(x):
-        return _diag_matrix(sigma_bar * x)
+        return sigma_bar * x
 
     def terminal(x):
         return np.maximum(x[..., 0] - strike, 0.0)
@@ -232,7 +220,6 @@ def _make_scaled_bs(d: int, T: float, a: float, mu_bar: float, sigma_bar: float,
     return Problem(
         name="scaled-bs",
         d=d,
-        m=d,
         T=T,
         drift=drift,
         diffusion=diffusion,
@@ -283,6 +270,9 @@ def instantiate(problem_id, **overrides) -> Problem:
         if key not in params:
             raise ProblemError(f"problem {name!r} does not accept override {key!r}")
         params[key] = value
+    for key, value in params.items():
+        if not math.isfinite(float(value)):
+            raise ProblemError(f"override {key} must be finite, got {value!r}")
     params["d"] = int(params["d"])
     for key in params:
         if key != "d":
@@ -368,7 +358,7 @@ def validate(problem: Problem, samples: int, seed: int,
     lhs = np.sum((mu_x - mu_y) ** 2, axis=-1)
     rhs = c**2 * norm_xy**2
     record(lhs > rhs + tol, "drift-lipschitz", lhs, rhs)
-    lhs = np.sum((sig_x - sig_y) ** 2, axis=(-2, -1))
+    lhs = np.sum((sig_x - sig_y) ** 2, axis=-1)
     record(lhs > rhs + tol, "diffusion-lipschitz", lhs, rhs)
 
     # growth of the terminal condition and of f at v = 0

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .bounds import gronwall_discrete
-from .euler import EulerConfig, simulate, update_times
+from .euler import EulerConfig, simulate_batch, update_times
 from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
@@ -51,9 +51,10 @@ def _check_euler_identity():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     st = stream_for(3, (5,))
     st.uniform()
-    res = simulate(prob, EulerConfig(steps=8), st, 0.25, np.array([0.7]), 0.25)
-    assert res.steps_used == 0 and res.gaussians_used == 0
-    assert np.array_equal(res.state, np.array([0.7]))
+    states, counts = simulate_batch(prob, EulerConfig(steps=8), [st], 0.25, np.array([0.7]),
+                                    np.array([0.25]))
+    assert counts[0] == 0 and st.cursor == 1  # only the discarded uniform
+    assert np.array_equal(states[0], np.array([0.7]))
     assert update_times(0.3, 0.9, 4, 1.0) == [0.5, 0.75, 0.9]
 
 

@@ -10,8 +10,6 @@ from mlpicard.bounds import (
     error_bound,
     gronwall_discrete,
     gronwall_mlp,
-    lyapunov_gradient_constant,
-    lyapunov_hessian_form,
     lyapunov_phi,
     perturbation_bound,
     total_cost_bound,
@@ -190,7 +188,7 @@ class TestLyapunovPhi:
             x, y = rng.normal(size=d), rng.normal(size=d)
             a = float(rng.uniform(0.5, 2.0))
             directional = (lyapunov_phi(x + h * y, a) - lyapunov_phi(x - h * y, a)) / (2 * h)
-            cap = lyapunov_gradient_constant() * math.sqrt(lyapunov_phi(x, a)) * np.linalg.norm(y)
+            cap = 4.0 * math.sqrt(lyapunov_phi(x, a)) * np.linalg.norm(y)
             assert abs(directional) <= cap * (1.0 + 1e-4)
 
     def test_hessian_form_via_second_differences(self):
@@ -206,7 +204,7 @@ class TestLyapunovPhi:
             u = y / np.linalg.norm(y)
             second = (lyapunov_phi(x + h * u, a) - 2 * lyapunov_phi(x, a)
                       + lyapunov_phi(x - h * u, a)) / h**2
-            assert second == pytest.approx(lyapunov_hessian_form(u), rel=1e-6)
+            assert second == pytest.approx(4.0 * np.dot(u, u), rel=1e-6)
             second_raw = (lyapunov_phi(x + h * y, a) - 2 * lyapunov_phi(x, a)
                           + lyapunov_phi(x - h * y, a)) / h**2
-            assert second_raw == pytest.approx(lyapunov_hessian_form(y), rel=1e-4, abs=1e-6)
+            assert second_raw == pytest.approx(4.0 * np.dot(y, y), rel=1e-4, abs=1e-6)

@@ -8,9 +8,7 @@ import pytest
 from mlpicard.euler import (
     DomainError,
     EulerConfig,
-    LyapunovCheck,
     lyapunov_check,
-    simulate,
     simulate_batch,
     update_times,
 )
@@ -64,27 +62,28 @@ class TestSimulate:
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")
         st = _path_stream(0, (1,))
-        res = simulate(prob, EulerConfig(steps=16), st, 0.4, np.array([1.5]), 0.4)
-        assert res.steps_used == 0 and res.gaussians_used == 0
-        assert np.array_equal(res.state, np.array([1.5]))
+        states, counts = simulate_batch(prob, EulerConfig(steps=16), [st], 0.4,
+                                        np.array([1.5]), np.array([0.4]))
+        assert counts[0] == 0 and st.cursor == 1  # nothing drawn after the uniform
+        assert np.array_equal(states[0], np.array([1.5]))
 
     def test_gaussian_consumption_is_pure_in_plan(self):
         prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
         cfg = EulerConfig(steps=8)
         for seed in (1, 2):
             st = _path_stream(seed, (4, seed))
-            res = simulate(prob, cfg, st, 0.13, np.array([0.2]), 0.77)
-            assert res.steps_used == len(update_times(0.13, 0.77, 8, prob.T))
-            assert res.gaussians_used == res.steps_used * prob.d
+            _, counts = simulate_batch(prob, cfg, [st], 0.13, np.array([0.2]), np.array([0.77]))
+            assert counts[0] == len(update_times(0.13, 0.77, 8, prob.T))
+            assert st.cursor == 1 + counts[0] * prob.d
 
     def test_constant_coefficients_match_direct_formula_bitwise(self):
-        # nontrivial constant drift/diffusion, d = m = 2
+        # nontrivial constant drift and diagonal diffusion, d = 2
         mu0 = np.array([0.3, -0.7])
-        sig0 = np.array([[1.1, 0.2], [0.0, 0.8]])
+        sig0 = np.array([1.1, 0.8])
         prob = Problem(
-            name="const-test", d=2, m=2, T=1.0,
+            name="const-test", d=2, T=1.0,
             drift=lambda x: np.broadcast_to(mu0, x.shape),
-            diffusion=lambda x: np.broadcast_to(sig0, x.shape[:-1] + (2, 2)),
+            diffusion=lambda x: np.broadcast_to(sig0, x.shape),
             terminal=lambda x: np.sum(x, axis=-1),
             nonlinearity=lambda t, x, v: np.zeros_like(v),
             lip_f=0.0, coeff_lip=4.0, growth_b=2.0, growth_beta=1.0,
@@ -93,16 +92,17 @@ class TestSimulate:
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
         cfg = EulerConfig(steps=8)
-        res = simulate(prob, cfg, _path_stream(9, (3, 3)), t, x, s)
+        states, counts = simulate_batch(prob, cfg, [_path_stream(9, (3, 3))], t, x,
+                                        np.array([s]))
 
         # direct formula on the shared draws
         plan = update_times(t, s, 8, 1.0)
         dts = np.diff(np.asarray([t] + plan))
         z = _path_stream(9, (3, 3)).gaussians(len(plan) * 2).reshape(len(plan), 2)
         increments = np.sqrt(dts)[:, None] * z
-        expected = x + mu0 * (s - t) + np.einsum("dm,m->d", sig0, increments.sum(axis=0))
-        assert np.array_equal(res.state, expected)
-        assert res.steps_used == len(plan)
+        expected = x + mu0 * (s - t) + sig0 * increments.sum(axis=0)
+        assert np.array_equal(states[0], expected)
+        assert counts[0] == len(plan)
 
     def test_constant_fastpath_agrees_with_general_stepper(self):
         # force the general stepper on the same draws; agreement to roundoff
@@ -110,10 +110,11 @@ class TestSimulate:
         stripped = Problem(**{**prob.__dict__, "constant_coefficients": None})
         cfg = EulerConfig(steps=16)
         x = np.array([0.1, -0.2, 0.3])
-        fast = simulate(prob, cfg, _path_stream(5, (2,)), 0.0, x, 1.0)
-        slow = simulate(stripped, cfg, _path_stream(5, (2,)), 0.0, x, 1.0)
-        np.testing.assert_allclose(fast.state, slow.state, rtol=1e-12)
-        assert fast.steps_used == slow.steps_used
+        end = np.array([1.0])
+        fast, fast_steps = simulate_batch(prob, cfg, [_path_stream(5, (2,))], 0.0, x, end)
+        slow, slow_steps = simulate_batch(stripped, cfg, [_path_stream(5, (2,))], 0.0, x, end)
+        np.testing.assert_allclose(fast, slow, rtol=1e-12)
+        assert np.array_equal(fast_steps, slow_steps)
 
     def test_frozen_coefficient_argument_is_last_grid_state(self):
         # instrumented trace on N=4: drift must be evaluated at the states
@@ -128,18 +129,18 @@ class TestSimulate:
         import dataclasses
         probed = dataclasses.replace(base, drift=recording_drift)
         t, s = 0.1, 0.65
-        res = simulate(probed, EulerConfig(steps=4), _path_stream(21, (8,)), t,
-                       np.array([0.4]), s)
+        _, counts = simulate_batch(probed, EulerConfig(steps=4), [_path_stream(21, (8,))], t,
+                                   np.array([0.4]), np.array([s]))
         plan = update_times(t, s, 4, 1.0)
         assert plan == [0.25, 0.5, 0.65]
         assert len(seen) == 3  # frozen at t, 0.25, 0.5
 
         # the last frozen state equals the path value at max{t, n T/N} = 0.5,
         # reproduced by an identically seeded shorter simulation
-        partial = simulate(base, EulerConfig(steps=4), _path_stream(21, (8,)), t,
-                           np.array([0.4]), 0.5)
-        assert np.array_equal(seen[-1][0], partial.state)
-        assert res.steps_used == 3
+        partial, _ = simulate_batch(base, EulerConfig(steps=4), [_path_stream(21, (8,))], t,
+                                    np.array([0.4]), np.array([0.5]))
+        assert np.array_equal(seen[-1][0], partial[0])
+        assert counts[0] == 3
 
     def test_batch_matches_single_paths(self):
         prob = instantiate("scaled-bs")
@@ -147,11 +148,11 @@ class TestSimulate:
         ends = np.array([0.3, 0.7, 1.0])
         streams = [_path_stream(6, (1, i)) for i in range(3)]
         states, counts = simulate_batch(prob, cfg, streams, 0.1, np.array([1.0]), ends)
-        for i, s_end in enumerate(ends):
-            single = simulate(prob, cfg, _path_stream(6, (1, i)), 0.1, np.array([1.0]),
-                              float(s_end))
-            assert np.array_equal(states[i], single.state)
-            assert counts[i] == single.steps_used
+        for i in range(len(ends)):
+            single, single_count = simulate_batch(prob, cfg, [_path_stream(6, (1, i))], 0.1,
+                                                  np.array([1.0]), ends[i:i + 1])
+            assert np.array_equal(states[i], single[0])
+            assert counts[i] == single_count[0]
 
 
 class TestStrongRate:
@@ -185,13 +186,14 @@ class TestStrongRate:
         # the flat loop above is also the reference for the engine itself
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
         cfg = EulerConfig(steps=16)
-        res = simulate(prob, cfg, _path_stream(55, (3,)), 0.0, np.array([1.0]), 1.0)
+        states, _ = simulate_batch(prob, cfg, [_path_stream(55, (3,))], 0.0, np.array([1.0]),
+                                   np.array([1.0]))
         st = _path_stream(55, (3,))
         z = st.gaussians(16)
         y, dt = 1.0, 1.0 / 16
         for k in range(16):
             y = y + (0.06 * y * dt + 0.4 * y * (math.sqrt(dt) * z[k]))
-        assert res.state[0] == y
+        assert states[0, 0] == y
 
 
 class TestLyapunovCheck:
@@ -200,11 +202,6 @@ class TestLyapunovCheck:
         x = np.array([0.5, -1.0])
         res = lyapunov_check(prob, EulerConfig(steps=4), 0.3, x, 0.3, paths=64, seed=0)
         assert res.empirical_mean == prob.phi(x)
-
-    def test_unpacks_as_pair(self):
-        res = LyapunovCheck(empirical_mean=1.0, bound=2.0, std_error=0.1)
-        mean, bound = res
-        assert (mean, bound) == (1.0, 2.0)
 
     @pytest.mark.parametrize("name,overrides", [
         ("heat-quadratic", {"d": 2}),

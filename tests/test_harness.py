@@ -35,6 +35,13 @@ class TestParseConfig:
         cfg = parse_config("# top\nproblem = heat-quadratic  # tail\n\nd = 2\n")
         assert cfg.dimension == 2
 
+    def test_hash_inside_a_value_is_kept(self, monkeypatch):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        cfg = parse_config(MINIMAL + "output_dir = out/run#2\n")
+        assert cfg.output_dir == "out/run#2"
+        cfg = parse_config(MINIMAL + "output_dir = out/run#2\t# tail\n")
+        assert cfg.output_dir == "out/run#2"
+
     def test_unknown_key_is_an_error(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "granularity = 9\n")
@@ -63,6 +70,12 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "depths = 9\ncost_ceiling = 1e30\n")
         assert cfg.depths == [(9, 9)]
 
+    @pytest.mark.parametrize("ceiling", ["nan", "inf"])
+    def test_non_finite_cost_ceiling_rejected(self, ceiling):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"depths = 9\ncost_ceiling = {ceiling}\n")
+        assert "cost_ceiling must be finite" in str(err.value)
+
     def test_x0_dimension_checked(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "d = 2\nx0 = 0.0\n")
@@ -78,6 +91,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "reference = mc-baseline\n")
         assert "reference_*" in str(err.value)
+
+    def test_mc_baseline_budget_rejected_above_ceiling(self):
+        baseline = (MINIMAL + "depths = 1\nreference = mc-baseline\nreference_n = 3\n"
+                    "reference_m = 3\nreference_steps = 32\nreference_replications = 4\n")
+        bound = 4 * cost_recursion_bound(3, 3, 1, 32, (1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ConfigError) as err:
+            parse_config(baseline + f"cost_ceiling = {bound / 2}\n")
+        message = str(err.value)
+        assert "reference budget (3,3) x 4 exceeds the cost ceiling" in message
+        assert f"{bound:.6g}" in message
+        assert parse_config(baseline + f"cost_ceiling = {bound}\n").reference_budget.n == 3
 
     def test_problem_override_errors_surface(self):
         with pytest.raises(ConfigError) as err:

@@ -261,6 +261,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_rejected(self, bad):
+        prob = instantiate("heat-quadratic", d=2)
+        with pytest.raises(ValueError, match="finite"):
+            estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.array([0.0, bad]))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MlpParams(n=-1, M=2)

@@ -28,7 +28,7 @@ def test_sine_with_zero_kappa_degenerates_to_constant_coefficients():
     assert prob.constant_coefficients is not None
     x = np.array([[0.3], [-1.2]])
     assert np.array_equal(prob.drift(x), np.zeros_like(x))
-    np.testing.assert_array_equal(prob.diffusion(x)[0], np.eye(1))
+    np.testing.assert_array_equal(prob.diffusion(x), np.ones_like(x))
 
 
 def test_sine_with_nonzero_kappa_is_genuinely_state_dependent():
@@ -36,7 +36,7 @@ def test_sine_with_nonzero_kappa_is_genuinely_state_dependent():
     assert prob.constant_coefficients is None
     x = np.array([[0.3, -0.4]]) if prob.d == 2 else np.array([[0.3]])
     assert prob.drift(x)[0, 0] == pytest.approx(0.5 * np.sin(0.3))
-    assert prob.diffusion(x)[0, 0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))
+    assert prob.diffusion(x)[0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))
 
 
 def test_problem_id_carries_overrides():
@@ -62,6 +62,18 @@ def test_invalid_override_values_rejected():
         instantiate("heat-quadratic", T=-1.0)
     with pytest.raises(ProblemError):
         instantiate("nonlinear-coeff-sine", kappa=3.0)
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("heat-quadratic", {"T": float("nan")}),
+    ("heat-quadratic", {"T": float("inf")}),
+    ("heat-quadratic", {"d": float("nan")}),
+    ("nonlinear-coeff-sine", {"kappa": float("nan")}),
+    ("scaled-bs", {"strike": float("-inf")}),
+])
+def test_non_finite_override_rejected(name, overrides):
+    with pytest.raises(ProblemError, match="must be finite"):
+        instantiate(name, **overrides)
 
 
 def test_linear_reaction_d10_spot_checks():

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from mlpicard import oracle
 from mlpicard.harness import parse_config, run_experiment
 from mlpicard.mlp import MlpParams, estimate
 from mlpicard.problems import instantiate
@@ -70,3 +71,24 @@ def test_estimate_matches_pinned_value(name, overrides, x, seed, value, tally):
     result = estimate(prob, MlpParams(n=3, M=3, root_seed=seed), (0,), 0.1, np.array(x))
     assert result.value == value
     assert result.cost.as_dict() == tally
+
+
+BASELINE_CONFIG = os.path.join(REPO_ROOT, "configs", "sine_nonlinear_baseline.cfg")
+
+
+def test_shipped_baseline_rep0_recomputes():
+    """Replication 0 of the shipped depth-5 mc-baseline, recomputed from
+    scratch, equals its cached value to all 17 digits, so a change to the
+    estimator cannot leave the cached reference stale without notice."""
+    with open(BASELINE_CONFIG, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    prob = cfg.build_problem()
+    x0 = cfg.query_point()
+    budget = cfg.reference_budget
+    key = oracle._cache_key(prob, cfg.t0, x0, budget, cfg.reference_seed)
+    entry = oracle._read_cache(oracle._cache_file(os.path.join(REPO_ROOT, cfg.cache_dir), key))
+    assert entry is not None and entry["key"] == key
+    params = MlpParams(n=budget.n, M=budget.M, euler_steps=budget.euler_steps,
+                       root_seed=cfg.reference_seed)
+    result = estimate(prob, params, (0,), cfg.t0, x0)
+    assert format(result.value, ".17g") == entry["rep_0000"]

@@ -83,7 +83,11 @@ def _cmd_validate(args) -> int:
     for item in args.override or []:
         key, _, value = item.partition("=")
         overrides[key] = value
-    problem = instantiate(args.name, **overrides)
+    try:
+        problem = instantiate(args.name, **overrides)
+    except ValueError as exc:  # ProblemError, or a value that is not a number
+        print(f"invalid override: {exc}", file=sys.stderr)
+        return 2
     report = validate(problem, args.samples, args.seed)
     print(f"problem {problem.name} (d={problem.d}, T={problem.T}): "
           f"{len(report.violations)} violation(s) over {report.samples} samples "

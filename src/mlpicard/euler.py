@@ -1,6 +1,6 @@
 """Forward path simulation on the uniform grid k*T/N with off-grid endpoints.
 
-A path starts at an arbitrary time ``t`` in state ``x`` and is advanced by
+A path starts at its own time ``t`` in its own state ``x`` and is advanced by
 frozen-coefficient updates at every grid time strictly between ``t`` and the
 query time ``s``, plus one final partial step ending exactly at ``s``.  The
 number of Gaussian scalars consumed is ``d * len(update_times(t, s, N, T))``,
@@ -9,12 +9,22 @@ streams reproducible under any evaluation order.
 
 Grid times are evaluated as ``k * T / N`` (left-to-right float evaluation);
 membership is decided by index arithmetic around ``floor(t*N/T)``, never by
-floating-point equality against ``s``.
+floating-point equality against ``s``.  One vectorized planner states this
+for a whole batch; ``update_times`` is its one-path view.
+
+A batch may mix start points, so one call can simulate every path of one
+depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
+so the live ``(rows, steps, d)`` draw buffer stays below ``_CHUNK_SCALARS``
+whatever the batch size.  Every path draws from its own stream, so chunking
+changes no value.
 
 Problems whose coefficients are state-independent take a closed-form update
-``x + mu0*(s-t) + sigma0 * (sum of Brownian increments)`` (numpy pairwise
-summation over steps) that consumes the identical draw sequence.  ``sigma0``
-is the diagonal of the diffusion coefficient.
+``x + mu0*(s-t) + sigma0 * (sum of Brownian increments)`` that consumes the
+identical draw sequence.  ``sigma0`` is the diagonal of the diffusion
+coefficient.  The sum is numpy's pairwise sum over the increments zero-padded
+to the longest path of the path's group (see ``simulate_batch``); that sum
+depends on the padded length, so a group keeps its padding when the batch is
+chunked.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ import numpy as np
 
 from .problems import Problem
 from .rng import stream_for
+
+# upper bound on the scalars in one chunk's draw buffer
+_CHUNK_SCALARS = 1 << 17
 
 
 class DomainError(ValueError):
@@ -41,65 +54,116 @@ class EulerConfig:
             raise ValueError("EulerConfig.steps must be >= 1")
 
 
+def _plan(t: np.ndarray, s: np.ndarray, steps: int, T: float):
+    """Grid plan of paths from ``t`` to ``s`` (equal-length 1-d arrays).
+
+    Returns ``(first, counts)``: the index of the first grid time ``> t`` and
+    the number of update targets (interior grid times, then ``s``; none when
+    ``s == t``).  Target ``j < counts-1`` is ``(first + j) * T / N``.
+    """
+    bad = ~((0.0 <= t) & (t <= s) & (s <= T))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"require 0 <= t <= s <= T, got t={t[i]}, s={s[i]}, T={T}")
+    N = steps
+    # index arithmetic can be off by one ulp; nudge to the first grid time > t
+    first = np.floor(t * N / T).astype(np.int64) + 1
+    while (down := (first >= 1) & ((first - 1) * T / N > t)).any():
+        first -= down
+    while (up := first * T / N <= t).any():
+        first += up
+    # and to the first grid time >= s, which ends the interior times
+    stop = np.maximum(np.ceil(s * N / T).astype(np.int64), first)
+    while (down := (stop > first) & ((stop - 1) * T / N >= s)).any():
+        stop -= down
+    while (up := stop * T / N < s).any():
+        stop += up
+    counts = np.where(s > t, stop - first + 1, 0)
+    return first, counts
+
+
+def _targets(first, counts, ends, width: int, steps: int, T: float) -> np.ndarray:
+    """Update targets of planned paths, ``(P, width)``, padded with the end time."""
+    j = np.arange(width)
+    grid = np.add.outer(first, j).astype(float)
+    grid *= T
+    grid /= steps
+    np.copyto(grid, ends[:, None], where=j >= counts[:, None] - 1)
+    return grid
+
+
 def update_times(t: float, s: float, steps: int, T: float) -> list:
     """Update targets for a path from time ``t`` to ``s``: interior grid
     times in ``(t, s)`` in ascending order, then ``s`` itself."""
-    if s < t or s > T or t < 0:
-        raise DomainError(f"require 0 <= t <= s <= T, got t={t}, s={s}, T={T}")
-    if s == t:
-        return []
-    N = steps
-    k = math.floor(t * N / T) + 1
-    # index arithmetic can be off by one ulp; nudge to the first grid time > t
-    while k >= 1 and (k - 1) * T / N > t:
-        k -= 1
-    while k * T / N <= t:
-        k += 1
-    times = []
-    while k * T / N < s:
-        times.append(k * T / N)
-        k += 1
-    times.append(s)
-    return times
+    first, counts = _plan(np.array([t], dtype=float), np.array([s], dtype=float), steps, T)
+    count = int(counts[0])
+    return _targets(first, counts, np.array([s], dtype=float), count, steps, T)[0].tolist()
 
 
-def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t: float,
-                   x: np.ndarray, end_times: np.ndarray):
-    """Simulate one path per stream from ``(t, x)`` to its own end time.
+def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times,
+                   groups=None):
+    """Simulate one path per stream from its start ``(t, x)`` to its end time.
 
-    Streams must already be past their uniform draw.  Returns the terminal
-    states ``(P, d)`` and per-path step counts ``(P,)``.
+    ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams
+    must already be past their uniform draw.  ``groups`` lists the sizes of
+    consecutive row groups (default: one group); it only sets the padded
+    length of the closed-form sum.  Returns the terminal states ``(P, d)``
+    and per-path step counts ``(P,)``.
     """
-    d, T = problem.d, problem.T
-    x = np.asarray(x, dtype=float)
+    d, T, N = problem.d, problem.T, cfg.steps
     P = len(streams)
-    plans = [update_times(t, float(s), cfg.steps, T) for s in end_times]
-    counts = np.array([len(p) for p in plans], dtype=np.int64)
-    kmax = int(counts.max()) if P else 0
-
-    deltas = np.zeros((P, kmax))
-    incs = np.zeros((P, kmax, d))
-    for p, plan in enumerate(plans):
-        if not plan:
-            continue
-        dts = np.diff(np.asarray([t] + plan))
-        z = streams[p].gaussians(len(plan) * d).reshape(len(plan), d)
-        deltas[p, : len(plan)] = dts
-        incs[p, : len(plan)] = np.sqrt(dts)[:, None] * z
-
-    if problem.constant_coefficients is not None:
-        mu0, sig0 = problem.constant_coefficients
-        total = incs.sum(axis=1)
-        elapsed = np.asarray(end_times, dtype=float) - t
-        states = x + mu0 * elapsed[:, None] + sig0 * total
+    t = np.broadcast_to(np.asarray(t, dtype=float), (P,))
+    x = np.broadcast_to(np.asarray(x, dtype=float), (P, d))
+    ends = np.asarray(end_times, dtype=float).reshape(P)
+    first, counts = _plan(t, ends, N, T)
+    states = np.array(x)
+    if P == 0:
         return states, counts
 
-    states = np.tile(x, (P, 1))
-    for k in range(kmax):
-        active = counts > k
-        ya = states[active]
-        states[active] = ya + (problem.drift(ya) * deltas[active, k, None]
-                               + problem.diffusion(ya) * incs[active, k])
+    constant = problem.constant_coefficients
+    width = counts
+    if constant is not None:
+        sizes = np.asarray([P] if groups is None else groups, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        width = np.repeat(np.maximum.reduceat(counts, starts), sizes)
+    order = np.argsort(-width, kind="stable")
+
+    lo = 0
+    while lo < P:
+        W = int(width[order[lo]])
+        # live buffers: targets, dts and the (rows, W, d) increments
+        rows = order[lo: lo + max(1, _CHUNK_SCALARS // (max(W, 1) * (d + 2)))]
+        lo += len(rows)
+        c = counts[rows]
+        targets = _targets(first[rows], c, ends[rows], W, N, T)
+        dts = np.empty_like(targets)
+        dts[:, :1] = targets[:, :1] - t[rows, None]
+        np.subtract(targets[:, 1:], targets[:, :-1], out=dts[:, 1:])
+        incs = np.zeros((len(rows), W, d))
+        for r, p in enumerate(rows.tolist()):
+            if c[r]:
+                incs[r, : c[r]] = streams[p].gaussians(int(c[r]) * d).reshape(-1, d)
+        incs *= np.sqrt(dts, out=targets)[:, :, None]
+
+        if constant is not None:
+            mu0, sig0 = constant
+            w = width[rows]
+            total = np.empty((len(rows), d))
+            for L in np.unique(w).tolist():
+                same = w == L
+                total[same] = incs[same, :L].sum(axis=1)
+            elapsed = ends[rows] - t[rows]
+            states[rows] = x[rows] + mu0 * elapsed[:, None] + sig0 * total
+            continue
+
+        y = states[rows]
+        # rows are longest first, so the paths still moving at step k are a prefix
+        active = np.searchsorted(-c, -np.arange(W), side="left")
+        for k, a in enumerate(active.tolist()):
+            ya = y[:a]
+            y[:a] = ya + (problem.drift(ya) * dts[:a, k, None]
+                          + problem.diffusion(ya) * incs[:a, k])
+        states[rows] = y
     return states, counts
 
 

@@ -293,11 +293,15 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
         errors.append("reference = mc-baseline requires the reference_* budget keys")
     if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
+    problem = None
     if cfg.problem:
         try:
-            cfg.build_problem()
+            problem = cfg.build_problem()
         except Exception as exc:
             errors.append(f"problem: {exc}")
+    T = problem.T if problem is not None else math.inf
+    if not (math.isfinite(cfg.t0) and 0.0 <= cfg.t0 <= T):
+        errors.append(f"t0 must be finite and lie in [0, T] with T = {T:g}, got {cfg.t0}")
     # every configured depth must pass the cost ceiling; a NaN ceiling would
     # pass every comparison below
     if not math.isfinite(cfg.cost_ceiling):

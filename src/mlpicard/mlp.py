@@ -9,6 +9,18 @@ sub-estimates, which recurse with fresh child stream labels.  Labels carry
 the whole recursion history, so any two branches use disjoint random
 sources and the result is independent of evaluation order.
 
+That independence lets the tree be evaluated level-synchronously, in two
+phases.  Top-down, every node of one recursion depth (a "wave") creates its
+streams and draws its uniforms in label order, and the terminal and level
+paths of the whole wave are simulated in one ``simulate_batch`` call; each
+child node starts from its parent's sampled ``(R_i, X_i)``.  The tree's shape
+depends only on ``(n, M)``, so a depth-``n`` estimate takes at most ``n``
+waves.  Bottom-up, each node is reduced on its own, in the fixed order: the
+ascending sum of its terminal values, then per level the nonlinearity at the
+minuend and at the subtrahend values.  Every float operation is the one a
+depth-first recursion would perform, so the result does not depend on the
+evaluation order.
+
 Stream label conventions for a node with base label ``theta``:
 
 * ``theta + (0, -i)``: terminal path ``i`` (its uniform is drawn and
@@ -115,69 +127,113 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
     tally = CostTally()
+    if params.n <= 0:
+        return Estimate(value=0.0, cost=tally)
     cfg = EulerConfig(steps=params.resolved_steps)
-    value = _node(problem, cfg, params.M, params.root_seed, tuple(theta), params.n, t, x, tally)
-    return Estimate(value=value, cost=tally)
+    root = _Node(tuple(theta), params.n, t, x)
+    waves = []
+    wave = [root]
+    while wave:
+        waves.append(wave)
+        wave = _simulate_wave(problem, cfg, params.M, params.root_seed, wave, tally)
+    for wave in reversed(waves):
+        for node in wave:
+            _reduce(problem, params.M, node, tally)
+    return Estimate(value=root.value, cost=tally)
 
 
-def _node(problem, cfg, M, seed, theta, n, t, x, tally) -> float:
-    if n <= 0:
-        return 0.0
+class _Node:
+    """The depth-``n`` sub-estimate at ``(t, x)`` with base label ``theta``.
+
+    The top-down phase fills ``terminal`` (the terminal path states) and
+    ``levels``: per level, the evaluation times, the path states there and
+    the minuend and subtrahend child nodes (``None`` for depth 0).  The
+    bottom-up phase sets ``value``.
+    """
+
+    __slots__ = ("theta", "n", "t", "x", "terminal", "levels", "value")
+
+    def __init__(self, theta, n, t, x):
+        self.theta, self.n, self.t, self.x = theta, n, t, x
+        self.levels = []
+
+
+def _simulate_wave(problem, cfg, M, seed, wave, tally) -> list:
+    """Simulate every path of one tree depth in one batch; return the next depth."""
     d, T = problem.d, problem.T
+    streams, blocks = [], []  # blocks: (node, level or None for terminal paths, end times)
+    for node in wave:
+        count = M**node.n
+        for i in range(1, count + 1):
+            st = stream_for(seed, node.theta + (0, -i))
+            st.uniform()  # fixed stream shape; terminal paths never use r
+            streams.append(st)
+        blocks.append((node, None, np.full(count, T)))
+        tally.g_evals += count
+        if node.t >= T:
+            continue  # every level term carries the factor (T - t) = 0
+        for level in range(node.n):
+            count = M ** (node.n - level)
+            level_streams = [stream_for(seed, node.theta + (level, i)) for i in range(1, count + 1)]
+            uniforms = np.array([st.uniform() for st in level_streams])
+            tally.uniforms += count
+            streams.extend(level_streams)
+            blocks.append((node, level, np.minimum(node.t + (T - node.t) * uniforms, T)))
 
-    # terminal sum: M^n paths to the horizon
-    count = M**n
-    streams = []
-    for i in range(1, count + 1):
-        st = stream_for(seed, theta + (0, -i))
-        st.uniform()  # fixed stream shape; terminal paths never use r
-        streams.append(st)
-    states, steps = simulate_batch(problem, cfg, streams, t, x, np.full(count, T))
+    sizes = [len(ends) for _, _, ends in blocks]
+    t0 = np.repeat([node.t for node, _, _ in blocks], sizes)
+    x0 = np.repeat(np.array([node.x for node, _, _ in blocks]), sizes, axis=0)
+    ends = np.concatenate([ends for _, _, ends in blocks])
+    # each block is one padding group of the closed-form sum
+    states, steps = simulate_batch(problem, cfg, streams, t0, x0, ends, groups=sizes)
     total_steps = int(steps.sum())
     tally.euler_steps += total_steps
     tally.gaussians += d * total_steps
-    tally.g_evals += count
-    value = _sum_ascending(problem.terminal(states)) / count
 
-    if t >= T:
-        # every level term carries the factor (T - t) = 0
-        return value
+    children = []
+    offset = 0
+    for (node, level, eval_times), count in zip(blocks, sizes):
+        block = states[offset: offset + count]
+        offset += count
+        if level is None:
+            node.terminal = block
+            continue
+        minuends = subtrahends = None
+        if level > 0:
+            minuends = [_Node(node.theta + (level, i + 1), level, float(eval_times[i]), block[i])
+                        for i in range(count)]
+            children.extend(minuends)
+        if level > 1:
+            subtrahends = [_Node(node.theta + (-level, i + 1), level - 1, float(eval_times[i]),
+                                 block[i]) for i in range(count)]
+            children.extend(subtrahends)
+        node.levels.append((eval_times, block, minuends, subtrahends))
+    return children
 
-    for level in range(n):
-        count = M ** (n - level)
-        labels = [theta + (level, i) for i in range(1, count + 1)]
-        streams = [stream_for(seed, lab) for lab in labels]
-        uniforms = np.array([st.uniform() for st in streams])
-        tally.uniforms += count
-        eval_times = np.minimum(t + (T - t) * uniforms, T)
-        states, steps = simulate_batch(problem, cfg, streams, t, x, eval_times)
-        total_steps = int(steps.sum())
-        tally.euler_steps += total_steps
-        tally.gaussians += d * total_steps
 
-        if level == 0:
-            minuend_values = np.zeros(count)
-        else:
-            minuend_values = np.array([
-                _node(problem, cfg, M, seed, labels[i], level, float(eval_times[i]), states[i], tally)
-                for i in range(count)
-            ])
-        f_minuend = problem.nonlinearity(eval_times, states, minuend_values)
+def _values(children, count: int) -> np.ndarray:
+    """Values of one level's child nodes; ``None`` stands for depth-0 children."""
+    if children is None:
+        return np.zeros(count)
+    return np.array([child.value for child in children])
+
+
+def _reduce(problem, M, node, tally) -> None:
+    """Combine a node's paths and its children's values, in the fixed order."""
+    T, t = problem.T, node.t
+    value = _sum_ascending(problem.terminal(node.terminal)) / M**node.n
+    for level, (eval_times, states, minuends, subtrahends) in enumerate(node.levels):
+        count = len(eval_times)
+        f_minuend = problem.nonlinearity(eval_times, states, _values(minuends, count))
         tally.f_evals += count
         if level > 0:
-            subtrahend_values = np.array([
-                _node(problem, cfg, M, seed, theta + (-level, i + 1), level - 1,
-                      float(eval_times[i]), states[i], tally)
-                for i in range(count)
-            ])
-            f_sub = problem.nonlinearity(eval_times, states, subtrahend_values)
+            f_sub = problem.nonlinearity(eval_times, states, _values(subtrahends, count))
             tally.f_evals += count
             correction = f_minuend - f_sub
         else:
             correction = f_minuend
         value += (T - t) * _sum_ascending(correction) / count
-
-    return value
+    node.value = value
 
 
 def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:

@@ -1,6 +1,12 @@
 """Shared test oracles."""
 
+import math
+
 import numpy as np
+
+from mlpicard.euler import DomainError, simulate_batch
+from mlpicard.mlp import _sum_ascending
+from mlpicard.rng import stream_for
 
 
 def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
@@ -20,3 +26,84 @@ def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
             fn = fn + b * M ** (-(n - level - 1) / 2.0) * suffix ** (1.0 / p)
         fams.append(fn)
     return fams
+
+
+def update_times_reference(t, s, steps, T):
+    """One-path scalar loop over grid indices; reference for the planner."""
+    if s < t or s > T or t < 0:
+        raise DomainError(f"require 0 <= t <= s <= T, got t={t}, s={s}, T={T}")
+    if s == t:
+        return []
+    N = steps
+    k = math.floor(t * N / T) + 1
+    while k >= 1 and (k - 1) * T / N > t:
+        k -= 1
+    while k * T / N <= t:
+        k += 1
+    times = []
+    while k * T / N < s:
+        times.append(k * T / N)
+        k += 1
+    times.append(s)
+    return times
+
+
+def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
+    """Depth-first evaluation of one estimator node, one ``simulate_batch``
+    call per path set; reference for the level-synchronous evaluation."""
+    if n <= 0:
+        return 0.0
+    d, T = problem.d, problem.T
+
+    count = M**n
+    streams = []
+    for i in range(1, count + 1):
+        st = stream_for(seed, theta + (0, -i))
+        st.uniform()
+        streams.append(st)
+    states, steps = simulate_batch(problem, cfg, streams, t, x, np.full(count, T))
+    total_steps = int(steps.sum())
+    tally.euler_steps += total_steps
+    tally.gaussians += d * total_steps
+    tally.g_evals += count
+    value = _sum_ascending(problem.terminal(states)) / count
+
+    if t >= T:
+        return value
+
+    for level in range(n):
+        count = M ** (n - level)
+        labels = [theta + (level, i) for i in range(1, count + 1)]
+        streams = [stream_for(seed, lab) for lab in labels]
+        uniforms = np.array([st.uniform() for st in streams])
+        tally.uniforms += count
+        eval_times = np.minimum(t + (T - t) * uniforms, T)
+        states, steps = simulate_batch(problem, cfg, streams, t, x, eval_times)
+        total_steps = int(steps.sum())
+        tally.euler_steps += total_steps
+        tally.gaussians += d * total_steps
+
+        if level == 0:
+            minuend_values = np.zeros(count)
+        else:
+            minuend_values = np.array([
+                recursive_node(problem, cfg, M, seed, labels[i], level, float(eval_times[i]),
+                               states[i], tally)
+                for i in range(count)
+            ])
+        f_minuend = problem.nonlinearity(eval_times, states, minuend_values)
+        tally.f_evals += count
+        if level > 0:
+            subtrahend_values = np.array([
+                recursive_node(problem, cfg, M, seed, theta + (-level, i + 1), level - 1,
+                               float(eval_times[i]), states[i], tally)
+                for i in range(count)
+            ])
+            f_sub = problem.nonlinearity(eval_times, states, subtrahend_values)
+            tally.f_evals += count
+            correction = f_minuend - f_sub
+        else:
+            correction = f_minuend
+        value += (T - t) * _sum_ascending(correction) / count
+
+    return value

@@ -5,15 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from mlpicard import euler
 from mlpicard.euler import (
     DomainError,
     EulerConfig,
+    _plan,
+    _targets,
     lyapunov_check,
     simulate_batch,
     update_times,
 )
 from mlpicard.problems import Problem, instantiate
 from mlpicard.rng import stream_for
+
+from helpers import update_times_reference
 
 
 def _path_stream(seed, theta):
@@ -47,6 +52,18 @@ class TestUpdateTimes:
         with pytest.raises(DomainError):
             update_times(0.5, 1.1, 4, 1.0)
 
+    def test_domain_errors_match_reference(self):
+        for t, s in [(0.5, 0.4), (0.5, 1.1), (-0.1, 0.5)]:
+            with pytest.raises(DomainError):
+                update_times_reference(t, s, 4, 1.0)
+            with pytest.raises(DomainError):
+                update_times(t, s, 4, 1.0)
+        with pytest.raises(DomainError):
+            update_times(math.nan, 0.5, 4, 1.0)
+        with pytest.raises(DomainError):
+            simulate_batch(instantiate("heat-quadratic"), EulerConfig(steps=4),
+                           [_path_stream(1, (1,))], np.array([0.2]), np.zeros(1), [1.5])
+
     def test_count_is_pure_in_time_arguments(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -56,6 +73,55 @@ class TestUpdateTimes:
             k = len(update_times(t, s, n_grid, 1.0))
             assert k == len(update_times(t, s, n_grid, 1.0))
             assert k <= n_grid + 1
+
+
+def _planner_cases(rng, T, N, size):
+    """``size`` pairs 0 <= t <= s <= T: random, on grid points, one ulp off
+    grid points, ``s == t`` and ``s == T``."""
+    on_grid = lambda k: min(k * T / N, T)  # noqa: E731
+    ts, ss = [], []
+    for _ in range(size):
+        kind = int(rng.integers(0, 7))
+        k = int(rng.integers(0, N + 1))
+        t = on_grid(k) if kind in (1, 2) else float(rng.uniform(0.0, T))
+        if kind == 1:
+            s = max(on_grid(int(rng.integers(k, N + 1))), t)
+        elif kind == 6:
+            t = max(float(np.nextafter(on_grid(k), -1.0)), 0.0)
+            s = min(float(np.nextafter(on_grid(int(rng.integers(k, N + 1))), 2 * T)), T)
+        elif kind == 3:
+            s = t
+        elif kind == 4:
+            s = T
+        elif kind == 5:
+            t = 0.0
+            s = float(rng.uniform(0.0, T))
+        else:
+            s = float(rng.uniform(t, T))
+        ts.append(t)
+        ss.append(s)
+    return ts, ss
+
+
+class TestPlannerMatchesScalarLoop:
+    """The vectorized planner against the one-path scalar loop in helpers."""
+
+    @pytest.mark.parametrize("T", [1.0, 0.3, 0.7])
+    def test_identical_float_lists(self, T):
+        rng = np.random.default_rng(int(T * 10))
+        grids = [1, 2, 3, 7, 27, 256, 1000] + [int(n) for n in rng.integers(1, 1001, size=5)]
+        pairs = 0
+        for N in grids:
+            ts, ss = _planner_cases(rng, T, N, 300)
+            first, counts = _plan(np.array(ts), np.array(ss), N, T)
+            width = int(counts.max())
+            batch = _targets(first, counts, np.array(ss), width, N, T)
+            for i, (t, s) in enumerate(zip(ts, ss)):
+                want = update_times_reference(t, s, N, T)
+                assert batch[i, : counts[i]].tolist() == want, (t, s, N, T)
+                assert update_times(t, s, N, T) == want, (t, s, N, T)
+            pairs += len(ts)
+        assert pairs * 3 >= 10_000
 
 
 class TestSimulate:
@@ -103,6 +169,40 @@ class TestSimulate:
         expected = x + mu0 * (s - t) + sig0 * increments.sum(axis=0)
         assert np.array_equal(states[0], expected)
         assert counts[0] == len(plan)
+
+    @pytest.mark.parametrize("chunk_scalars", [None, 40])
+    def test_closed_form_sums_over_group_padding(self, monkeypatch, chunk_scalars):
+        # d = 1 sums are pairwise, so padding past 8 steps changes bits; every
+        # path is padded to the longest path of its own group, also when the
+        # group is split across chunks
+        if chunk_scalars is not None:
+            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
+        prob = instantiate("linear-reaction", d=1)
+        N, groups = 64, [12, 12]
+        rng = np.random.default_rng(8)
+        t = rng.uniform(0.0, 0.3, size=24)
+        ends = t + rng.uniform(0.0, 1.0, size=24) * np.repeat([0.3, 0.7], 12)
+        x = rng.uniform(-1.0, 1.0, size=(24, 1))
+        labels = [(9, i) for i in range(24)]
+        states, counts = simulate_batch(prob, EulerConfig(steps=N),
+                                        [_path_stream(4, lab) for lab in labels], t, x, ends,
+                                        groups=groups)
+        mu0, sig0 = prob.constant_coefficients
+        lo = 0
+        for size in groups:
+            rows = range(lo, lo + size)
+            plans = [update_times(t[p], ends[p], N, 1.0) for p in rows]
+            kmax = max(len(plan) for plan in plans)
+            incs = np.zeros((size, kmax, 1))
+            for r, (p, plan) in enumerate(zip(rows, plans)):
+                dts = np.diff(np.asarray([t[p]] + plan))
+                z = _path_stream(4, labels[p]).gaussians(len(plan))
+                incs[r, : len(plan), 0] = np.sqrt(dts) * z
+            elapsed = (ends - t)[lo: lo + size, None]
+            expected = x[lo: lo + size] + mu0 * elapsed + sig0 * incs.sum(axis=1)
+            assert np.array_equal(states[lo: lo + size], expected)
+            assert counts[lo: lo + size].tolist() == [len(plan) for plan in plans]
+            lo += size
 
     def test_constant_fastpath_agrees_with_general_stepper(self):
         # force the general stepper on the same draws; agreement to roundoff

@@ -76,6 +76,14 @@ class TestParseConfig:
             parse_config(MINIMAL + f"depths = 9\ncost_ceiling = {ceiling}\n")
         assert "cost_ceiling must be finite" in str(err.value)
 
+    @pytest.mark.parametrize("t0", ["nan", "-0.1", "3.0"])
+    def test_t0_outside_horizon_rejected(self, t0):
+        # T = 2 is configured; 3.0 is T + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"T = 2.0\nt0 = {t0}\n")
+        assert "t0 must be finite and lie in [0, T] with T = 2" in str(err.value)
+        assert parse_config(MINIMAL + "T = 2.0\nt0 = 2.0\n").t0 == 2.0
+
     def test_x0_dimension_checked(self):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + "d = 2\nx0 = 0.0\n")

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlpicard.euler import update_times
+from mlpicard import euler
+from mlpicard.euler import EulerConfig, update_times
 from mlpicard.mlp import CostTally, MlpParams, cost_recursion_bound, estimate
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
+
+from helpers import recursive_node
 
 MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 
@@ -158,6 +161,41 @@ class TestFlatReference:
             return y
 
         assert got.value == pytest.approx(flat((0,), 2, 0.0, np.zeros(2)), rel=1e-10)
+
+
+# (problem, overrides, n, M, N, t, x).  The constant-coefficient cases take the
+# closed-form update at N = 27 > 8, where the pairwise sum depends on the
+# padded length; heat's f = 0 hides every level path from the value, linear
+# reaction's f(v) = v does not.
+WAVE_CASES = [
+    ("nonlinear-coeff-sine", {"d": 2}, 3, 3, None, 0.1, [0.3, -0.7]),
+    ("scaled-bs", {"d": 4}, 3, 2, None, 0.0, [1.0, 0.8, 1.2, 0.9]),
+    ("heat-quadratic", {"d": 1}, 3, 3, 27, 0.0, [0.4]),
+    ("linear-reaction", {"d": 1}, 3, 3, 27, 0.0, [0.4]),
+    ("nonlinear-coeff-sine", {"d": 1}, 3, 2, None, 1.0, [0.5]),  # t = T: terminal paths only
+]
+
+
+class TestWaveMatchesRecursion:
+    """The level-synchronous evaluation against the depth-first recursion in
+    helpers, which makes one ``simulate_batch`` call per path set."""
+
+    @pytest.mark.parametrize("chunk_scalars", [None, 200])
+    @pytest.mark.parametrize("name,overrides,n,M,N,t,x", WAVE_CASES)
+    def test_value_and_tally_bitwise(self, monkeypatch, chunk_scalars, name, overrides,
+                                     n, M, N, t, x):
+        prob = instantiate(name, **overrides)
+        params = MlpParams(n=n, M=M, euler_steps=N, root_seed=11)
+        x = np.array(x)
+        tally = CostTally()
+        want = recursive_node(prob, EulerConfig(steps=params.resolved_steps), M, 11, (0,), n,
+                              t, x, tally)
+        if chunk_scalars is not None:
+            # chunks of a row or two, so the wave's path groups span chunks
+            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
+        got = estimate(prob, params, (0,), t, x)
+        assert got.value == want
+        assert got.cost.as_dict() == tally.as_dict()
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
 """Golden pins: outputs recorded once and compared bit for bit.
 
-The heat-run CSVs are the committed ``out/heat-d1/`` files.  The estimate
-values below are 17-significant-digit literals with their full cost tallies;
-every case has d >= 2, so a change in how the diffusion coefficient is
-applied to the Brownian increments would show in the last bits.
+The heat-run and sweep CSVs are the committed ``out/heat-d1/`` files.  The
+estimate values below are 17-significant-digit literals with their full cost
+tallies; every case has d >= 2, so a change in how the diffusion coefficient
+is applied to the Brownian increments would show in the last bits.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mlpicard import oracle
-from mlpicard.harness import parse_config, run_experiment
+from mlpicard.harness import find_depth_for_epsilon, parse_config, run_experiment, write_sweep_csv
 from mlpicard.mlp import MlpParams, estimate
 from mlpicard.problems import instantiate
 
@@ -41,6 +41,16 @@ def test_heat_run_matches_committed_csvs(tmp_path):
         with open(paths[key], "rb") as fh:
             produced = fh.read()
         assert produced == _committed_rows(f"{key}.csv", HEAT_DEPTHS), key
+
+
+def test_heat_sweep_matches_committed_csv(tmp_path):
+    with open(HEAT_CONFIG, encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    sweep_rows, _ = find_depth_for_epsilon(cfg, [0.5])
+    path = os.path.join(tmp_path, "sweep.csv")
+    write_sweep_csv(sweep_rows, path)
+    with open(path, "rb") as fh, open(os.path.join(HEAT_OUTPUT, "sweep.csv"), "rb") as want:
+        assert fh.read() == want.read()
 
 
 def _tally(uniforms, gaussians, euler_steps, g_evals=117, f_evals=159):

@@ -20,8 +20,8 @@ from .bounds import (
     total_cost_bound,
 )
 from .euler import EulerConfig, lyapunov_check, update_times
-from .mlp import CostTally, Estimate, MlpParams, cost_recursion_bound, estimate
-from .problems import CATALOGUE, Problem, ProblemId, instantiate, validate
+from .mlp import ESTIMATOR_VERSION, CostTally, Estimate, MlpParams, cost_recursion_bound, estimate
+from .problems import CATALOGUE, Problem, instantiate, validate
 from .rng import RNG_ALGORITHM, RandomStream, ThetaIndex, child, stream_for
 
 __version__ = "0.1.0"
@@ -30,11 +30,11 @@ __all__ = [
     "BoundParams",
     "CATALOGUE",
     "CostTally",
+    "ESTIMATOR_VERSION",
     "Estimate",
     "EulerConfig",
     "MlpParams",
     "Problem",
-    "ProblemId",
     "RNG_ALGORITHM",
     "RandomStream",
     "ThetaIndex",

@@ -17,14 +17,6 @@ depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
 so the live ``(rows, steps, d)`` draw buffer stays below ``_CHUNK_SCALARS``
 whatever the batch size.  Every path draws from its own stream, so chunking
 changes no value.
-
-Problems whose coefficients are state-independent take a closed-form update
-``x + mu0*(s-t) + sigma0 * (sum of Brownian increments)`` that consumes the
-identical draw sequence.  ``sigma0`` is the diagonal of the diffusion
-coefficient.  The sum is numpy's pairwise sum over the increments zero-padded
-to the longest path of the path's group (see ``simulate_batch``); that sum
-depends on the padded length, so a group keeps its padding when the batch is
-chunked.
 """
 
 from __future__ import annotations
@@ -100,15 +92,12 @@ def update_times(t: float, s: float, steps: int, T: float) -> list:
     return _targets(first, counts, np.array([s], dtype=float), count, steps, T)[0].tolist()
 
 
-def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times,
-                   groups=None):
+def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times):
     """Simulate one path per stream from its start ``(t, x)`` to its end time.
 
     ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams
-    must already be past their uniform draw.  ``groups`` lists the sizes of
-    consecutive row groups (default: one group); it only sets the padded
-    length of the closed-form sum.  Returns the terminal states ``(P, d)``
-    and per-path step counts ``(P,)``.
+    must already be past their uniform draw.  Returns the terminal states
+    ``(P, d)`` and per-path step counts ``(P,)``.
     """
     d, T, N = problem.d, problem.T, cfg.steps
     P = len(streams)
@@ -120,17 +109,11 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times,
     if P == 0:
         return states, counts
 
-    constant = problem.constant_coefficients
-    width = counts
-    if constant is not None:
-        sizes = np.asarray([P] if groups is None else groups, dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        width = np.repeat(np.maximum.reduceat(counts, starts), sizes)
-    order = np.argsort(-width, kind="stable")
+    order = np.argsort(-counts, kind="stable")
 
     lo = 0
     while lo < P:
-        W = int(width[order[lo]])
+        W = int(counts[order[lo]])
         # live buffers: targets, dts and the (rows, W, d) increments
         rows = order[lo: lo + max(1, _CHUNK_SCALARS // (max(W, 1) * (d + 2)))]
         lo += len(rows)
@@ -144,17 +127,6 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times,
             if c[r]:
                 incs[r, : c[r]] = streams[p].gaussians(int(c[r]) * d).reshape(-1, d)
         incs *= np.sqrt(dts, out=targets)[:, :, None]
-
-        if constant is not None:
-            mu0, sig0 = constant
-            w = width[rows]
-            total = np.empty((len(rows), d))
-            for L in np.unique(w).tolist():
-                same = w == L
-                total[same] = incs[same, :L].sum(axis=1)
-            elapsed = ends[rows] - t[rows]
-            states[rows] = x[rows] + mu0 * elapsed[:, None] + sig0 * total
-            continue
 
         y = states[rows]
         # rows are longest first, so the paths still moving at step k are a prefix

@@ -45,6 +45,11 @@ from .euler import EulerConfig, simulate_batch
 from .problems import Problem
 from .rng import stream_for
 
+ESTIMATOR_VERSION = "single-kernel v1"
+"""Version tag of the estimator's float arithmetic.  It changes whenever
+``estimate``'s output bits change for the same draws; cached results record
+it next to ``RNG_ALGORITHM``."""
+
 
 def _sum_ascending(values: np.ndarray) -> float:
     """Strict ascending-index float sum; fixed order keeps results
@@ -184,8 +189,7 @@ def _simulate_wave(problem, cfg, M, seed, wave, tally) -> list:
     t0 = np.repeat([node.t for node, _, _ in blocks], sizes)
     x0 = np.repeat(np.array([node.x for node, _, _ in blocks]), sizes, axis=0)
     ends = np.concatenate([ends for _, _, ends in blocks])
-    # each block is one padding group of the closed-form sum
-    states, steps = simulate_batch(problem, cfg, streams, t0, x0, ends, groups=sizes)
+    states, steps = simulate_batch(problem, cfg, streams, t0, x0, ends)
     total_steps = int(steps.sum())
     tally.euler_steps += total_steps
     tally.gaussians += d * total_steps

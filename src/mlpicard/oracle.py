@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .mlp import MlpParams, estimate
-from .problems import Problem, ProblemId, instantiate
+from .mlp import ESTIMATOR_VERSION, MlpParams, estimate
+from .problems import Problem
+from .rng import RNG_ALGORITHM
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -43,14 +44,6 @@ class Reference:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_problem(problem) -> Problem:
-    if isinstance(problem, Problem):
-        return problem
-    if isinstance(problem, ProblemId):
-        return instantiate(problem)
-    return instantiate(str(problem))
-
-
 def problem_fingerprint(problem: Problem, t: float, x) -> str:
     """Canonical text identity of (problem instance, query point)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -66,7 +59,7 @@ def problem_hash(problem: Problem, t: float, x) -> str:
     return hashlib.sha256(problem_fingerprint(problem, t, x).encode()).hexdigest()
 
 
-def closed_form(problem, t: float, x) -> Reference:
+def closed_form(problem: Problem, t: float, x) -> Reference:
     """Exact solution for the heat-quadratic and linear-reaction problems.
 
     heat-quadratic: ``u(t, x) = ||x||^2 + d (T - t)``.
@@ -74,7 +67,6 @@ def closed_form(problem, t: float, x) -> Reference:
     fixed-point equation to two scalar equations with solution
     ``u(t, x) = e^(T-t) ||x||^2 + d (T-t) e^(T-t)``.
     """
-    problem = _as_problem(problem)
     x = np.asarray(x, dtype=float)
     if not (0.0 <= t <= problem.T):
         raise ValueError(f"t must lie in [0, {problem.T}]")
@@ -107,7 +99,6 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
     The reported half-width combines the contraction-extrapolated iteration
     remainder with a coarse-grid refinement difference.
     """
-    problem = _as_problem(problem)
     if problem.d != 1:
         raise OracleError("picard_quadrature_1d supports d = 1 only")
     if problem.constant_coefficients is None:
@@ -260,18 +251,20 @@ def mc_baseline(problem: Problem, t: float, x, budget: BaselineBudget, seed: int
 
     Replication ``r`` uses root seed ``seed + r`` at label ``(0,)``.  The
     half-width is ``2.58 * SE``.  Results are persisted under
-    ``cache_path`` keyed by (problem hash incl. query point, budget, seed);
-    a checksum-clean cache entry is reloaded bit-identically, a corrupt one
-    is recomputed.
+    ``cache_path`` keyed by (problem hash incl. query point, budget, seed).
+    A checksum-clean entry that records the current ``RNG_ALGORITHM`` and
+    ``ESTIMATOR_VERSION`` is reloaded bit-identically; any other entry is
+    recomputed.
     """
-    problem = _as_problem(problem)
     x = np.asarray(x, dtype=float)
     key = _cache_key(problem, t, x, budget, seed)
     path = _cache_file(cache_path, key)
     provenance = f"mc-baseline:{key}"
 
+    expected = {"format": _CACHE_FORMAT, "key": key, "rng_algorithm": RNG_ALGORITHM,
+                "estimator_version": ESTIMATOR_VERSION}
     entry = _read_cache(path)
-    if entry is not None and entry.get("format") == _CACHE_FORMAT and entry.get("key") == key:
+    if entry is not None and all(entry.get(k) == v for k, v in expected.items()):
         return Reference(
             value=float(entry["value"]),
             ci_halfwidth=float(entry["ci_halfwidth"]),
@@ -294,9 +287,7 @@ def mc_baseline(problem: Problem, t: float, x, budget: BaselineBudget, seed: int
     ci = float(2.58 * values.std(ddof=1) / math.sqrt(budget.replications))
 
     os.makedirs(cache_path, exist_ok=True)
-    lines = [
-        f"format = {_CACHE_FORMAT}",
-        f"key = {key}",
+    lines = [f"{name} = {value}" for name, value in expected.items()] + [
         f"problem = {problem.name}",
         f"problem_hash = {problem_hash(problem, t, x)}",
         f"fingerprint = {problem_fingerprint(problem, t, x)}",

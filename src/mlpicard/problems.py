@@ -51,7 +51,7 @@ class Problem:
     growth_p: float      # p
     lyapunov_a: float    # a in phi(x) = 2a + 2||x||^2
     # (mu0, sigma0 diagonal) when the coefficients are state-independent;
-    # enables the closed-form path update in the Euler module
+    # selects the reference oracle and feeds the Picard quadrature
     constant_coefficients: Optional[tuple] = None
     params: dict = field(default_factory=dict)
 
@@ -78,12 +78,6 @@ class Problem:
             T=self.T,
             phi_x=self.phi(x),
         )
-
-
-@dataclass(frozen=True)
-class ProblemId:
-    name: str
-    overrides: dict = field(default_factory=dict)
 
 
 def _quadratic_terminal(x):
@@ -254,19 +248,12 @@ _BUILDERS = {
 }
 
 
-def instantiate(problem_id, **overrides) -> Problem:
-    """Build a catalogue problem by name (or :class:`ProblemId`) with overrides."""
-    if isinstance(problem_id, ProblemId):
-        name = problem_id.name
-        merged_overrides = dict(problem_id.overrides)
-        merged_overrides.update(overrides)
-    else:
-        name = str(problem_id)
-        merged_overrides = dict(overrides)
+def instantiate(name: str, **overrides) -> Problem:
+    """Build a catalogue problem by name with overrides."""
     if name not in _BUILDERS:
         raise ProblemError(f"unknown problem {name!r}; catalogue: {', '.join(CATALOGUE)}")
     params = dict(_DEFAULTS[name])
-    for key, value in merged_overrides.items():
+    for key, value in overrides.items():
         if key not in params:
             raise ProblemError(f"problem {name!r} does not accept override {key!r}")
         params[key] = value

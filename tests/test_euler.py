@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard import euler
 from mlpicard.euler import (
     DomainError,
     EulerConfig,
@@ -155,51 +154,18 @@ class TestSimulate:
         states, counts = simulate_batch(prob, cfg, [_path_stream(9, (3, 3))], t, x,
                                         np.array([s]))
 
-        # direct formula on the shared draws
+        # step-by-step recurrence on the shared draws
         plan = update_times(t, s, 8, 1.0)
         dts = np.diff(np.asarray([t] + plan))
         z = _path_stream(9, (3, 3)).gaussians(len(plan) * 2).reshape(len(plan), 2)
-        increments = np.sqrt(dts)[:, None] * z
-        expected = x + mu0 * (s - t) + sig0 * increments.sum(axis=0)
+        expected = x
+        for dt, inc in zip(dts, np.sqrt(dts)[:, None] * z):
+            expected = expected + (mu0 * dt + sig0 * inc)
         assert np.array_equal(states[0], expected)
         assert counts[0] == len(plan)
 
-    @pytest.mark.parametrize("chunk_scalars", [None, 40])
-    def test_closed_form_sums_over_group_padding(self, monkeypatch, chunk_scalars):
-        # d = 1 sums are pairwise, so padding past 8 steps changes bits; every
-        # path is padded to the longest path of its own group, also when the
-        # group is split across chunks
-        if chunk_scalars is not None:
-            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
-        prob = instantiate("linear-reaction", d=1)
-        N, groups = 64, [12, 12]
-        rng = np.random.default_rng(8)
-        t = rng.uniform(0.0, 0.3, size=24)
-        ends = t + rng.uniform(0.0, 1.0, size=24) * np.repeat([0.3, 0.7], 12)
-        x = rng.uniform(-1.0, 1.0, size=(24, 1))
-        labels = [(9, i) for i in range(24)]
-        states, counts = simulate_batch(prob, EulerConfig(steps=N),
-                                        [_path_stream(4, lab) for lab in labels], t, x, ends,
-                                        groups=groups)
-        mu0, sig0 = prob.constant_coefficients
-        lo = 0
-        for size in groups:
-            rows = range(lo, lo + size)
-            plans = [update_times(t[p], ends[p], N, 1.0) for p in rows]
-            kmax = max(len(plan) for plan in plans)
-            incs = np.zeros((size, kmax, 1))
-            for r, (p, plan) in enumerate(zip(rows, plans)):
-                dts = np.diff(np.asarray([t[p]] + plan))
-                z = _path_stream(4, labels[p]).gaussians(len(plan))
-                incs[r, : len(plan), 0] = np.sqrt(dts) * z
-            elapsed = (ends - t)[lo: lo + size, None]
-            expected = x[lo: lo + size] + mu0 * elapsed + sig0 * incs.sum(axis=1)
-            assert np.array_equal(states[lo: lo + size], expected)
-            assert counts[lo: lo + size].tolist() == [len(plan) for plan in plans]
-            lo += size
-
     def test_constant_fastpath_agrees_with_general_stepper(self):
-        # force the general stepper on the same draws; agreement to roundoff
+        # constant_coefficients selects no separate update: same paths bit for bit
         prob = instantiate("heat-quadratic", d=3)
         stripped = Problem(**{**prob.__dict__, "constant_coefficients": None})
         cfg = EulerConfig(steps=16)
@@ -207,7 +173,7 @@ class TestSimulate:
         end = np.array([1.0])
         fast, fast_steps = simulate_batch(prob, cfg, [_path_stream(5, (2,))], 0.0, x, end)
         slow, slow_steps = simulate_batch(stripped, cfg, [_path_stream(5, (2,))], 0.0, x, end)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12)
+        assert np.array_equal(fast, slow)
         assert np.array_equal(fast_steps, slow_steps)
 
     def test_frozen_coefficient_argument_is_last_grid_state(self):

@@ -69,7 +69,7 @@ ESTIMATES = [
     ("scaled-bs", {"d": 4}, [1.0, 0.8, 1.2, 0.9], 1,
      0.28727762296115733, _tally(138, 8936, 2234)),
     ("heat-quadratic", {"d": 3}, [0.5, -0.25, 1.0], 0,
-     4.460931092110703, _tally(138, 5844, 1948)),
+     4.4609310921107035, _tally(138, 5844, 1948)),
     ("heat-quadratic", {"d": 3}, [0.5, -0.25, 1.0], 1,
      4.06508154666968, _tally(138, 6702, 2234)),
 ]

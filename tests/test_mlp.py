@@ -163,10 +163,9 @@ class TestFlatReference:
         assert got.value == pytest.approx(flat((0,), 2, 0.0, np.zeros(2)), rel=1e-10)
 
 
-# (problem, overrides, n, M, N, t, x).  The constant-coefficient cases take the
-# closed-form update at N = 27 > 8, where the pairwise sum depends on the
-# padded length; heat's f = 0 hides every level path from the value, linear
-# reaction's f(v) = v does not.
+# (problem, overrides, n, M, N, t, x).  Heat and linear reaction are the
+# constant-coefficient cases; heat's f = 0 hides every level path from the
+# value, linear reaction's f(v) = v does not.
 WAVE_CASES = [
     ("nonlinear-coeff-sine", {"d": 2}, 3, 3, None, 0.1, [0.3, -0.7]),
     ("scaled-bs", {"d": 4}, 3, 2, None, 0.0, [1.0, 0.8, 1.2, 0.9]),
@@ -191,7 +190,7 @@ class TestWaveMatchesRecursion:
         want = recursive_node(prob, EulerConfig(steps=params.resolved_steps), M, 11, (0,), n,
                               t, x, tally)
         if chunk_scalars is not None:
-            # chunks of a row or two, so the wave's path groups span chunks
+            # chunks of a row or two, so a node's paths are split across chunks
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
         got = estimate(prob, params, (0,), t, x)
         assert got.value == want

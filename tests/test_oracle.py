@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mlpicard import ESTIMATOR_VERSION, RNG_ALGORITHM, oracle
 from mlpicard.oracle import (
     BaselineBudget,
     OracleError,
@@ -153,6 +154,26 @@ class TestMcBaseline:
         again = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=502, cache_path=str(tmp_path))
         assert again.diagnostics["cache_hit"] is False
         assert again.value == first.value  # deterministic recompute
+
+    @pytest.mark.parametrize("edit", [
+        lambda ln: "estimator_version = older" if ln.startswith("estimator_version = ") else ln,
+        lambda ln: None if ln.startswith("rng_algorithm = ") else ln,
+    ], ids=["estimator-version-changed", "rng-algorithm-missing"])
+    def test_version_mismatch_triggers_recompute(self, tmp_path, edit):
+        # a checksum-clean entry from another estimator or RNG version is a miss
+        prob = instantiate("heat-quadratic", d=1)
+        first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=505, cache_path=str(tmp_path))
+        path = first.diagnostics["path"]
+        lines = open(path).read().rstrip("\n").split("\n")[:-1]
+        assert f"estimator_version = {ESTIMATOR_VERSION}" in lines
+        assert f"rng_algorithm = {RNG_ALGORITHM}" in lines
+        oracle._write_cache(path, [ln for ln in map(edit, lines) if ln is not None])
+        again = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=505, cache_path=str(tmp_path))
+        assert again.diagnostics["cache_hit"] is False
+        assert again.value == first.value
+        entry = oracle._read_cache(path)
+        assert entry["estimator_version"] == ESTIMATOR_VERSION
+        assert entry["rng_algorithm"] == RNG_ALGORITHM
 
     def test_doubling_replications_tightens_interval(self, tmp_path):
         prob = instantiate("heat-quadratic", d=1)

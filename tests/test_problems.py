@@ -8,7 +8,6 @@ import pytest
 from mlpicard.problems import (
     CATALOGUE,
     ProblemError,
-    ProblemId,
     instantiate,
     validate,
 )
@@ -37,12 +36,6 @@ def test_sine_with_nonzero_kappa_is_genuinely_state_dependent():
     x = np.array([[0.3, -0.4]]) if prob.d == 2 else np.array([[0.3]])
     assert prob.drift(x)[0, 0] == pytest.approx(0.5 * np.sin(0.3))
     assert prob.diffusion(x)[0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))
-
-
-def test_problem_id_carries_overrides():
-    pid = ProblemId("heat-quadratic", {"d": 3})
-    prob = instantiate(pid, T=2.0)
-    assert prob.d == 3 and prob.T == 2.0
 
 
 def test_unknown_name_rejected():

@@ -1,12 +1,16 @@
 """Stream determinism, ordering rules, and distributional spot checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from mlpicard.rng import (
     RandomStream,
     StreamOrderError,
+    _philox_key,
     child,
     raw_uniform_sequence,
     stream_for,
@@ -89,6 +93,128 @@ def test_batched_and_stepwise_gaussians_agree():
     whole = a.gaussians(12)
     parts = np.concatenate([b.gaussians(4) for _ in range(3)])
     assert np.array_equal(whole, parts)
+
+
+# ---------------------------------------------------------------------------
+# pinned draws: (root seed, label, uniform, first 9 raw Philox words, first 5 Gaussians)
+
+PINNED = [
+    (
+        -5, (3,),
+        0.17914053786408712,
+        [3304559655205491866, 10504479971121381264, 749034196360151958,
+         12788542044464233547, 16786346218004403888, 2056365405572410583,
+         14822583675397755310, 17030864002722552873, 9105222585615331493],
+        [0.17497153608343349, -1.7437055317579995, 0.50513575017175216,
+         1.3406913128006492, -1.2187171036026783],
+    ),
+    (
+        11, (0, -1, -7),
+        0.66241885457063554,
+        [12219471079864341485, 13130196697233351555, 16063703905938211579,
+         16824254911269780721, 7802144561844040415, 17103140843843254511,
+         17159455525790680821, 16500198332197683020, 11556111627501829352],
+        [0.5586198037156932, 1.1302527629147501, 1.3534540270559976,
+         -0.19433930873267297, 1.4549837723090364],
+    ),
+    (
+        2024, (0, 1, 2, -1, 3, -3, 4),
+        0.74272992609810551,
+        [13700948862616961090, 8957214486636472338, 15623946619331614721,
+         7997485418190422929, 12736259997449921190, 18246436688463539676,
+         6728114825938762022, 9845936799908126019, 15523126347847791305],
+        [-0.036174598006552983, 1.023549066144045, -0.1673570641672445,
+         0.49708101190117593, 2.2952749854682533],
+    ),
+]
+
+
+def _reference_words(seed, theta, count):
+    """The first ``count`` words of a freshly keyed Philox generator."""
+    return np.random.Philox(key=_philox_key(seed, theta)).random_raw(count)
+
+
+def _reference_gaussians(words):
+    return ndtri(((words >> np.uint64(11)) + 0.5) * 2.0**-53)
+
+
+@pytest.mark.parametrize("seed, theta, uniform, words, gaussians", PINNED)
+def test_pinned_draws(seed, theta, uniform, words, gaussians):
+    raw = _reference_words(seed, theta, 9)
+    assert [int(w) for w in raw] == words
+    st = stream_for(seed, theta)
+    assert st.uniform() == uniform
+    assert st.gaussians(5).tolist() == gaussians
+    assert raw_uniform_sequence(seed, theta, 9).tolist() == ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+
+
+@pytest.mark.parametrize("seed, theta", [(-5, (3,)), (11, (0, -1, -7)), (0, (5, 6, 7, 8, 9, 10, 11, 12))])
+def test_split_draws_match_one_draw_and_reference(seed, theta):
+    # after the uniform (word 0) the parts cover words 1-3, 4 and 5-9: each
+    # part starts at a different position in Philox's 4-word blocks
+    split, whole = stream_for(seed, theta), stream_for(seed, theta)
+    split.uniform(), whole.uniform()
+    parts = np.concatenate([split.gaussians(3), split.gaussians(1), split.gaussians(5)])
+    assert split.cursor == whole.cursor + 9
+    one = whole.gaussians(9)
+    assert np.array_equal(parts, one)
+    assert np.array_equal(one, _reference_gaussians(_reference_words(seed, theta, 10)[1:]))
+
+
+def test_alternating_threads_draw_the_sequential_values():
+    labels = [(1, 2), (1, -2)]
+    expected = []
+    for theta in labels:
+        st = stream_for(77, theta)
+        expected.append([st.uniform()] + [st.gaussians(k) for k in (1, 3, 4, 6)])
+
+    turn = threading.Condition()
+    state = {"next": 0}
+    got = [[], []]
+
+    def worker(me):
+        st = stream_for(77, labels[me])
+        draws = [st.uniform] + [lambda k=k: st.gaussians(k) for k in (1, 3, 4, 6)]
+        for draw in draws:
+            with turn:
+                turn.wait_for(lambda: state["next"] == me)
+                got[me].append(draw())
+                state["next"] = 1 - me
+                turn.notify_all()
+
+    threads = [threading.Thread(target=worker, args=(me,)) for me in (0, 1)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    assert not any(th.is_alive() for th in threads)
+    for me in (0, 1):
+        assert got[me][0] == expected[me][0]
+        for a, b in zip(got[me][1:], expected[me][1:]):
+            assert np.array_equal(a, b)
+        assert len(got[me]) == len(expected[me])
+
+
+def test_concurrent_threads_draw_the_sequential_values():
+    def draws(theta):
+        st = stream_for(5, theta)
+        return [st.uniform()] + [st.gaussians(k) for k in [3, 500, 1, 2000] * 25]
+
+    labels = [(i, -i) for i in range(1, 5)]
+    expected = [draws(theta) for theta in labels]
+    got = [None] * len(labels)
+
+    def worker(i):
+        got[i] = draws(labels[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(labels))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    for want, have in zip(expected, got):
+        assert have[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(have[1:], want[1:]))
 
 
 # ---------------------------------------------------------------------------

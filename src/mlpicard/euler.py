@@ -15,8 +15,9 @@ for a whole batch; ``update_times`` is its one-path view.
 A batch may mix start points, so one call can simulate every path of one
 depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
 so the live ``(rows, steps, d)`` draw buffer stays below ``_CHUNK_SCALARS``
-whatever the batch size.  Every path draws from its own stream, so chunking
-changes no value.
+whatever the batch size.  A chunk's draws are read straight into that
+buffer and turned into Gaussians there in one pass.  Every path draws from
+its own stream, so chunking changes no value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import Problem
-from .rng import stream_for
+from .rng import fill_gaussians, stream_for
 
 # upper bound on the scalars in one chunk's draw buffer
 _CHUNK_SCALARS = 1 << 17
@@ -114,7 +115,8 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times)
     lo = 0
     while lo < P:
         W = int(counts[order[lo]])
-        # live buffers: targets, dts and the (rows, W, d) increments
+        # live buffers: targets, dts and the (rows, W, d) increments, which
+        # take the raw draws and their Gaussians in place
         rows = order[lo: lo + max(1, _CHUNK_SCALARS // (max(W, 1) * (d + 2)))]
         lo += len(rows)
         c = counts[rows]
@@ -123,9 +125,7 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times)
         dts[:, :1] = targets[:, :1] - t[rows, None]
         np.subtract(targets[:, 1:], targets[:, :-1], out=dts[:, 1:])
         incs = np.zeros((len(rows), W, d))
-        for r, p in enumerate(rows.tolist()):
-            if c[r]:
-                incs[r, : c[r]] = streams[p].gaussians(int(c[r]) * d).reshape(-1, d)
+        fill_gaussians([streams[p] for p in rows.tolist()], c * d, incs.reshape(len(rows), -1))
         incs *= np.sqrt(dts, out=targets)[:, :, None]
 
         y = states[rows]
@@ -155,7 +155,7 @@ def lyapunov_check(problem: Problem, cfg: EulerConfig, t: float, x, s: float,
     streams = []
     for i in range(paths):
         st = stream_for(seed, (i,))
-        st.uniform()  # path-only use; the stream uniform is discarded
+        st.skip_uniform()  # path-only use; the stream uniform is never drawn
         streams.append(st)
     states, _ = simulate_batch(problem, cfg, streams, t, x, np.full(paths, s))
     phis = 2.0 * problem.lyapunov_a + 2.0 * np.sum(states * states, axis=-1)

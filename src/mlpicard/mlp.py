@@ -23,8 +23,8 @@ evaluation order.
 
 Stream label conventions for a node with base label ``theta``:
 
-* ``theta + (0, -i)``: terminal path ``i`` (its uniform is drawn and
-  discarded and is not tallied);
+* ``theta + (0, -i)``: terminal path ``i`` (its uniform is skipped and is
+  not tallied);
 * ``theta + (l, i)``: level sample (uniform = ``r``, Gaussians = path) and
   at the same time the base label of the level-``l`` sub-estimate;
 * ``theta + (-l, i)``: base label of the level-``(l-1)`` sub-estimate.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .euler import EulerConfig, simulate_batch
 from .problems import Problem
-from .rng import stream_for
+from .rng import streams_for
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -169,9 +169,8 @@ def _simulate_wave(problem, cfg, M, seed, wave, tally) -> list:
     streams, blocks = [], []  # blocks: (node, level or None for terminal paths, end times)
     for node in wave:
         count = M**node.n
-        for i in range(1, count + 1):
-            st = stream_for(seed, node.theta + (0, -i))
-            st.uniform()  # fixed stream shape; terminal paths never use r
+        for st in streams_for(seed, node.theta, [(0, -i) for i in range(1, count + 1)]):
+            st.skip_uniform()  # fixed stream shape; terminal paths never use r
             streams.append(st)
         blocks.append((node, None, np.full(count, T)))
         tally.g_evals += count
@@ -179,7 +178,7 @@ def _simulate_wave(problem, cfg, M, seed, wave, tally) -> list:
             continue  # every level term carries the factor (T - t) = 0
         for level in range(node.n):
             count = M ** (node.n - level)
-            level_streams = [stream_for(seed, node.theta + (level, i)) for i in range(1, count + 1)]
+            level_streams = streams_for(seed, node.theta, [(level, i) for i in range(1, count + 1)])
             uniforms = np.array([st.uniform() for st in level_streams])
             tally.uniforms += count
             streams.extend(level_streams)

@@ -304,6 +304,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("theta", [(2.7,), (0, 1.0), (True,)])
+    def test_non_integer_label_rejected(self, theta):
+        prob = instantiate("heat-quadratic")
+        with pytest.raises(TypeError, match="integers"):
+            estimate(prob, MlpParams(n=1, M=2), theta, 0.0, np.zeros(1))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MlpParams(n=-1, M=2)

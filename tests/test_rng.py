@@ -1,5 +1,6 @@
 """Stream determinism, ordering rules, and distributional spot checks."""
 
+import sys
 import threading
 
 import numpy as np
@@ -12,8 +13,10 @@ from mlpicard.rng import (
     StreamOrderError,
     _philox_key,
     child,
+    fill_gaussians,
     raw_uniform_sequence,
     stream_for,
+    streams_for,
 )
 
 
@@ -58,6 +61,106 @@ def test_uniform_must_come_first():
     st3.gaussians(4)
     with pytest.raises(StreamOrderError):
         st3.uniform()
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, np.True_, "2", None])
+def test_non_integer_label_element_rejected(bad):
+    with pytest.raises(TypeError, match="integers"):
+        stream_for(1, (bad,))
+    with pytest.raises(TypeError, match="integers"):
+        stream_for(1, (0, bad, 3))
+    with pytest.raises(TypeError, match="integers"):
+        streams_for(1, (0,), [(1, bad)])
+
+
+def test_numpy_integer_labels_equal_int_labels():
+    a = stream_for(1, (np.int64(2), np.int32(-3), np.uint8(4)))
+    b = stream_for(1, (2, -3, 4))
+    assert a.key == b.key
+
+
+def test_label_element_outside_64_bits_rejected():
+    with pytest.raises(OverflowError):
+        stream_for(0, (2**63,))
+
+
+def test_batch_keys_equal_single_keys():
+    pairs = [(0, -1), (0, -2), (3, 7), (-2, 5), (np.int64(1), np.int64(1))]
+    for parent in [(0,), (4, -1, 2), ()]:
+        batch = streams_for(9, parent, pairs)
+        assert [st.key for st in batch] == [stream_for(9, parent + tuple(p)).key for p in pairs]
+        assert all(st.cursor == 0 for st in batch)
+
+
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (-5, ValueError), (2.0, TypeError),
+                                        (True, TypeError), (None, TypeError)])
+def test_bad_gaussian_count_rejected_before_the_cursor_moves(bad, error):
+    st = stream_for(4, (1,))
+    st.uniform()
+    st.gaussians(2)
+    with pytest.raises(error):
+        st.gaussians(bad)
+    assert st.cursor == 3
+    reference = stream_for(4, (1,))
+    reference.uniform()
+    assert np.array_equal(st.gaussians(4), reference.gaussians(6)[2:])
+
+
+def test_numpy_integer_gaussian_count():
+    a, b = stream_for(4, (2,)), stream_for(4, (2,))
+    a.uniform(), b.uniform()
+    assert np.array_equal(a.gaussians(np.int64(5)), b.gaussians(5))
+
+
+def test_skip_uniform_moves_past_the_uniform_only():
+    skipped, drawn = stream_for(6, (1, 1)), stream_for(6, (1, 1))
+    skipped.skip_uniform()
+    drawn.uniform()
+    assert skipped.cursor == drawn.cursor == 1
+    assert np.array_equal(skipped.gaussians(7), drawn.gaussians(7))
+    with pytest.raises(StreamOrderError):
+        skipped.skip_uniform()
+    with pytest.raises(StreamOrderError):
+        skipped.uniform()
+
+
+def test_fill_gaussians_matches_per_stream_draws_and_keeps_padding():
+    counts = np.array([5, 0, 9, 2])
+    streams = streams_for(8, (1,), [(0, -i) for i in range(1, 5)])
+    singles = streams_for(8, (1,), [(0, -i) for i in range(1, 5)])
+    for st, one in zip(streams, singles):
+        st.uniform(), one.uniform()
+        st.gaussians(3), one.gaussians(3)
+    out = np.full((4, 10), 7.0)
+    fill_gaussians(streams, counts, out)
+    for row, n, st, one in zip(out, counts, streams, singles):
+        assert np.array_equal(row[:n], one.gaussians(int(n)))
+        assert np.all(row[n:] == 7.0)
+        assert st.cursor == 4 + n
+
+
+def test_fill_gaussians_needs_the_uniform_first():
+    st = stream_for(0, (5,))
+    with pytest.raises(StreamOrderError):
+        fill_gaussians([st], np.array([2]), np.zeros((1, 2)))
+    assert st.cursor == 0
+
+
+def test_draws_construct_no_generator(monkeypatch):
+    stream_for(0, (1,)).uniform()  # this thread's generator now exists
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for st in streams_for(0, (2,), [(1, i) for i in range(50)]):
+        st.uniform()
+        st.gaussians(11)
+    raw_uniform_sequence(0, (3,), 20)
+    assert not made
 
 
 def test_cursor_counts_scalars():
@@ -208,10 +311,16 @@ def test_concurrent_threads_draw_the_sequential_values():
         got[i] = draws(labels[i])
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(labels))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     for want, have in zip(expected, got):
         assert have[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(have[1:], want[1:]))

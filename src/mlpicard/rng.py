@@ -139,8 +139,6 @@ class RandomStream:
             raise TypeError(f"gaussians needs an integer count, got {n!r}")
         if n < 0:
             raise ValueError(f"gaussians needs a count >= 0, got {n}")
-        if not self.cursor:
-            raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
         out = np.empty((1, n))
         fill_gaussians([self], np.array([n]), out)
         return out[0]
@@ -149,15 +147,15 @@ class RandomStream:
 def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into ``out[i, :counts[i]]``.
 
-    ``out`` is a C-contiguous float64 ``(len(streams), width)`` array; the
-    rest of each row is left as it is.  Every stream must be past its
+    ``counts`` is an integer array and ``out`` a C-contiguous float64
+    ``(len(streams), width)`` array; the rest of each row is left as it is.  Every stream must be past its
     uniform, and its cursor moves by its count.  The raw words land in
     ``out`` as uniforms, and one inverse-CDF pass maps them in place.
     """
     for st, n, row in zip(streams, counts.tolist(), out):
+        if not st.cursor:
+            raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
         if n:
-            if not st.cursor:
-                raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
             _generator_at(st.key, st.cursor).random(out=row[:n])
             st.cursor += n
     drawn = np.arange(out.shape[1]) < counts[:, None]

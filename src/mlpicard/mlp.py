@@ -36,6 +36,7 @@ evaluations per sample); the soundness invariant is one-sided.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -145,6 +146,16 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
         for node in wave:
             _reduce(problem, params.M, node, tally)
     return Estimate(value=root.value, cost=tally)
+
+
+def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x) -> list:
+    """One :func:`estimate` per root seed in ``seeds``, in order.
+
+    ``params.root_seed`` is ignored; realization ``i`` uses root seed
+    ``seeds[i]`` and is bit-identical to the single-seed call.
+    """
+    return [estimate(problem, dataclasses.replace(params, root_seed=seed), theta, t, x)
+            for seed in seeds]
 
 
 class _Node:

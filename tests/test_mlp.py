@@ -1,5 +1,6 @@
 """Estimator semantics: flat-loop reference, cost ledger, statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import stats
 
 from mlpicard import euler
 from mlpicard.euler import EulerConfig, update_times
-from mlpicard.mlp import CostTally, MlpParams, cost_recursion_bound, estimate
+from mlpicard.mlp import CostTally, MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
 
@@ -172,6 +173,8 @@ WAVE_CASES = [
     ("heat-quadratic", {"d": 1}, 3, 3, 27, 0.0, [0.4]),
     ("linear-reaction", {"d": 1}, 3, 3, 27, 0.0, [0.4]),
     ("nonlinear-coeff-sine", {"d": 1}, 3, 2, None, 1.0, [0.5]),  # t = T: terminal paths only
+    # just below T: about half the children land exactly at T and skip their subtrees
+    ("linear-reaction", {"d": 1}, 3, 3, 27, float(np.nextafter(1.0, 0.0)), [0.4]),
 ]
 
 
@@ -195,6 +198,47 @@ class TestWaveMatchesRecursion:
         got = estimate(prob, params, (0,), t, x)
         assert got.value == want
         assert got.cost.as_dict() == tally.as_dict()
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestEstimateMany:
+    """A block of root seeds against one :func:`estimate` call per seed."""
+
+    # negative seeds and seeds >= 2**63 address streams modulo 2**64
+    SEEDS = [11, -3, 2**63 + 5, 0, 2**64 - 1, 7]
+
+    @pytest.mark.parametrize("chunk_scalars", [None, 200])
+    @pytest.mark.parametrize("name,overrides,n,M,N,t,x", WAVE_CASES + [
+        ("heat-quadratic", {"d": 2}, 0, 3, None, 0.0, [0.1, 0.2]),  # n = 0
+        ("linear-reaction", {"d": 1}, 3, 1, 4, 0.2, [0.3]),          # M = 1
+    ])
+    def test_matches_per_seed_estimate(self, monkeypatch, chunk_scalars, name, overrides,
+                                       n, M, N, t, x):
+        prob = instantiate(name, **overrides)
+        params = MlpParams(n=n, M=M, euler_steps=N)
+        x = np.array(x)
+        if chunk_scalars is not None:
+            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
+        got = estimate_many(prob, params, self.SEEDS, (0,), t, x)
+        assert len(got) == len(self.SEEDS)
+        for seed, est in zip(self.SEEDS, got):
+            want = estimate(prob, dataclasses.replace(params, root_seed=seed), (0,), t, x)
+            assert _bits(est.value) == _bits(want.value), seed
+            assert est.cost.as_dict() == want.cost.as_dict(), seed
+
+    def test_root_label_and_empty_block(self):
+        prob = instantiate("nonlinear-coeff-sine", d=2)
+        params = MlpParams(n=2, M=3)
+        got = estimate_many(prob, params, [4, 5], (5, -2), 0.3, np.zeros(2))
+        for seed, est in zip([4, 5], got):
+            want = estimate(prob, dataclasses.replace(params, root_seed=seed), (5, -2), 0.3,
+                            np.zeros(2))
+            assert _bits(est.value) == _bits(want.value)
+            assert est.cost.as_dict() == want.cost.as_dict()
+        assert estimate_many(prob, params, [], (0,), 0.3, np.zeros(2)) == []
 
 
 class TestDeterminism:

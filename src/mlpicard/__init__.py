@@ -20,7 +20,15 @@ from .bounds import (
     total_cost_bound,
 )
 from .euler import EulerConfig, lyapunov_check, update_times
-from .mlp import ESTIMATOR_VERSION, CostTally, Estimate, MlpParams, cost_recursion_bound, estimate
+from .mlp import (
+    ESTIMATOR_VERSION,
+    CostTally,
+    Estimate,
+    MlpParams,
+    cost_recursion_bound,
+    estimate,
+    estimate_many,
+)
 from .problems import CATALOGUE, Problem, instantiate, validate
 from .rng import RNG_ALGORITHM, RandomStream, ThetaIndex, child, stream_for
 
@@ -42,6 +50,7 @@ __all__ = [
     "cost_recursion_bound",
     "error_bound",
     "estimate",
+    "estimate_many",
     "gronwall_discrete",
     "gronwall_mlp",
     "instantiate",

@@ -10,10 +10,14 @@ depth against a reference oracle, and writes three CSV files:
 * ``raw.csv``: one row per replication with the full cost ledger;
 * ``bounds.csv``: the bound evaluations alone.
 
-Outputs are byte-identical for identical configs regardless of the worker
-count: replication results are keyed by seed and assembled after a
-deterministic sort.  Wall-clock timings are reported on stdout only; they
-are the one quantity that would break byte-level reproducibility.
+The replications of one depth use root seeds ``seed, seed + 1, ...``.  They
+are cut into ``min(workers, replications)`` contiguous seed blocks, one
+process-pool task each (serial runs use one block), and every block is
+evaluated by ``mlp.estimate_many`` as one forest.  Outputs are
+byte-identical for identical configs regardless of the worker count: every
+realization is a pure function of its seed, and the blocks are reassembled
+in seed order.  Wall-clock timings are reported on stdout only; they are
+the one quantity that would break byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import error_bound, total_cost_bound
-from .mlp import CostTally, MlpParams, cost_recursion_bound, estimate
+from .mlp import CostTally, MlpParams, cost_recursion_bound, estimate_many
 from .oracle import (
     BaselineBudget,
     OracleError,
@@ -354,39 +358,38 @@ def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
     return mc_baseline(problem, cfg.t0, x0, budget, cfg.reference_seed, cfg.cache_dir)
 
 
-def _replicate(task) -> tuple:
-    """Worker entry: one estimator realization.  Importable for process pools."""
-    problem_name, overrides, n, M, steps, seed, t0, x0 = task
+def _replicate_block(task) -> list:
+    """Worker entry: the realizations of one seed block.  Importable for process pools."""
+    problem_name, overrides, n, M, steps, seeds, t0, x0 = task
     problem = instantiate(problem_name, **overrides)
-    result = estimate(problem, MlpParams(n=n, M=M, euler_steps=steps, root_seed=seed),
-                      (0,), t0, np.asarray(x0))
-    return seed, result.value, result.cost.as_dict()
+    results = estimate_many(problem, MlpParams(n=n, M=M, euler_steps=steps), seeds, (0,), t0,
+                            np.asarray(x0))
+    return [(result.value, result.cost.as_dict()) for result in results]
 
 
 def _run_depth(cfg: ExperimentConfig, problem: Problem, n: int, M: int, pool) -> dict:
     steps = cfg.resolved_steps(M)
     x0 = cfg.query_point()
+    seeds = [cfg.seed + r for r in range(cfg.replications)]
+    blocks = 1 if pool is None else min(cfg.workers, len(seeds))
+    cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
     tasks = [
-        (cfg.problem, cfg.overrides, n, M, steps, cfg.seed + r, cfg.t0, tuple(x0))
-        for r in range(cfg.replications)
+        (cfg.problem, cfg.overrides, n, M, steps, seeds[lo:hi], cfg.t0, tuple(x0))
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     start = time.perf_counter()
     if pool is None:
-        outcomes = [_replicate(task) for task in tasks]
+        outcomes = [_replicate_block(task) for task in tasks]
     else:
-        outcomes = list(pool.map(_replicate, tasks))
+        outcomes = list(pool.map(_replicate_block, tasks))
     wall = time.perf_counter() - start
-    outcomes.sort(key=lambda item: item[0])
-    values = np.array([item[1] for item in outcomes])
-    tallies = []
-    for _, _, raw in outcomes:
-        tally = CostTally(**raw)
-        tallies.append(tally)
+    outcomes = [item for block in outcomes for item in block]
+    values = np.array([value for value, _ in outcomes])
+    tallies = [CostTally(**raw) for _, raw in outcomes]
     weighted = np.array([tl.weighted(*cfg.cost_weights) for tl in tallies])
     return {
         "n": n, "M": M, "N": steps, "values": values, "tallies": tallies,
-        "weighted_costs": weighted, "wall": wall,
-        "seeds": [item[0] for item in outcomes],
+        "weighted_costs": weighted, "wall": wall, "seeds": seeds,
     }
 
 

@@ -9,17 +9,23 @@ sub-estimates, which recurse with fresh child stream labels.  Labels carry
 the whole recursion history, so any two branches use disjoint random
 sources and the result is independent of evaluation order.
 
-That independence lets the tree be evaluated level-synchronously, in two
-phases.  Top-down, every node of one recursion depth (a "wave") creates its
-streams and draws its uniforms in label order, and the terminal and level
-paths of the whole wave are simulated in one ``simulate_batch`` call; each
-child node starts from its parent's sampled ``(R_i, X_i)``.  The tree's shape
-depends only on ``(n, M)``, so a depth-``n`` estimate takes at most ``n``
-waves.  Bottom-up, each node is reduced on its own, in the fixed order: the
-ascending sum of its terminal values, then per level the nonlinearity at the
-minuend and at the subtrahend values.  Every float operation is the one a
-depth-first recursion would perform, so the result does not depend on the
-evaluation order.
+That independence lets the tree be evaluated level-synchronously, and a
+block of root seeds together as one forest.  The full tree of ``(n, M)`` is
+planned once and cached as index arrays, one set per recursion depth (a
+"wave"): each path's node, whether it is a terminal or a level path, the
+path row of the previous wave its node starts from, and its packed label
+suffix below the root label.  Top-down, the paths of a wave are simulated
+for every seed of the block in one ``simulate_batch`` call, each child node
+starting from its parent's sampled ``(R_i, X_i)``.  The plan is only an upper
+bound on the shape: a node at ``t >= T`` draws no level samples and has no
+subtree (every level term carries the factor ``T - t = 0``), and evaluation
+times can land exactly at ``T``, so each seed masks the subtrees it skips
+and never simulates them.  Bottom-up, the nodes of one depth in one wave are
+reduced together as 2-D arrays, in the fixed order: the ascending sum of a
+node's terminal values, then per level the nonlinearity at the minuend and
+at the subtrahend values.  Every float operation is the one a depth-first
+recursion would perform, so the result does not depend on the evaluation
+order or on which seeds share a block.
 
 Stream label conventions for a node with base label ``theta``:
 
@@ -36,7 +42,7 @@ evaluations per sample); the soundness invariant is one-sided.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,7 +50,7 @@ import numpy as np
 
 from .euler import EulerConfig, simulate_batch
 from .problems import Problem
-from .rng import streams_for
+from .rng import check_label, streams_at
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -52,12 +58,12 @@ ESTIMATOR_VERSION = "single-kernel v1"
 it next to ``RNG_ALGORITHM``."""
 
 
-def _sum_ascending(values: np.ndarray) -> float:
-    """Strict ascending-index float sum; fixed order keeps results
-    reproducible and lets flat reference loops match bit-for-bit."""
-    if values.size == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
+# upper bound on the tree paths of one seed block, summed over its seeds
+_BLOCK_PATHS = 1 << 15
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -103,6 +109,10 @@ class MlpParams:
     root_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "M", "euler_steps", "root_seed"):
+            value = getattr(self, name)
+            if not (value is None and name == "euler_steps") and not _is_integer(value):
+                raise TypeError(f"MlpParams.{name} must be an integer, got {value!r}")
         if self.n < 0 or self.M < 1:
             raise ValueError("MlpParams requires n >= 0 and M >= 1")
         if self.euler_steps is not None and self.euler_steps < 1:
@@ -123,7 +133,20 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
     """One realization of the depth-``params.n`` estimator at ``(t, x)``.
 
     Pure function of ``(problem, params, theta, t, x)``: repeated calls are
-    bit-identical.  Depth 0 returns value 0 with an all-zero tally.
+    bit-identical.  Depth 0 returns value 0 with an all-zero tally.  The
+    one-seed view of :func:`estimate_many`.
+    """
+    return estimate_many(problem, params, [params.root_seed], theta, t, x)[0]
+
+
+def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x) -> list:
+    """One :func:`estimate` per root seed in ``seeds``, in order.
+
+    ``params.root_seed`` is ignored; realization ``i`` uses root seed
+    ``seeds[i]`` and is bit-identical to the single-seed call, with its own
+    exact tally.  The seeds are evaluated as forests over the cached tree
+    plan of ``(params.n, params.M)``, in blocks of bounded size
+    (:func:`seed_blocks`).
     """
     if not (0.0 <= t <= problem.T):
         raise ValueError(f"t must lie in [0, {problem.T}], got {t}")
@@ -132,122 +155,211 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
         raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite, got {x}")
-    tally = CostTally()
+    theta = tuple(theta)
+    check_label(theta)
+    for seed in seeds:
+        if not _is_integer(seed):
+            raise TypeError(f"root seeds must be integers, got {seed!r}")
+    seeds = [int(seed) for seed in seeds]
     if params.n <= 0:
-        return Estimate(value=0.0, cost=tally)
+        return [Estimate(value=0.0) for _ in seeds]
+    waves = _tree_plan(int(params.n), int(params.M))
     cfg = EulerConfig(steps=params.resolved_steps)
-    root = _Node(tuple(theta), params.n, t, x)
+    results = []
+    for block in seed_blocks(params, seeds):
+        results += _forest(problem, cfg, waves, block, theta, float(t), x)
+    return results
+
+
+def seed_blocks(params: MlpParams, seeds) -> list:
+    """``seeds`` cut into the contiguous blocks that :func:`estimate_many`
+    evaluates as one forest each; every block holds at most
+    ``_BLOCK_PATHS`` tree paths, or one seed."""
+    seeds = list(seeds)
+    if params.n <= 0:
+        return [seeds] if seeds else []
+    paths = sum(len(wave.path_node) for wave in _tree_plan(int(params.n), int(params.M)))
+    size = max(1, _BLOCK_PATHS // paths)
+    return [seeds[lo: lo + size] for lo in range(0, len(seeds), size)]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The nodes of one depth ``k`` within one wave, as index arrays.
+
+    ``nodes`` (G,) are node rows of the wave, ``terminal`` (G, M^k) their
+    terminal path rows, and ``levels[l]`` per level ``l`` a triple: the path
+    rows (G, c), the minuend child node rows of the next wave (``None`` at
+    level 0, whose minuends are depth 0) and the subtrahend child node rows
+    (``None`` at levels 0 and 1).
+    """
+
+    nodes: np.ndarray
+    terminal: np.ndarray
+    levels: tuple
+
+
+@dataclass(frozen=True)
+class _Wave:
+    """The nodes and paths of one recursion depth of the full tree.
+
+    A node starts from path row ``node_parent`` of the previous wave (wave 0
+    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per path:
+    its node, whether it is a level path, and its label suffix below the
+    root label, ``width`` packed bytes in row ``suffix``.
+    """
+
+    node_parent: np.ndarray
+    node_f_evals: np.ndarray  # nonlinearity evaluations of each node at t < T
+    path_node: np.ndarray
+    path_parent: np.ndarray
+    is_level: np.ndarray
+    suffix: np.ndarray
+    groups: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _tree_plan(n: int, M: int) -> tuple:
+    """The waves of the full depth-``n`` tree with base ``M``, as index arrays."""
     waves = []
-    wave = [root]
-    while wave:
-        waves.append(wave)
-        wave = _simulate_wave(problem, cfg, params.M, params.root_seed, wave, tally)
-    for wave in reversed(waves):
-        for node in wave:
-            _reduce(problem, params.M, node, tally)
-    return Estimate(value=root.value, cost=tally)
+    nodes = [((), n, 0)]  # (label suffix, depth, parent path row)
+    while nodes:
+        labels, path_node, is_level, children = [], [], [], []
+        groups = {}
+        for j, (label, k, _) in enumerate(nodes):
+            group = groups.setdefault(k, ([], [], [([], [], []) for _ in range(k)]))
+            group[0].append(j)
+            group[1].append(range(len(labels), len(labels) + M**k))
+            labels += [label + (0, -i) for i in range(1, M**k + 1)]
+            path_node += [j] * M**k
+            is_level += [False] * M**k
+            for level, (rows, minuends, subtrahends) in enumerate(group[2]):
+                count = M ** (k - level)
+                rows.append(range(len(labels), len(labels) + count))
+                if level > 0:
+                    minuends.append(range(len(children), len(children) + count))
+                    children += [(label + (level, i), level, len(labels) + i - 1)
+                                 for i in range(1, count + 1)]
+                if level > 1:
+                    subtrahends.append(range(len(children), len(children) + count))
+                    children += [(label + (-level, i), level - 1, len(labels) + i - 1)
+                                 for i in range(1, count + 1)]
+                labels += [label + (level, i) for i in range(1, count + 1)]
+                path_node += [j] * count
+                is_level += [True] * count
+        f_evals = [sum(M ** (k - level) * (1 + (level > 0)) for level in range(k))
+                   for _, k, _ in nodes]
+        path_node = np.array(path_node, dtype=np.int64)
+        node_parent = np.array([parent for _, _, parent in nodes], dtype=np.int64)
+        waves.append(_Wave(
+            node_parent=node_parent,
+            node_f_evals=np.array(f_evals, dtype=np.int64),
+            path_node=path_node,
+            path_parent=node_parent[path_node],
+            is_level=np.array(is_level),
+            suffix=np.array(labels, dtype="<i8").view(np.uint8),
+            groups=tuple(
+                _Group(np.array(members), np.array(terminal),
+                       tuple((np.array(rows), np.array(mins) if mins else None,
+                              np.array(subs) if subs else None)
+                             for rows, mins, subs in levels))
+                for members, terminal, levels in groups.values()),
+        ))
+        nodes = children
+    return tuple(waves)
 
 
-def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x) -> list:
-    """One :func:`estimate` per root seed in ``seeds``, in order.
+def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
+    """Evaluate the trees of ``seeds`` at ``(t, x)``, one batch per wave."""
+    S, d, T = len(seeds), problem.d, problem.T
+    uniforms, g_evals, f_evals, steps = (np.zeros(S, dtype=np.int64) for _ in range(4))
+    # the previous wave's simulated paths and their end times and states
+    sim, ends, states = np.ones((S, 1), bool), np.full((S, 1), t), np.broadcast_to(x, (S, 1, d))
+    done = []
+    for wave in waves:
+        exists = sim[:, wave.node_parent]
+        node_t = ends[:, wave.node_parent]
+        live = exists & (node_t < T)
+        sim = np.where(wave.is_level, live[:, wave.path_node], exists[:, wave.path_node])
+        rows, paths = np.nonzero(sim)
+        starts = np.searchsorted(rows, np.arange(S + 1))
+        streams = []
+        for s, seed in enumerate(seeds):
+            streams += streams_at(seed, theta, wave.suffix[paths[starts[s]: starts[s + 1]]].tobytes(),
+                                  wave.suffix.shape[1])
+        level = wave.is_level[paths]
+        for i in np.flatnonzero(~level).tolist():
+            streams[i].skip_uniform()  # fixed stream shape; terminal paths never use r
+        r = np.array([streams[i].uniform() for i in np.flatnonzero(level).tolist()])
+        t0 = ends[rows, wave.path_parent[paths]]
+        path_ends = np.full(len(paths), T)
+        path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)
+        path_states, counts = simulate_batch(problem, cfg, streams, t0,
+                                             states[rows, wave.path_parent[paths]], path_ends)
+        ends = np.zeros(sim.shape)
+        ends[rows, paths] = path_ends
+        states = np.zeros(sim.shape + (d,))
+        states[rows, paths] = path_states
+        np.add.at(steps, rows, counts)
+        uniforms += (sim & wave.is_level).sum(axis=1)
+        g_evals += (sim & ~wave.is_level).sum(axis=1)
+        f_evals += live @ wave.node_f_evals
+        done.append((exists, live, node_t, ends, states))
 
-    ``params.root_seed`` is ignored; realization ``i`` uses root seed
-    ``seeds[i]`` and is bit-identical to the single-seed call.
-    """
-    return [estimate(problem, dataclasses.replace(params, root_seed=seed), theta, t, x)
-            for seed in seeds]
+    values = None
+    for wave, (exists, live, node_t, ends, states) in reversed(list(zip(waves, done))):
+        child_values, values = values, np.zeros(exists.shape)
+        for group in wave.groups:
+            _reduce(problem, group, exists, live, node_t, ends, states, child_values, values)
+    return [
+        Estimate(value=float(values[s, 0]), cost=CostTally(
+            uniforms=int(uniforms[s]), gaussians=d * int(steps[s]), euler_steps=int(steps[s]),
+            g_evals=int(g_evals[s]), f_evals=int(f_evals[s])))
+        for s in range(S)
+    ]
 
 
-class _Node:
-    """The depth-``n`` sub-estimate at ``(t, x)`` with base label ``theta``.
-
-    The top-down phase fills ``terminal`` (the terminal path states) and
-    ``levels``: per level, the evaluation times, the path states there and
-    the minuend and subtrahend child nodes (``None`` for depth 0).  The
-    bottom-up phase sets ``value``.
-    """
-
-    __slots__ = ("theta", "n", "t", "x", "terminal", "levels", "value")
-
-    def __init__(self, theta, n, t, x):
-        self.theta, self.n, self.t, self.x = theta, n, t, x
-        self.levels = []
-
-
-def _simulate_wave(problem, cfg, M, seed, wave, tally) -> list:
-    """Simulate every path of one tree depth in one batch; return the next depth."""
-    d, T = problem.d, problem.T
-    streams, blocks = [], []  # blocks: (node, level or None for terminal paths, end times)
-    for node in wave:
-        count = M**node.n
-        for st in streams_for(seed, node.theta, [(0, -i) for i in range(1, count + 1)]):
-            st.skip_uniform()  # fixed stream shape; terminal paths never use r
-            streams.append(st)
-        blocks.append((node, None, np.full(count, T)))
-        tally.g_evals += count
-        if node.t >= T:
-            continue  # every level term carries the factor (T - t) = 0
-        for level in range(node.n):
-            count = M ** (node.n - level)
-            level_streams = streams_for(seed, node.theta, [(level, i) for i in range(1, count + 1)])
-            uniforms = np.array([st.uniform() for st in level_streams])
-            tally.uniforms += count
-            streams.extend(level_streams)
-            blocks.append((node, level, np.minimum(node.t + (T - node.t) * uniforms, T)))
-
-    sizes = [len(ends) for _, _, ends in blocks]
-    t0 = np.repeat([node.t for node, _, _ in blocks], sizes)
-    x0 = np.repeat(np.array([node.x for node, _, _ in blocks]), sizes, axis=0)
-    ends = np.concatenate([ends for _, _, ends in blocks])
-    states, steps = simulate_batch(problem, cfg, streams, t0, x0, ends)
-    total_steps = int(steps.sum())
-    tally.euler_steps += total_steps
-    tally.gaussians += d * total_steps
-
-    children = []
-    offset = 0
-    for (node, level, eval_times), count in zip(blocks, sizes):
-        block = states[offset: offset + count]
-        offset += count
-        if level is None:
-            node.terminal = block
-            continue
-        minuends = subtrahends = None
+def _reduce(problem, group, exists, live, node_t, ends, states, child_values, values) -> None:
+    """Set ``values`` of the group's nodes: ``(seed, node)`` rows reduced together,
+    each in the fixed per-node order of the depth-first recursion."""
+    T, d = problem.T, problem.d
+    seeds, members = np.nonzero(exists[:, group.nodes])
+    if not len(seeds):
+        return
+    nodes = group.nodes[members]
+    terminal = states[seeds[:, None], group.terminal[members]]
+    g = problem.terminal(terminal.reshape(-1, d)).reshape(terminal.shape[:2])
+    value = _row_sums(g) / g.shape[1]
+    values[seeds, nodes] = value
+    on = live[seeds, nodes]
+    if not on.any():
+        return
+    seeds, members, nodes = seeds[on], members[on], nodes[on]
+    t = node_t[seeds, nodes]
+    value = value[on]
+    for level, (rows, minuends, subtrahends) in enumerate(group.levels):
+        at = seeds[:, None], rows[members]
+        times, xs = ends[at].ravel(), states[at].reshape(-1, d)
+        correction = problem.nonlinearity(
+            times, xs, _child_values(child_values, seeds, minuends, members, times))
         if level > 0:
-            minuends = [_Node(node.theta + (level, i + 1), level, float(eval_times[i]), block[i])
-                        for i in range(count)]
-            children.extend(minuends)
-        if level > 1:
-            subtrahends = [_Node(node.theta + (-level, i + 1), level - 1, float(eval_times[i]),
-                                 block[i]) for i in range(count)]
-            children.extend(subtrahends)
-        node.levels.append((eval_times, block, minuends, subtrahends))
-    return children
+            correction = correction - problem.nonlinearity(
+                times, xs, _child_values(child_values, seeds, subtrahends, members, times))
+        value += (T - t) * _row_sums(correction.reshape(rows[members].shape)) / rows.shape[1]
+    values[seeds, nodes] = value
 
 
-def _values(children, count: int) -> np.ndarray:
-    """Values of one level's child nodes; ``None`` stands for depth-0 children."""
+def _child_values(child_values, seeds, children, members, like) -> np.ndarray:
+    """Flat values of one level's child nodes; ``None`` stands for depth-0 children."""
     if children is None:
-        return np.zeros(count)
-    return np.array([child.value for child in children])
+        return np.zeros_like(like)
+    return child_values[seeds[:, None], children[members]].ravel()
 
 
-def _reduce(problem, M, node, tally) -> None:
-    """Combine a node's paths and its children's values, in the fixed order."""
-    T, t = problem.T, node.t
-    value = _sum_ascending(problem.terminal(node.terminal)) / M**node.n
-    for level, (eval_times, states, minuends, subtrahends) in enumerate(node.levels):
-        count = len(eval_times)
-        f_minuend = problem.nonlinearity(eval_times, states, _values(minuends, count))
-        tally.f_evals += count
-        if level > 0:
-            f_sub = problem.nonlinearity(eval_times, states, _values(subtrahends, count))
-            tally.f_evals += count
-            correction = f_minuend - f_sub
-        else:
-            correction = f_minuend
-        value += (T - t) * _sum_ascending(correction) / count
-    node.value = value
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Per-row strict ascending-index float sums; the fixed order keeps results
+    reproducible and lets flat reference loops match bit for bit."""
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:

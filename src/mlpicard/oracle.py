@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .mlp import ESTIMATOR_VERSION, MlpParams, estimate
+from .mlp import ESTIMATOR_VERSION, MlpParams, estimate_many, seed_blocks
 from .problems import Problem
 from .rng import RNG_ALGORITHM
 
@@ -273,15 +273,12 @@ def mc_baseline(problem: Problem, t: float, x, budget: BaselineBudget, seed: int
             diagnostics={"cache_hit": True, "path": path},
         )
 
-    params = [
-        MlpParams(n=budget.n, M=budget.M, euler_steps=budget.euler_steps, root_seed=seed + r)
-        for r in range(budget.replications)
-    ]
+    params = MlpParams(n=budget.n, M=budget.M, euler_steps=budget.euler_steps)
     values = []
-    for r, par in enumerate(params):
-        values.append(estimate(problem, par, (0,), t, x).value)
+    for block in seed_blocks(params, [seed + r for r in range(budget.replications)]):
+        values += [result.value for result in estimate_many(problem, params, block, (0,), t, x)]
         if progress is not None:
-            progress(r + 1, budget.replications)
+            progress(len(values), budget.replications)
     values = np.asarray(values)
     mean = float(values.mean())
     ci = float(2.58 * values.std(ddof=1) / math.sqrt(budget.replications))

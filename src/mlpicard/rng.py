@@ -77,9 +77,16 @@ def _key(h) -> int:
     return int.from_bytes(h.digest()[:16], "little")
 
 
-def _philox_key(root_seed: int, theta: ThetaIndex) -> int:
+def check_label(theta: ThetaIndex) -> None:
+    """Raise unless ``theta`` is a valid stream label: nonempty, integers only,
+    each fitting in 64 bits."""
     if len(theta) < 1:
         raise ValueError("stream label must be a nonempty integer sequence")
+    _packed(theta)
+
+
+def _philox_key(root_seed: int, theta: ThetaIndex) -> int:
+    check_label(theta)
     return _key(_hasher(root_seed, theta))
 
 
@@ -178,12 +185,21 @@ def streams_for(root_seed: int, parent: ThetaIndex, pairs) -> list:
 
     Hashes the root seed and ``parent`` once for the whole batch.
     """
+    return streams_at(root_seed, parent, _packed([el for a, b in pairs for el in (a, b)]), 16)
+
+
+def streams_at(root_seed: int, parent: ThetaIndex, suffixes: bytes, width: int) -> list:
+    """The streams of the labels ``parent`` plus each packed suffix.
+
+    ``suffixes`` holds one ``width``-byte suffix after another, each label
+    elements packed as by ``stream_for`` (signed 64-bit little endian).
+    Hashes the root seed and ``parent`` once for the whole batch.
+    """
     h = _hasher(root_seed, parent)
-    words = _packed([el for a, b in pairs for el in (a, b)])
     streams = []
-    for lo in range(0, len(words), 16):
+    for lo in range(0, len(suffixes), width):
         h_child = h.copy()
-        h_child.update(words[lo: lo + 16])
+        h_child.update(suffixes[lo: lo + width])
         streams.append(RandomStream(_key(h_child)))
     return streams
 

@@ -5,8 +5,12 @@ import math
 import numpy as np
 
 from mlpicard.euler import DomainError, simulate_batch
-from mlpicard.mlp import _sum_ascending
 from mlpicard.rng import stream_for
+
+
+def _sum_ascending(values: np.ndarray) -> float:
+    """Strict ascending-index float sum, the order of every estimator reduction."""
+    return float(np.cumsum(values)[-1])
 
 
 def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):

@@ -20,7 +20,7 @@ from mlpicard.harness import (
     parse_config,
     run_experiment,
 )
-from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate
+from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
 from mlpicard.rng import stream_for
 
@@ -251,9 +251,8 @@ def test_criterion_08_mean_identity():
     horizon = 1.0
 
     lhs_vals = np.array([
-        estimate(prob, MlpParams(n=2, M=2, root_seed=s), (0,), 0.0,
-                 np.zeros(1)).value
-        for s in range(10_000)
+        est.value for est in estimate_many(prob, MlpParams(n=2, M=2), range(10_000), (0,),
+                                           0.0, np.zeros(1))
     ])
     lhs_mean = lhs_vals.mean()
     lhs_se = lhs_vals.std(ddof=1) / math.sqrt(lhs_vals.size)

@@ -185,6 +185,18 @@ class TestRunExperiment:
                                for k in ("results", "raw", "bounds"))
         assert blobs["one"] == blobs["two"] == blobs["re"]
 
+    def test_byte_identical_across_seed_blocks(self, tmp_path):
+        # 5 replications: uneven blocks at 2 and 3 workers, more workers than seeds at 8
+        blobs = {}
+        for workers in (1, 2, 3, 8):
+            cfg = parse_config(
+                "problem = linear-reaction\ndepths = 1, 2, 3\nreplications = 5\n"
+                f"seed = 42\nworkers = {workers}\noutput_dir = {tmp_path / str(workers)}\n")
+            _, _, paths = run_experiment(cfg)
+            blobs[workers] = tuple(open(paths[k], "rb").read()
+                                   for k in ("results", "raw", "bounds"))
+        assert blobs[1] == blobs[2] == blobs[3] == blobs[8]
+
     def test_raw_csv_has_one_row_per_replication(self, tmp_path):
         cfg = _tiny_config(tmp_path / "raw")
         _, _, paths = run_experiment(cfg)

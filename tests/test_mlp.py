@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlpicard import euler
+from mlpicard import euler, mlp
 from mlpicard.euler import EulerConfig, update_times
-from mlpicard.mlp import CostTally, MlpParams, cost_recursion_bound, estimate, estimate_many
+from mlpicard.mlp import (
+    CostTally,
+    MlpParams,
+    cost_recursion_bound,
+    estimate,
+    estimate_many,
+    seed_blocks,
+)
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
 
@@ -240,6 +247,21 @@ class TestEstimateMany:
             assert est.cost.as_dict() == want.cost.as_dict()
         assert estimate_many(prob, params, [], (0,), 0.3, np.zeros(2)) == []
 
+    @pytest.mark.parametrize("block_paths", [1, 200])
+    def test_seed_blocks_change_no_value(self, monkeypatch, block_paths):
+        # (3, 2) has 82 tree paths per seed: blocks of one seed, then of two
+        prob = instantiate("linear-reaction", d=1)
+        params = MlpParams(n=3, M=2, euler_steps=8)
+        want = estimate_many(prob, params, self.SEEDS, (0,), 0.6, np.array([0.2]))
+        monkeypatch.setattr(mlp, "_BLOCK_PATHS", block_paths)
+        blocks = seed_blocks(params, self.SEEDS)
+        assert [seed for block in blocks for seed in block] == self.SEEDS
+        assert max(len(block) for block in blocks) == max(1, block_paths // 82)
+        got = estimate_many(prob, params, self.SEEDS, (0,), 0.6, np.array([0.2]))
+        for a, b in zip(got, want):
+            assert _bits(a.value) == _bits(b.value)
+            assert a.cost.as_dict() == b.cost.as_dict()
+
 
 class TestDeterminism:
     def test_repeated_calls_bit_identical(self):
@@ -256,9 +278,8 @@ class TestDeterminism:
         values = {}
         for theta in [(0,), (1,)]:
             values[theta] = np.array([
-                estimate(prob, MlpParams(n=2, M=2, euler_steps=4, root_seed=s),
-                         theta, 0.0, np.zeros(1)).value
-                for s in range(1000)
+                est.value for est in estimate_many(prob, MlpParams(n=2, M=2, euler_steps=4),
+                                                   range(1000), theta, 0.0, np.zeros(1))
             ])
         assert stats.ks_2samp(values[(0,)], values[(1,)]).pvalue > 0.01
 
@@ -268,9 +289,8 @@ class TestStatistics:
         # u(0, 0) = d*T = 1 for the pure diffusion with quadratic payout
         prob = instantiate("heat-quadratic", d=1)
         vals = np.array([
-            estimate(prob, MlpParams(n=3, M=3, root_seed=s), (0,), 0.0,
-                     np.zeros(1)).value
-            for s in range(200)
+            est.value for est in estimate_many(prob, MlpParams(n=3, M=3), range(200), (0,),
+                                               0.0, np.zeros(1))
         ])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) <= 3 * se
@@ -280,9 +300,8 @@ class TestStatistics:
         # exactly the terminal expectation d*T (identity diffusion is exact)
         prob = instantiate("linear-reaction", d=1)
         vals = np.array([
-            estimate(prob, MlpParams(n=1, M=4, root_seed=s), (0,), 0.0,
-                     np.zeros(1)).value
-            for s in range(3000)
+            est.value for est in estimate_many(prob, MlpParams(n=1, M=4), range(3000), (0,),
+                                               0.0, np.zeros(1))
         ])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) <= 4 * se
@@ -348,11 +367,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("theta", [(2.7,), (0, 1.0), (True,)])
-    def test_non_integer_label_rejected(self, theta):
+    def test_non_integer_label_rejected(self, theta, n):
+        # at every depth, depth 0 included, whose estimate draws nothing
         prob = instantiate("heat-quadratic")
         with pytest.raises(TypeError, match="integers"):
-            estimate(prob, MlpParams(n=1, M=2), theta, 0.0, np.zeros(1))
+            estimate(prob, MlpParams(n=n, M=2), theta, 0.0, np.zeros(1))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_label_rejected(self, n):
+        prob = instantiate("heat-quadratic")
+        with pytest.raises(ValueError, match="nonempty"):
+            estimate(prob, MlpParams(n=n, M=2), (), 0.0, np.zeros(1))
+
+    @pytest.mark.parametrize("seed", [1.0, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        prob = instantiate("heat-quadratic")
+        with pytest.raises(TypeError, match="integers"):
+            estimate_many(prob, MlpParams(n=1, M=2), [0, seed], (0,), 0.0, np.zeros(1))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -361,3 +394,20 @@ class TestValidation:
             MlpParams(n=1, M=0)
         assert MlpParams(n=2, M=3).resolved_steps == 27
         assert MlpParams(n=2, M=3, euler_steps=12).resolved_steps == 12
+
+    @pytest.mark.parametrize("field", ["n", "M", "euler_steps", "root_seed"])
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0, np.float64(2.0), "2"])
+    def test_non_integer_params_rejected(self, field, bad):
+        fields = {"n": 1, "M": 2, "euler_steps": 4, "root_seed": 0, field: bad}
+        with pytest.raises(TypeError, match=f"MlpParams.{field} must be an integer"):
+            MlpParams(**fields)
+
+    def test_numpy_integer_params_accepted(self):
+        params = MlpParams(n=np.int64(2), M=np.int32(2), euler_steps=np.uint8(4),
+                           root_seed=np.int64(-5))
+        prob = instantiate("heat-quadratic")
+        got = estimate(prob, params, (0,), 0.0, np.zeros(1))
+        want = estimate(prob, MlpParams(n=2, M=2, euler_steps=4, root_seed=-5), (0,), 0.0,
+                        np.zeros(1))
+        assert _bits(got.value) == _bits(want.value)
+        assert got.cost.as_dict() == want.cost.as_dict()

@@ -1,12 +1,13 @@
 """Reference oracles: closed forms, quadrature fixed point, cached baselines."""
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from mlpicard import ESTIMATOR_VERSION, RNG_ALGORITHM, oracle
+from mlpicard import ESTIMATOR_VERSION, RNG_ALGORITHM, mlp, oracle
 from mlpicard.oracle import (
     BaselineBudget,
     OracleError,
@@ -127,6 +128,23 @@ class TestMcBaseline:
         ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=500, cache_path=str(tmp_path))
         exact = closed_form(prob, 0.0, [0.0])
         assert abs(ref.value - exact.value) <= ref.ci_halfwidth + 1e-6
+
+    def test_progress_per_seed_block_and_per_seed_values(self, tmp_path, monkeypatch):
+        # blocks of two seeds: (3, 3) has 255 tree paths per seed
+        monkeypatch.setattr(mlp, "_BLOCK_PATHS", 600)
+        prob = instantiate("heat-quadratic", d=1)
+        calls = []
+        ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=503, cache_path=str(tmp_path),
+                          progress=lambda done, total: calls.append((done, total)))
+        reps = BUDGET.replications
+        assert calls == [(done, reps) for done in range(2, reps + 1, 2)]
+        with open(ref.diagnostics["path"], encoding="utf-8") as fh:
+            entry = dict(line.split(" = ") for line in fh.read().splitlines())
+        params = mlp.MlpParams(n=BUDGET.n, M=BUDGET.M, euler_steps=BUDGET.euler_steps)
+        for r in range(reps):
+            want = mlp.estimate(prob, dataclasses.replace(params, root_seed=503 + r), (0,), 0.0,
+                                np.zeros(1))
+            assert entry[f"rep_{r:04d}"] == f"{want.value:.17g}"
 
     def test_cache_reload_is_bit_identical(self, tmp_path):
         prob = instantiate("heat-quadratic", d=1)

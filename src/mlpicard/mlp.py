@@ -204,13 +204,16 @@ class _Wave:
     """The nodes and paths of one recursion depth of the full tree.
 
     A node starts from path row ``node_parent`` of the previous wave (wave 0
-    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per path:
-    its node, whether it is a level path, and its label suffix below the
-    root label, ``width`` packed bytes in row ``suffix``.
+    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per node,
+    the tally columns ``(uniforms, g_evals, f_evals)`` it adds when it exists
+    (``exists_work``) and, on top, when it lies before ``T`` (``live_work``).
+    Per path: its node, whether it is a level path, and its label suffix
+    below the root label, packed as stream labels are, in row ``suffix``.
     """
 
     node_parent: np.ndarray
-    node_f_evals: np.ndarray  # nonlinearity evaluations of each node at t < T
+    exists_work: np.ndarray
+    live_work: np.ndarray
     path_node: np.ndarray
     path_parent: np.ndarray
     is_level: np.ndarray
@@ -220,48 +223,50 @@ class _Wave:
 
 @functools.lru_cache(maxsize=8)
 def _tree_plan(n: int, M: int) -> tuple:
-    """The waves of the full depth-``n`` tree with base ``M``, as index arrays."""
+    """The waves of the full depth-``n`` tree with base ``M``, as read-only arrays."""
+    # per node depth k: (uniforms, g_evals, f_evals) of its level samples
+    live_work = [(sum(M ** (k - level) for level in range(k)), 0,
+                  sum(M ** (k - level) * (1 + (level > 0)) for level in range(k)))
+                 for k in range(n + 1)]
     waves = []
     nodes = [((), n, 0)]  # (label suffix, depth, parent path row)
     while nodes:
-        labels, path_node, is_level, children = [], [], [], []
-        groups = {}
+        paths, children, groups = [], [], {}  # paths: (label suffix, node, is level path)
         for j, (label, k, _) in enumerate(nodes):
-            group = groups.setdefault(k, ([], [], [([], [], []) for _ in range(k)]))
-            group[0].append(j)
-            group[1].append(range(len(labels), len(labels) + M**k))
-            labels += [label + (0, -i) for i in range(1, M**k + 1)]
-            path_node += [j] * M**k
-            is_level += [False] * M**k
-            for level, (rows, minuends, subtrahends) in enumerate(group[2]):
-                count = M ** (k - level)
-                rows.append(range(len(labels), len(labels) + count))
+            members, terminal, levels = groups.setdefault(
+                k, ([], [], [([], [], []) for _ in range(k)]))
+            members.append(j)
+            terminal.append(range(len(paths), len(paths) + M**k))
+            paths += [(label + (0, -i), j, False) for i in range(1, M**k + 1)]
+            for level, (rows, minuends, subtrahends) in enumerate(levels):
+                first, count = len(paths), M ** (k - level)
+                rows.append(range(first, first + count))
+                paths += [(label + (level, i), j, True) for i in range(1, count + 1)]
+                # sample i's sub-estimates start from its path, row first + i - 1
                 if level > 0:
                     minuends.append(range(len(children), len(children) + count))
-                    children += [(label + (level, i), level, len(labels) + i - 1)
+                    children += [(label + (level, i), level, first + i - 1)
                                  for i in range(1, count + 1)]
                 if level > 1:
                     subtrahends.append(range(len(children), len(children) + count))
-                    children += [(label + (-level, i), level - 1, len(labels) + i - 1)
+                    children += [(label + (-level, i), level - 1, first + i - 1)
                                  for i in range(1, count + 1)]
-                labels += [label + (level, i) for i in range(1, count + 1)]
-                path_node += [j] * count
-                is_level += [True] * count
-        f_evals = [sum(M ** (k - level) * (1 + (level > 0)) for level in range(k))
-                   for _, k, _ in nodes]
-        path_node = np.array(path_node, dtype=np.int64)
-        node_parent = np.array([parent for _, _, parent in nodes], dtype=np.int64)
+        labels, path_node, is_level = zip(*paths)
+        depths = [k for _, k, _ in nodes]
+        node_parent = _frozen([parent for _, _, parent in nodes])
+        path_node = _frozen(path_node)
         waves.append(_Wave(
             node_parent=node_parent,
-            node_f_evals=np.array(f_evals, dtype=np.int64),
+            exists_work=_frozen([(0, M**k, 0) for k in depths]),
+            live_work=_frozen([live_work[k] for k in depths]),
             path_node=path_node,
-            path_parent=node_parent[path_node],
-            is_level=np.array(is_level),
-            suffix=np.array(labels, dtype="<i8").view(np.uint8),
+            path_parent=_frozen(node_parent[path_node]),
+            is_level=_frozen(is_level, bool),
+            suffix=_frozen(np.array(labels, dtype="<i8").view(np.uint8), np.uint8),
             groups=tuple(
-                _Group(np.array(members), np.array(terminal),
-                       tuple((np.array(rows), np.array(mins) if mins else None,
-                              np.array(subs) if subs else None)
+                _Group(_frozen(members), _frozen(terminal),
+                       tuple((_frozen(rows), _frozen(mins) if mins else None,
+                              _frozen(subs) if subs else None)
                              for rows, mins, subs in levels))
                 for members, terminal, levels in groups.values()),
         ))
@@ -269,12 +274,20 @@ def _tree_plan(n: int, M: int) -> tuple:
     return tuple(waves)
 
 
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    """A read-only array: cached plans are shared by every caller."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
     """Evaluate the trees of ``seeds`` at ``(t, x)``, one batch per wave."""
     S, d, T = len(seeds), problem.d, problem.T
-    uniforms, g_evals, f_evals, steps = (np.zeros(S, dtype=np.int64) for _ in range(4))
+    work = np.zeros((S, 3), dtype=np.int64)  # uniforms, g_evals, f_evals
+    steps = np.zeros(S, dtype=np.int64)
     # the previous wave's simulated paths and their end times and states
-    sim, ends, states = np.ones((S, 1), bool), np.full((S, 1), t), np.broadcast_to(x, (S, 1, d))
+    sim, ends, states = np.ones((S, 1), bool), np.full((S, 1), t), x[None, None].repeat(S, 0)
     done = []
     for wave in waves:
         exists = sim[:, wave.node_parent]
@@ -284,8 +297,8 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
         rows, paths = np.nonzero(sim)
         starts = np.searchsorted(rows, np.arange(S + 1))
         streams = []
-        for s, seed in enumerate(seeds):
-            streams += streams_at(seed, theta, wave.suffix[paths[starts[s]: starts[s + 1]]].tobytes(),
+        for seed, lo, hi in zip(seeds, starts, starts[1:]):
+            streams += streams_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(),
                                   wave.suffix.shape[1])
         level = wave.is_level[paths]
         for i in np.flatnonzero(~level).tolist():
@@ -301,9 +314,7 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
         states = np.zeros(sim.shape + (d,))
         states[rows, paths] = path_states
         np.add.at(steps, rows, counts)
-        uniforms += (sim & wave.is_level).sum(axis=1)
-        g_evals += (sim & ~wave.is_level).sum(axis=1)
-        f_evals += live @ wave.node_f_evals
+        work += exists @ wave.exists_work + live @ wave.live_work
         done.append((exists, live, node_t, ends, states))
 
     values = None
@@ -312,10 +323,10 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
         for group in wave.groups:
             _reduce(problem, group, exists, live, node_t, ends, states, child_values, values)
     return [
-        Estimate(value=float(values[s, 0]), cost=CostTally(
-            uniforms=int(uniforms[s]), gaussians=d * int(steps[s]), euler_steps=int(steps[s]),
-            g_evals=int(g_evals[s]), f_evals=int(f_evals[s])))
-        for s in range(S)
+        Estimate(value=value, cost=CostTally(uniforms=uniforms, gaussians=d * n_steps,
+                                             euler_steps=n_steps, g_evals=g, f_evals=f))
+        for value, (uniforms, g, f), n_steps in zip(values[:, 0].tolist(), work.tolist(),
+                                                     steps.tolist())
     ]
 
 

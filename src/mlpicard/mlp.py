@@ -321,7 +321,8 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
     for wave, (exists, live, node_t, ends, states) in reversed(list(zip(waves, done))):
         child_values, values = values, np.zeros(exists.shape)
         for group in wave.groups:
-            _reduce(problem, group, exists, live, node_t, ends, states, child_values, values)
+            _reduce_group(problem, group, exists, live, node_t, ends, states, child_values,
+                          values)
     return [
         Estimate(value=value, cost=CostTally(uniforms=uniforms, gaussians=d * n_steps,
                                              euler_steps=n_steps, g_evals=g, f_evals=f))
@@ -330,7 +331,8 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
     ]
 
 
-def _reduce(problem, group, exists, live, node_t, ends, states, child_values, values) -> None:
+def _reduce_group(problem, group, exists, live, node_t, ends, states, child_values,
+                  values) -> None:
     """Set ``values`` of the group's nodes: ``(seed, node)`` rows reduced together,
     each in the fixed per-node order of the depth-first recursion."""
     T, d = problem.T, problem.d

@@ -157,6 +157,7 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
         raise ValueError(f"x must be finite, got {x}")
     theta = tuple(theta)
     check_label(theta)
+    seeds = list(seeds)
     for seed in seeds:
         if not _is_integer(seed):
             raise TypeError(f"root seeds must be integers, got {seed!r}")

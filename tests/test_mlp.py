@@ -246,6 +246,8 @@ class TestEstimateMany:
             assert _bits(est.value) == _bits(want.value)
             assert est.cost.as_dict() == want.cost.as_dict()
         assert estimate_many(prob, params, [], (0,), 0.3, np.zeros(2)) == []
+        from_iterator = estimate_many(prob, params, iter([4, 5]), (5, -2), 0.3, np.zeros(2))
+        assert [_bits(est.value) for est in from_iterator] == [_bits(est.value) for est in got]
 
     @pytest.mark.parametrize("block_paths", [1, 200])
     def test_seed_blocks_change_no_value(self, monkeypatch, block_paths):

@@ -132,7 +132,7 @@ class TestMcBaseline:
     def test_progress_per_seed_block_and_per_seed_values(self, tmp_path, monkeypatch):
         # blocks of two seeds: (3, 3) has 255 tree paths per seed
         monkeypatch.setattr(mlp, "_BLOCK_PATHS", 600)
-        prob = instantiate("heat-quadratic", d=1)
+        prob = instantiate("linear-reaction", d=1)  # f(v) = v: every level path counts
         calls = []
         ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=503, cache_path=str(tmp_path),
                           progress=lambda done, total: calls.append((done, total)))

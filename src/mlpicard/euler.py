@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import Problem
-from .rng import fill_gaussians, stream_for
+from .rng import StreamBatch, fill_gaussians, stream_for
 
 # upper bound on the scalars in one chunk's draw buffer
 _CHUNK_SCALARS = 1 << 17
@@ -96,7 +96,8 @@ def update_times(t: float, s: float, steps: int, T: float) -> list:
 def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times):
     """Simulate one path per stream from its start ``(t, x)`` to its end time.
 
-    ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams
+    ``streams`` is a sequence of ``RandomStream`` or a ``StreamBatch``.  ``t``
+    is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams
     must already be past their uniform draw.  Returns the terminal states
     ``(P, d)`` and per-path step counts ``(P,)``.
     """
@@ -125,7 +126,9 @@ def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times)
         dts[:, :1] = targets[:, :1] - t[rows, None]
         np.subtract(targets[:, 1:], targets[:, :-1], out=dts[:, 1:])
         incs = np.zeros((len(rows), W, d))
-        fill_gaussians([streams[p] for p in rows.tolist()], c * d, incs.reshape(len(rows), -1))
+        chunk = (streams[rows] if isinstance(streams, StreamBatch)
+                 else [streams[p] for p in rows.tolist()])
+        fill_gaussians(chunk, c * d, incs.reshape(len(rows), -1))
         incs *= np.sqrt(dts, out=targets)[:, :, None]
 
         y = states[rows]

@@ -50,7 +50,7 @@ import numpy as np
 
 from .euler import EulerConfig, simulate_batch
 from .problems import Problem
-from .rng import check_label, streams_at
+from .rng import StreamBatch, check_label, keys_at
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -297,14 +297,12 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
         sim = np.where(wave.is_level, live[:, wave.path_node], exists[:, wave.path_node])
         rows, paths = np.nonzero(sim)
         starts = np.searchsorted(rows, np.arange(S + 1))
-        streams = []
-        for seed, lo, hi in zip(seeds, starts, starts[1:]):
-            streams += streams_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(),
-                                  wave.suffix.shape[1])
+        width = wave.suffix.shape[1]
+        streams = StreamBatch(np.concatenate([
+            keys_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(), width)
+            for seed, lo, hi in zip(seeds, starts, starts[1:])]))
         level = wave.is_level[paths]
-        for i in np.flatnonzero(~level).tolist():
-            streams[i].skip_uniform()  # fixed stream shape; terminal paths never use r
-        r = np.array([streams[i].uniform() for i in np.flatnonzero(level).tolist()])
+        r = streams.uniforms(level)  # terminal paths skip theirs: they never use r
         t0 = ends[rows, wave.path_parent[paths]]
         path_ends = np.full(len(paths), T)
         path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)

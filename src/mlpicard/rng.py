@@ -21,10 +21,26 @@ standard Gaussian scalars in consumption order.  Callers that do not need
 the uniform skip it, so the Gaussian subsequence seen by a consumer depends
 only on the stream address.
 
-A stream is a key plus a cursor, and owns no generator.  Philox is counter
-based, so word ``w`` of a stream is a pure function of its key and ``w``:
-a draw sets this thread's one Philox generator to the key at the 4-word
-block that holds the cursor, discards the words before it, and reads on.
+A stream is a key plus a cursor, and owns no generator
+(:class:`RandomStream`; :class:`StreamBatch` holds many as arrays).  Philox
+is counter based (Salmon et al., SC'11), so word ``w`` of a stream is a pure
+function of its key and ``w``: word ``w % 4`` of the 4-word block ``w // 4``,
+which Philox computes at counter ``w // 4 + 1``.  Words are read in one of
+two ways, with the same bits:
+
+* the native generator: a draw sets this thread's one numpy Philox generator
+  to the key at the block that holds the cursor, discards the words before
+  it, and reads on.  It costs about 3 µs per keying and 7 ns per word.
+* the kernel: :func:`philox_blocks`, Philox-4x64-10 in numpy ``uint64``
+  arithmetic, computes the blocks of many ``(key, block)`` pairs in one
+  vectorized pass.  It costs about 0.1-0.2 ms per call, whatever the batch
+  size, and 30-100 ns per word.
+
+A batch of at least ``_KERNEL_MIN_STREAMS`` streams draws from the kernel
+every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` words, and
+the rest of the cursor's block of a longer one, which the native generator
+continues from the next block with no words to discard.  Smaller batches,
+and so single streams, use the native generator alone.
 """
 
 from __future__ import annotations
@@ -44,6 +60,23 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 # (raw >> 11) * 2**-53 + 2**-54 rounds the same real number as
 # ((raw >> 11) + 0.5) * 2**-53, and scaling by a power of two is exact
 _HALF_ULP = 2.0**-54
+
+# A batch of fewer streams draws from the native generator alone: the kernel's
+# fixed cost per call (about 0.1-0.2 ms) pays for 30-60 native keyings.
+# Measured crossover (2-vCPU VM, numpy 2.4): 48-64 streams that draw 1 word
+# each, 96-192 streams that draw 11 or 27 words each.
+_KERNEL_MIN_STREAMS = 128
+# A longer draw takes only the rest of its cursor's block from the kernel: past
+# this length one native keying (about 3-5 µs) costs less than the kernel's
+# premium per word.  Measured crossover: 40-48 words, 1000 streams at cursor 1.
+_KERNEL_MAX_WORDS = 40
+
+# Philox-4x64-10 as philox_blocks lays it out: the multipliers of counter
+# words 2 and 0, split into 32-bit halves, and the key bumps between rounds
+_PHILOX_M = np.array([[0xCA5A826395121157], [0xD2E7470EE14C6C93]], dtype=np.uint64)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
 class StreamOrderError(RuntimeError):
@@ -90,14 +123,67 @@ def _philox_key(root_seed: int, theta: ThetaIndex) -> int:
     return _key(_hasher(root_seed, theta))
 
 
+def _key_words(key: int) -> tuple:
+    """A 128-bit Philox key as its ``(low, high)`` 64-bit words."""
+    return key & _U64_MASK, key >> 64
+
+
+def philox_blocks(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Block ``blocks[i]`` of the Philox-4x64-10 stream keyed by ``keys[i]``, for every ``i``.
+
+    ``keys`` is ``(B, 2)`` uint64, low word first, and ``blocks`` ``(B,)``
+    nonnegative integers.  Returns ``(B, 4)`` uint64: row ``i`` holds words
+    ``4*blocks[i]`` to ``4*blocks[i] + 3`` of the stream, as numpy's
+    ``Philox(key=...).random_raw`` gives them.
+    """
+    key = keys.T.copy()
+    # counter words (c0, c2) and (c1, c3); Philox computes block b at counter b + 1
+    even = np.zeros((2, len(keys)), dtype=np.uint64)
+    np.add(blocks, 1, out=even[0], casting="unsafe")
+    odd = np.zeros_like(even)
+    low, high, t, u, v, hi = (np.empty_like(even) for _ in range(6))
+    for round_ in range(10):
+        if round_:
+            key += _PHILOX_BUMP
+        a = even[::-1]  # (c2, c0), the operands of the multipliers
+        # the high words of the 128-bit products a * M, from 32-bit halves
+        np.bitwise_and(a, _LOW32, out=low)
+        np.right_shift(a, _SHIFT32, out=high)
+        np.multiply(low, _PHILOX_M_LO, out=t)
+        np.right_shift(t, _SHIFT32, out=t)
+        np.multiply(high, _PHILOX_M_LO, out=u)
+        u += t
+        np.bitwise_and(u, _LOW32, out=t)
+        np.multiply(low, _PHILOX_M_HI, out=v)
+        v += t
+        np.multiply(high, _PHILOX_M_HI, out=hi)
+        np.right_shift(u, _SHIFT32, out=u)
+        hi += u
+        np.right_shift(v, _SHIFT32, out=v)
+        hi += v
+        # (c0, c1, c2, c3) <- (hi(c2*M1) ^ c1 ^ k0, lo(c2*M1), hi(c0*M0) ^ c3 ^ k1, lo(c0*M0))
+        hi ^= odd
+        hi ^= key
+        np.multiply(a, _PHILOX_M, out=odd)
+        even, hi = hi, even
+    return np.stack((even, odd), axis=1).transpose(2, 0, 1).reshape(-1, 4)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Raw Philox words as the uniforms ``(raw >> 11) * 2**-53`` that numpy's
+    ``Generator.random`` makes of them."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 _local = threading.local()
 
 
-def _generator_at(key: int, word: int) -> np.random.Generator:
+def _generator_at(key, word: int) -> np.random.Generator:
     """This thread's generator, set to word ``word`` of the stream keyed by ``key``.
 
-    The one place that keys a Philox generator.  Its ``random`` reads the
-    next words as uniforms ``(raw >> 11) * 2**-53``.
+    ``key`` is the key's ``(low, high)`` word pair.  The one place that keys a
+    native Philox generator.  Its ``random`` reads the next words as uniforms
+    ``(raw >> 11) * 2**-53``.
     """
     try:
         gen = _local.generator
@@ -107,12 +193,43 @@ def _generator_at(key: int, word: int) -> np.random.Generator:
     # Philox increments the counter before it computes a block
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (block, 0, 0, 0), "key": (key & _U64_MASK, key >> 64)},
+        "state": {"counter": (block, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     if skip:
         gen.bit_generator.random_raw(skip)
     return gen
+
+
+def _draw(keys: np.ndarray, cursors: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Write words ``cursors[i]`` to ``cursors[i] + counts[i] - 1`` of the stream
+    keyed by ``keys[i]`` into ``out[i, :counts[i]]``, as uniforms in [0, 1)."""
+    if len(keys) < _KERNEL_MIN_STREAMS:
+        for key, word, n, row in zip(keys.tolist(), cursors.tolist(), counts.tolist(), out):
+            if n:
+                _generator_at(key, word).random(out=row[:n])
+        return
+    # a long draw takes the rest of its cursor's block from the kernel, so the
+    # native generator starts on a block boundary
+    long = counts > _KERNEL_MAX_WORDS
+    heads = np.where(long, -cursors % 4, counts)
+    rows = np.flatnonzero(heads)
+    if len(rows):
+        first, offset = np.divmod(cursors[rows], 4)
+        head = heads[rows]
+        n_blocks = (offset + head + 3) // 4
+        block_starts = np.cumsum(n_blocks) - n_blocks
+        blocks = np.arange(block_starts[-1] + n_blocks[-1]) + np.repeat(first - block_starts,
+                                                                        n_blocks)
+        words = philox_blocks(np.repeat(keys[rows], n_blocks, axis=0), blocks).reshape(-1)
+        # word j of row i's draw is kernel word 4*block_starts[i] + offset[i] + j
+        j = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
+        picked = words[np.repeat(4 * block_starts + offset, head) + j]
+        out[np.repeat(rows, head), j] = _uniforms(picked)
+    rows = np.flatnonzero(long)
+    for i, key, word, head, n in zip(rows.tolist(), keys[rows].tolist(), cursors[rows].tolist(),
+                                     heads[rows].tolist(), counts[rows].tolist()):
+        _generator_at(key, word + head).random(out=out[i, head:n])
 
 
 class RandomStream:
@@ -132,7 +249,7 @@ class RandomStream:
     def uniform(self) -> float:
         """Draw the stream's single uniform in [0, 1).  Must be the first draw."""
         self.skip_uniform()
-        return _generator_at(self.key, 0).random()
+        return _generator_at(_key_words(self.key), 0).random()
 
     def skip_uniform(self) -> None:
         """Move past the stream's uniform without drawing it."""
@@ -151,20 +268,76 @@ class RandomStream:
         return out[0]
 
 
+class StreamBatch:
+    """Many streams as arrays, for batched draws.
+
+    Row ``i`` is the stream with Philox key ``keys[i]`` (``(P, 2)`` uint64,
+    low word first) and cursor ``cursors[i]``, as in :class:`RandomStream`;
+    new streams start at cursor 0.  ``batch[rows]``, for an integer array
+    ``rows``, is a view of those rows: its draws move the cursors of ``batch``.
+    """
+
+    __slots__ = ("keys", "cursors", "rows")
+
+    def __init__(self, keys: np.ndarray, cursors=None, rows=None):
+        self.keys = keys
+        self.cursors = np.zeros(len(keys), dtype=np.int64) if cursors is None else cursors
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.keys) if self.rows is None else len(self.rows)
+
+    def __getitem__(self, rows) -> "StreamBatch":
+        return StreamBatch(self.keys, self.cursors, rows if self.rows is None else self.rows[rows])
+
+    def _arrays(self) -> tuple:
+        if self.rows is None:
+            return self.keys, self.cursors
+        return self.keys.take(self.rows, axis=0), self.cursors[self.rows]
+
+    def uniforms(self, drawn: np.ndarray) -> np.ndarray:
+        """Take every stream's first draw: draw the uniforms in [0, 1) of the
+        streams where the boolean array ``drawn`` holds, in row order, and
+        skip the others' (see :meth:`RandomStream.skip_uniform`)."""
+        keys, cursors = self._arrays()
+        if np.count_nonzero(cursors):
+            raise StreamOrderError("uniform must be the first draw on a stream")
+        self._advance(1)
+        keys = keys[drawn]
+        if len(keys) < _KERNEL_MIN_STREAMS:
+            return np.array([_generator_at(key, 0).random() for key in keys.tolist()])
+        return _uniforms(philox_blocks(keys, np.zeros(len(keys), dtype=np.int64))[:, 0])
+
+    def _advance(self, counts) -> None:
+        if self.rows is None:
+            self.cursors += counts
+        else:
+            self.cursors[self.rows] += counts
+
+
 def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into ``out[i, :counts[i]]``.
 
-    ``counts`` is an integer array and ``out`` a C-contiguous float64
-    ``(len(streams), width)`` array; the rest of each row is left as it is.  Every stream must be past its
-    uniform, and its cursor moves by its count.  The raw words land in
-    ``out`` as uniforms, and one inverse-CDF pass maps them in place.
+    ``streams`` is a sequence of :class:`RandomStream` or a
+    :class:`StreamBatch`, ``counts`` an integer array and ``out`` a float64
+    ``(len(streams), width)`` array; the rest of each row is left as it is.
+    Every stream must be past its uniform, and its cursor moves by its count.
+    The raw words land in ``out`` as uniforms, and one inverse-CDF pass maps
+    them in place.
     """
-    for st, n, row in zip(streams, counts.tolist(), out):
-        if not st.cursor:
-            raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
-        if n:
-            _generator_at(st.key, st.cursor).random(out=row[:n])
-            st.cursor += n
+    if isinstance(streams, StreamBatch):
+        keys, cursors = streams._arrays()
+    else:
+        keys = np.array([_key_words(st.key) for st in streams], dtype=np.uint64).reshape(-1, 2)
+        cursors = np.array([st.cursor for st in streams], dtype=np.int64)
+    if np.count_nonzero(cursors) < len(cursors):
+        raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
+    _draw(keys, cursors, counts, out)
+    if isinstance(streams, StreamBatch):
+        streams._advance(counts)
+    else:
+        for st, cursor in zip(streams, (cursors + counts).tolist()):
+            st.cursor = cursor
     drawn = np.arange(out.shape[1]) < counts[:, None]
     np.add(out, _HALF_ULP, out=out, where=drawn)
     ndtri(out, out=out, where=drawn)
@@ -185,30 +358,23 @@ def streams_for(root_seed: int, parent: ThetaIndex, pairs) -> list:
 
     Hashes the root seed and ``parent`` once for the whole batch.
     """
-    return streams_at(root_seed, parent, _packed([el for a, b in pairs for el in (a, b)]), 16)
+    keys = keys_at(root_seed, parent, _packed([el for a, b in pairs for el in (a, b)]), 16)
+    return [RandomStream(low | high << 64) for low, high in keys.tolist()]
 
 
-def streams_at(root_seed: int, parent: ThetaIndex, suffixes: bytes, width: int) -> list:
-    """The streams of the labels ``parent`` plus each packed suffix.
+def keys_at(root_seed: int, parent: ThetaIndex, suffixes: bytes, width: int) -> np.ndarray:
+    """The Philox keys of the labels ``parent`` plus each packed suffix, as
+    ``(P, 2)`` uint64 words, low word first (see :class:`StreamBatch`).
 
     ``suffixes`` holds one ``width``-byte suffix after another, each label
     elements packed as by ``stream_for`` (signed 64-bit little endian).
     Hashes the root seed and ``parent`` once for the whole batch.
     """
     h = _hasher(root_seed, parent)
-    streams = []
+    digests = []
     for lo in range(0, len(suffixes), width):
         h_child = h.copy()
         h_child.update(suffixes[lo: lo + width])
-        streams.append(RandomStream(_key(h_child)))
-    return streams
-
-
-def raw_uniform_sequence(root_seed: int, theta: ThetaIndex, count: int) -> np.ndarray:
-    """Uniform [0, 1) view of a stream's raw word sequence, for statistics.
-
-    Test instrumentation only: production consumers obey the one-uniform
-    draw order, but distributional checks (correlation, KS) need long
-    uniform sequences from a single label.
-    """
-    return _generator_at(_philox_key(root_seed, theta), 0).random(count)
+        digests.append(h_child.digest())
+    # a key is the first 16 digest bytes, little endian
+    return np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 4)[:, :2]

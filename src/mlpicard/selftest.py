@@ -19,7 +19,7 @@ from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
 from .problems import instantiate
-from .rng import StreamOrderError, child, stream_for
+from .rng import StreamOrderError, child, philox_blocks, stream_for
 
 
 def _check_rng_determinism():
@@ -40,6 +40,16 @@ def _check_rng_order_guard():
     except StreamOrderError:
         return
     raise AssertionError("uniform after Gaussians should fail")
+
+
+def _check_philox_kernel():
+    # the numpy kernel and numpy's own Philox must agree word for word; a numpy
+    # upgrade that changes either shows here before it shows as golden drift
+    blocks = np.array([0, 1, 2, 7, 1000])
+    for key in (0, 2**64 - 1, (2**64 - 1) << 64, 2**128 - 1, 0x243F6A8885A308D313198A2E03707344):
+        keys = np.array([[key & (2**64 - 1), key >> 64]] * len(blocks), dtype=np.uint64)
+        for row, block in zip(philox_blocks(keys, blocks), blocks.tolist()):
+            assert np.array_equal(row, np.random.Philox(key=key).advance(block).random_raw(4))
 
 
 def _check_child_concat():
@@ -112,6 +122,7 @@ def _check_csv_roundtrip():
 CHECKS = [
     ("rng-determinism", _check_rng_determinism),
     ("rng-order-guard", _check_rng_order_guard),
+    ("philox-kernel", _check_philox_kernel),
     ("theta-concatenation", _check_child_concat),
     ("euler-identity-and-grid", _check_euler_identity),
     ("zero-depth-and-determinism", _check_zero_depth_and_determinism),

@@ -5,12 +5,21 @@ import math
 import numpy as np
 
 from mlpicard.euler import DomainError, simulate_batch
-from mlpicard.rng import stream_for
+from mlpicard.rng import _generator_at, _key_words, _philox_key, stream_for
 
 
 def _sum_ascending(values: np.ndarray) -> float:
     """Strict ascending-index float sum, the order of every estimator reduction."""
     return float(np.cumsum(values)[-1])
+
+
+def raw_uniform_sequence(root_seed, theta, count):
+    """Uniform [0, 1) view of a stream's raw word sequence, for statistics.
+
+    Production consumers obey the one-uniform draw order, but distributional
+    checks (correlation, KS) need long uniform sequences from a single label.
+    """
+    return _generator_at(_key_words(_philox_key(root_seed, theta)), 0).random(count)
 
 
 def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):

@@ -5,19 +5,26 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import stats
 from scipy.special import ndtri
 
+from mlpicard import rng
 from mlpicard.rng import (
     RandomStream,
+    StreamBatch,
     StreamOrderError,
     _philox_key,
     child,
     fill_gaussians,
-    raw_uniform_sequence,
+    keys_at,
+    philox_blocks,
     stream_for,
     streams_for,
 )
+
+from helpers import raw_uniform_sequence
 
 
 def test_child_appends_pair():
@@ -324,6 +331,101 @@ def test_concurrent_threads_draw_the_sequential_values():
     for want, have in zip(expected, got):
         assert have[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(have[1:], want[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the vectorized Philox kernel and hybrid batch draws
+
+
+def _key_array(keys):
+    return np.array([(k & (2**64 - 1), k >> 64) for k in keys], dtype=np.uint64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("key", [0, 2**64 - 1, (2**64 - 1) << 64, 2**128 - 1,
+                                 _philox_key(11, (0, -1, -7))])
+def test_kernel_blocks_equal_numpy_philox(key):
+    blocks = np.arange(21)
+    words = philox_blocks(_key_array([key] * len(blocks)), blocks)
+    assert words.dtype == np.uint64 and words.shape == (21, 4)
+    assert np.array_equal(words.reshape(-1), np.random.Philox(key=key).random_raw(4 * 21))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(hs.tuples(hs.integers(0, 2**128 - 1), hs.integers(0, 2**62)),
+                min_size=1, max_size=8))
+def test_kernel_blocks_equal_numpy_philox_at_any_key_and_block(pairs):
+    keys, blocks = zip(*pairs)
+    words = philox_blocks(_key_array(keys), np.array(blocks))
+    for row, key, block in zip(words, keys, blocks):
+        assert np.array_equal(row, np.random.Philox(key=key).advance(block).random_raw(4))
+
+
+def test_kernel_uniforms_are_the_top_53_bits():
+    key = _philox_key(3, (1, 2))
+    raw = philox_blocks(_key_array([key] * 4), np.arange(4)).reshape(-1)
+    expected = (raw >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(rng._uniforms(raw), expected)
+    assert np.array_equal(expected, np.random.Generator(np.random.Philox(key=key)).random(16))
+
+
+def _batch(size, seed=21):
+    """``size`` streams of one parent label, as records and as one batch."""
+    pairs = [(1, i) for i in range(size)]
+    keys = keys_at(seed, (4,), np.array(pairs, dtype="<i8").tobytes(), 16)
+    return streams_for(seed, (4,), pairs), StreamBatch(keys)
+
+
+@pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS])
+def test_batch_uniforms_equal_stream_uniforms(size):
+    singles, batch = _batch(size)
+    drawn = np.arange(size) % 3 != 0
+    r = batch.uniforms(drawn)
+    assert r.tolist() == [st.uniform() for st, on in zip(singles, drawn) if on]
+    assert np.all(batch.cursors == 1)
+    with pytest.raises(StreamOrderError):
+        batch.uniforms(drawn)
+    with pytest.raises(StreamOrderError):
+        batch[np.arange(2)].uniforms(np.ones(2, bool))
+
+
+@pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
+                                  2 * rng._KERNEL_MIN_STREAMS])
+@pytest.mark.parametrize("as_batch", [False, True])
+def test_hybrid_fill_equals_one_stream_draws(size, as_batch):
+    # short and long rows mixed, at cursors 1-5, with counts around the
+    # stream-length cutover
+    cut = rng._KERNEL_MAX_WORDS
+    lengths = [0, 1, 3, 4, 7, cut - 1, cut, cut + 1, 2 * cut + 5]
+    cursors = 1 + np.arange(size) % 5
+    counts = np.array([lengths[i % len(lengths)] for i in range(size)][::-1])
+    singles, batch = _batch(size)
+    records = streams_for(21, (4,), [(1, i) for i in range(size)])
+    batch.uniforms(np.zeros(size, bool))
+    for st, one, cursor in zip(records, singles, cursors.tolist()):
+        st.skip_uniform(), one.skip_uniform()
+        st.gaussians(cursor - 1), one.gaussians(cursor - 1)
+    batch.cursors[:] = cursors
+    rows = np.arange(size)[::-1]  # a view of the batch in another order
+    streams = batch[rows] if as_batch else [records[i] for i in rows]
+    out = np.zeros((size, counts.max() + 3))
+    fill_gaussians(streams, counts, out)
+    for row, n, i in zip(out, counts.tolist(), rows.tolist()):
+        assert np.array_equal(row[:n], singles[i].gaussians(n))
+        assert np.all(row[n:] == 0.0)
+    moved = batch.cursors if as_batch else np.array([st.cursor for st in records])
+    assert np.array_equal(moved[rows], cursors[rows] + counts)
+
+
+def test_fill_checks_every_stream_before_drawing():
+    streams = [stream_for(2, (i,)) for i in range(3)]
+    streams[0].skip_uniform(), streams[2].skip_uniform()
+    with pytest.raises(StreamOrderError):
+        fill_gaussians(streams, np.array([2, 2, 2]), np.zeros((3, 2)))
+    assert [st.cursor for st in streams] == [1, 0, 1]
+    _, batch = _batch(rng._KERNEL_MIN_STREAMS)
+    with pytest.raises(StreamOrderError):
+        fill_gaussians(batch, np.ones(len(batch), dtype=np.int64), np.zeros((len(batch), 1)))
+    assert not batch.cursors.any()
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,19 @@ _KERNEL_MIN_STREAMS = 128
 # this length one native keying (about 3-5 µs) costs less than the kernel's
 # premium per word.  Measured crossover: 40-48 words, 1000 streams at cursor 1.
 _KERNEL_MAX_WORDS = 40
+# Kernel passes of about this many blocks keep its scratch (about 150 bytes
+# per block, plus about 30 per word for the scatter into rows) near 0.6 MiB.
+# One pass per heat-run chunk (about 6k blocks) raised a pool worker's peak
+# RSS by 0.5 MiB; at 4096 blocks it matched the parent commit's.
+_KERNEL_BLOCKS = 1 << 12
 
 # Philox-4x64-10 as philox_blocks lays it out: the multipliers of counter
-# words 2 and 0, split into 32-bit halves, and the key bumps between rounds
+# words 2 and 0, split into 32-bit halves, and what each round adds to the key
 _PHILOX_M = np.array([[0xCA5A826395121157], [0xD2E7470EE14C6C93]], dtype=np.uint64)
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
-_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None, None]
+                 * np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64))
 
 
 class StreamOrderError(RuntimeError):
@@ -136,37 +142,35 @@ def philox_blocks(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     ``4*blocks[i]`` to ``4*blocks[i] + 3`` of the stream, as numpy's
     ``Philox(key=...).random_raw`` gives them.
     """
-    key = keys.T.copy()
     # counter words (c0, c2) and (c1, c3); Philox computes block b at counter b + 1
     even = np.zeros((2, len(keys)), dtype=np.uint64)
     np.add(blocks, 1, out=even[0], casting="unsafe")
     odd = np.zeros_like(even)
-    low, high, t, u, v, hi = (np.empty_like(even) for _ in range(6))
-    for round_ in range(10):
-        if round_:
-            key += _PHILOX_BUMP
+    low, high, t, u = (np.empty_like(even) for _ in range(4))
+    for bump in _PHILOX_BUMPS:
         a = even[::-1]  # (c2, c0), the operands of the multipliers
         # the high words of the 128-bit products a * M, from 32-bit halves
         np.bitwise_and(a, _LOW32, out=low)
         np.right_shift(a, _SHIFT32, out=high)
         np.multiply(low, _PHILOX_M_LO, out=t)
-        np.right_shift(t, _SHIFT32, out=t)
+        t >>= _SHIFT32
         np.multiply(high, _PHILOX_M_LO, out=u)
         u += t
         np.bitwise_and(u, _LOW32, out=t)
-        np.multiply(low, _PHILOX_M_HI, out=v)
-        v += t
-        np.multiply(high, _PHILOX_M_HI, out=hi)
-        np.right_shift(u, _SHIFT32, out=u)
-        hi += u
-        np.right_shift(v, _SHIFT32, out=v)
-        hi += v
+        low *= _PHILOX_M_HI
+        low += t
+        high *= _PHILOX_M_HI
+        u >>= _SHIFT32
+        high += u
+        low >>= _SHIFT32
+        high += low
         # (c0, c1, c2, c3) <- (hi(c2*M1) ^ c1 ^ k0, lo(c2*M1), hi(c0*M0) ^ c3 ^ k1, lo(c0*M0))
-        hi ^= odd
-        hi ^= key
+        high ^= odd
+        np.add(keys.T, bump, out=t)  # the round key
+        high ^= t
         np.multiply(a, _PHILOX_M, out=odd)
-        even, hi = hi, even
-    return np.stack((even, odd), axis=1).transpose(2, 0, 1).reshape(-1, 4)
+        even, high = high, even
+    return np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -214,22 +218,32 @@ def _draw(keys: np.ndarray, cursors: np.ndarray, counts: np.ndarray, out: np.nda
     long = counts > _KERNEL_MAX_WORDS
     heads = np.where(long, -cursors % 4, counts)
     rows = np.flatnonzero(heads)
-    if len(rows):
-        first, offset = np.divmod(cursors[rows], 4)
-        head = heads[rows]
-        n_blocks = (offset + head + 3) // 4
-        block_starts = np.cumsum(n_blocks) - n_blocks
-        blocks = np.arange(block_starts[-1] + n_blocks[-1]) + np.repeat(first - block_starts,
-                                                                        n_blocks)
-        words = philox_blocks(np.repeat(keys[rows], n_blocks, axis=0), blocks).reshape(-1)
-        # word j of row i's draw is kernel word 4*block_starts[i] + offset[i] + j
-        j = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head, head)
-        picked = words[np.repeat(4 * block_starts + offset, head) + j]
-        out[np.repeat(rows, head), j] = _uniforms(picked)
+    n_blocks = (cursors[rows] % 4 + heads[rows] + 3) // 4
+    for part in np.split(rows, np.flatnonzero(np.diff((np.cumsum(n_blocks) - 1)
+                                                      // _KERNEL_BLOCKS)) + 1):
+        if len(part):
+            _kernel_draw(keys[part], cursors[part], heads[part], part, out)
     rows = np.flatnonzero(long)
     for i, key, word, head, n in zip(rows.tolist(), keys[rows].tolist(), cursors[rows].tolist(),
                                      heads[rows].tolist(), counts[rows].tolist()):
         _generator_at(key, word + head).random(out=out[i, head:n])
+
+
+def _kernel_draw(keys, cursors, counts, rows, out) -> None:
+    """Write words ``cursors[i]`` to ``cursors[i] + counts[i] - 1`` of the stream
+    keyed by ``keys[i]`` into ``out[rows[i], :counts[i]]``, in one kernel pass."""
+    first, offset = np.divmod(cursors, 4)
+    n_blocks = (offset + counts + 3) // 4
+    block_starts = np.cumsum(n_blocks) - n_blocks
+    blocks = np.arange(block_starts[-1] + n_blocks[-1]) + np.repeat(first - block_starts, n_blocks)
+    words = philox_blocks(np.repeat(keys, n_blocks, axis=0), blocks).reshape(-1)
+    # word j of draw i is kernel word base[i] + j and goes to out[rows[i], j]
+    base = 4 * block_starts + offset
+    index = np.repeat(base - (np.cumsum(counts) - counts), counts)
+    index += np.arange(len(index))
+    words = words[index]
+    index += np.repeat(rows * out.shape[1] - base, counts)
+    np.put(out, index, _uniforms(words))
 
 
 class RandomStream:

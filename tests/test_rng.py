@@ -391,9 +391,12 @@ def test_batch_uniforms_equal_stream_uniforms(size):
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
                                   2 * rng._KERNEL_MIN_STREAMS])
 @pytest.mark.parametrize("as_batch", [False, True])
-def test_hybrid_fill_equals_one_stream_draws(size, as_batch):
+@pytest.mark.parametrize("blocks_per_pass", [None, 5])
+def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, monkeypatch):
     # short and long rows mixed, at cursors 1-5, with counts around the
-    # stream-length cutover
+    # stream-length cutover; in one kernel pass or in many
+    if blocks_per_pass:
+        monkeypatch.setattr(rng, "_KERNEL_BLOCKS", blocks_per_pass)
     cut = rng._KERNEL_MAX_WORDS
     lengths = [0, 1, 3, 4, 7, cut - 1, cut, cut + 1, 2 * cut + 5]
     cursors = 1 + np.arange(size) % 5

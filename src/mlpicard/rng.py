@@ -39,7 +39,8 @@ two ways, with the same bits:
 A batch of at least ``_KERNEL_MIN_STREAMS`` streams draws from the kernel
 every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` words, and
 the rest of the cursor's block of a longer one, which the native generator
-continues from the next block with no words to discard.  Smaller batches,
+continues from the next block with no words to discard.  The kernel runs in
+passes of about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.  Smaller batches,
 and so single streams, use the native generator alone.
 """
 

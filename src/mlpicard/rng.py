@@ -40,8 +40,8 @@ A batch of at least ``_KERNEL_MIN_STREAMS`` streams draws from the kernel
 every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` words, and
 the rest of the cursor's block of a longer one, which the native generator
 continues from the next block with no words to discard.  The kernel runs in
-passes of about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.  Smaller batches,
-and so single streams, use the native generator alone.
+passes of about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.
+Smaller batches, and so single streams, use the native generator alone.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ _KERNEL_MAX_WORDS = 40
 # Kernel passes of about this many blocks keep its scratch (about 150 bytes
 # per block, plus about 30 per word for the scatter into rows) near 0.6 MiB.
 # One pass per heat-run chunk (about 6k blocks) raised a pool worker's peak
-# RSS by 0.5 MiB; at 4096 blocks it matched the parent commit's.
+# RSS by 0.5 MiB over per-stream native draws; passes of 4096 blocks did not.
 _KERNEL_BLOCKS = 1 << 12
 
 # Philox-4x64-10 as philox_blocks lays it out: the multipliers of counter

@@ -30,7 +30,7 @@ from .mlp import (
     estimate_many,
 )
 from .problems import CATALOGUE, Problem, instantiate, validate
-from .rng import RNG_ALGORITHM, RandomStream, ThetaIndex, child, stream_for
+from .rng import RNG_ALGORITHM, RandomStream, stream_for
 
 __version__ = "0.1.0"
 
@@ -45,8 +45,6 @@ __all__ = [
     "Problem",
     "RNG_ALGORITHM",
     "RandomStream",
-    "ThetaIndex",
-    "child",
     "cost_recursion_bound",
     "error_bound",
     "estimate",

@@ -4,6 +4,7 @@ problems, and run the invariant selftest."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,6 +31,9 @@ def _cmd_run(args) -> int:
         print(exc, file=sys.stderr)
         return 2
     if args.workers is not None:
+        if args.workers < 1:
+            print(ConfigError([f"workers must be >= 1, got {args.workers}"]), file=sys.stderr)
+            return 2
         cfg.workers = args.workers
     rows, reference, paths = run_experiment(cfg)
     print(f"reference ({reference.method}): {reference.value:.10g} "
@@ -59,7 +63,16 @@ def _cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    epsilons = [float(e) for e in args.eps.split(",") if e.strip()]
+    epsilons = []
+    for item in filter(str.strip, args.eps.split(",")):
+        try:
+            eps = float(item)
+        except ValueError:
+            eps = math.nan
+        if not 0.0 < eps <= 1.0:
+            print(f"invalid --eps: {item.strip()!r} is not a number in (0, 1]", file=sys.stderr)
+            return 2
+        epsilons.append(eps)
     sweep_rows, reference = find_depth_for_epsilon(cfg, epsilons)
     print(f"reference ({reference.method}): {reference.value:.10g} "
           f"+- {reference.ci_halfwidth:.3g}")

@@ -10,14 +10,17 @@ depth against a reference oracle, and writes three CSV files:
 * ``raw.csv``: one row per replication with the full cost ledger;
 * ``bounds.csv``: the bound evaluations alone.
 
-The replications of one depth use root seeds ``seed, seed + 1, ...``.  They
-are cut into ``min(workers, replications)`` contiguous seed blocks, one
-process-pool task each (serial runs use one block), and every block is
-evaluated by ``mlp.estimate_many`` as one forest.  Outputs are
-byte-identical for identical configs regardless of the worker count: every
-realization is a pure function of its seed, and the blocks are reassembled
-in seed order.  Wall-clock timings are reported on stdout only; they are
-the one quantity that would break byte-level reproducibility.
+The replications use root seeds ``seed, seed + 1, ...``.  A run cuts them
+once into ``min(workers, replications)`` contiguous seed blocks, and one
+task evaluates every configured depth of one block, each depth as one
+``mlp.estimate_many`` forest.  The calling process is one of the workers: it
+submits blocks 2, 3, ... to a pool of the others, evaluates block 1 itself,
+and reassembles each depth's results in seed order; ``workers = 1`` starts
+no pool, and the depth search of ``find_depth_for_epsilon`` runs serially.
+Outputs are byte-identical for identical configs regardless of the worker
+count: every realization is a pure function of its seed.  Wall-clock
+timings (a depth's time is its slowest block's) are reported on stdout only;
+they are the one quantity that would break byte-level reproducibility.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class ReportRow:
     theoretical_error_bound: float
     tallied_cost: float
     cost_recursion_bound: float
-    wall_time_seconds: float
+    wall_time_seconds: float  # the slowest seed block's time for this depth
 
     @property
     def reference_ci_flag(self) -> str:
@@ -286,6 +289,8 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     if cfg.replications < 2:
         errors.append(f"replications must be >= 2 (standard errors need variance), got {cfg.replications}")
+    if cfg.workers < 1:
+        errors.append(f"workers must be >= 1, got {cfg.workers}")
     if not cfg.depths:
         errors.append("depths must contain at least one entry")
     for n, M in cfg.depths:
@@ -358,39 +363,48 @@ def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
     return mc_baseline(problem, cfg.t0, x0, budget, cfg.reference_seed, cfg.cache_dir)
 
 
-def _replicate_block(task) -> list:
-    """Worker entry: the realizations of one seed block.  Importable for process pools."""
-    problem_name, overrides, n, M, steps, seeds, t0, x0 = task
+def _evaluate_block(task) -> list:
+    """Process-pool entry: every depth of one seed block, in the given order,
+    as ``(wall_seconds, [(value, cost dict) per seed])`` per depth."""
+    problem_name, overrides, depths, seeds, t0, x0 = task
     problem = instantiate(problem_name, **overrides)
-    results = estimate_many(problem, MlpParams(n=n, M=M, euler_steps=steps), seeds, (0,), t0,
-                            np.asarray(x0))
-    return [(result.value, result.cost.as_dict()) for result in results]
+    outcomes = []
+    for n, M, steps in depths:
+        start = time.perf_counter()
+        results = estimate_many(problem, MlpParams(n=n, M=M, euler_steps=steps), seeds, (0,),
+                                t0, np.asarray(x0))
+        outcomes.append((time.perf_counter() - start,
+                         [(result.value, result.cost.as_dict()) for result in results]))
+    return outcomes
 
 
-def _run_depth(cfg: ExperimentConfig, problem: Problem, n: int, M: int, pool) -> dict:
-    steps = cfg.resolved_steps(M)
-    x0 = cfg.query_point()
+def _run_depths(cfg: ExperimentConfig, depths: list, workers: int) -> list:
+    """The replications of every depth, cut into ``min(workers, replications)``
+    seed blocks: the pool evaluates blocks 2.. while this process evaluates
+    block 1.  Returns one record per depth, its seeds in order."""
     seeds = [cfg.seed + r for r in range(cfg.replications)]
-    blocks = 1 if pool is None else min(cfg.workers, len(seeds))
+    blocks = min(workers, len(seeds))
     cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
-    tasks = [
-        (cfg.problem, cfg.overrides, n, M, steps, seeds[lo:hi], cfg.t0, tuple(x0))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-    start = time.perf_counter()
-    if pool is None:
-        outcomes = [_replicate_block(task) for task in tasks]
+    plan = [(n, M, cfg.resolved_steps(M)) for n, M in depths]
+    tasks = [(cfg.problem, cfg.overrides, plan, seeds[lo:hi], cfg.t0, tuple(cfg.query_point()))
+             for lo, hi in zip(cuts, cuts[1:])]
+    if blocks == 1:
+        outcomes = [_evaluate_block(tasks[0])]
     else:
-        outcomes = list(pool.map(_replicate_block, tasks))
-    wall = time.perf_counter() - start
-    outcomes = [item for block in outcomes for item in block]
-    values = np.array([value for value, _ in outcomes])
-    tallies = [CostTally(**raw) for _, raw in outcomes]
-    weighted = np.array([tl.weighted(*cfg.cost_weights) for tl in tallies])
-    return {
-        "n": n, "M": M, "N": steps, "values": values, "tallies": tallies,
-        "weighted_costs": weighted, "wall": wall, "seeds": seeds,
-    }
+        with ProcessPoolExecutor(max_workers=blocks - 1) as pool:
+            futures = [pool.submit(_evaluate_block, task) for task in tasks[1:]]
+            outcomes = [_evaluate_block(tasks[0])] + [future.result() for future in futures]
+    records = []
+    for i, (n, M, steps) in enumerate(plan):
+        items = [item for block in outcomes for item in block[i][1]]
+        tallies = [CostTally(**raw) for _, raw in items]
+        records.append({
+            "n": n, "M": M, "N": steps, "values": np.array([value for value, _ in items]),
+            "tallies": tallies,
+            "weighted_costs": np.array([tl.weighted(*cfg.cost_weights) for tl in tallies]),
+            "wall": max(block[i][0] for block in outcomes), "seeds": seeds,
+        })
+    return records
 
 
 def _report_row(cfg: ExperimentConfig, problem: Problem, depth_data: dict,
@@ -457,30 +471,21 @@ def run_experiment(cfg: ExperimentConfig):
     """
     problem = cfg.build_problem()
     reference = resolve_reference(cfg, problem)
-    pool = None
     rows = []
     raw_rows = []
     bound_rows = []
-    try:
-        if cfg.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=cfg.workers)
-        for n, M in cfg.depths:
-            depth_data = _run_depth(cfg, problem, n, M, pool)
-            row = _report_row(cfg, problem, depth_data, reference)
-            rows.append(row)
-            for seed, value, tally, cost in zip(
-                    depth_data["seeds"], depth_data["values"], depth_data["tallies"],
-                    depth_data["weighted_costs"]):
-                raw_rows.append([
-                    n, M, depth_data["N"], seed, float(value), tally.uniforms,
-                    tally.gaussians, tally.euler_steps, tally.g_evals, tally.f_evals,
-                    float(cost),
-                ])
-            bound_rows.append([n, M, depth_data["N"], row.theoretical_error_bound,
-                               row.cost_recursion_bound])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for depth_data in _run_depths(cfg, cfg.depths, cfg.workers):
+        n, M, N = depth_data["n"], depth_data["M"], depth_data["N"]
+        row = _report_row(cfg, problem, depth_data, reference)
+        rows.append(row)
+        for seed, value, tally, cost in zip(
+                depth_data["seeds"], depth_data["values"], depth_data["tallies"],
+                depth_data["weighted_costs"]):
+            raw_rows.append([
+                n, M, N, seed, float(value), tally.uniforms, tally.gaussians,
+                tally.euler_steps, tally.g_evals, tally.f_evals, float(cost),
+            ])
+        bound_rows.append([n, M, N, row.theoretical_error_bound, row.cost_recursion_bound])
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -556,7 +561,7 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
                                tripped_bound=bound)
                 break
             if n not in depth_cache:
-                depth_data = _run_depth(cfg, problem, n, n, None)
+                depth_data, = _run_depths(cfg, [(n, n)], 1)
                 depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
             report = depth_cache[n]
             margin = report.rmse_vs_reference + 2.0 * report.rmse_se

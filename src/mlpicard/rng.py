@@ -55,8 +55,6 @@ from scipy.special import ndtri
 
 RNG_ALGORITHM = "blake2b256/philox4x64/inverse-cdf v1"
 
-ThetaIndex = tuple  # nonempty tuple of signed ints
-
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 # (raw >> 11) * 2**-53 + 2**-54 rounds the same real number as
 # ((raw >> 11) + 0.5) * 2**-53, and scaling by a power of two is exact
@@ -90,11 +88,6 @@ class StreamOrderError(RuntimeError):
     """Raised when draws are requested out of the fixed stream order."""
 
 
-def child(parent: ThetaIndex, a: int, b: int) -> ThetaIndex:
-    """Return the label ``parent`` extended by the pair ``(a, b)``."""
-    return tuple(parent) + (a, b)
-
-
 def _packed(label) -> bytes:
     """Label elements as signed 64-bit little-endian words; integers only."""
     for el in label:
@@ -106,7 +99,7 @@ def _packed(label) -> bytes:
         raise OverflowError(f"stream label elements must fit in 64 bits: {exc}") from None
 
 
-def _hasher(root_seed: int, theta: ThetaIndex):
+def _hasher(root_seed: int, theta: tuple):
     seed_bytes = (root_seed & _U64_MASK).to_bytes(8, "little")
     h = hashlib.blake2b(digest_size=32, key=seed_bytes)
     h.update(_packed(theta))
@@ -117,7 +110,7 @@ def _key(h) -> int:
     return int.from_bytes(h.digest()[:16], "little")
 
 
-def check_label(theta: ThetaIndex) -> None:
+def check_label(theta: tuple) -> None:
     """Raise unless ``theta`` is a valid stream label: nonempty, integers only,
     each fitting in 64 bits."""
     if len(theta) < 1:
@@ -125,7 +118,7 @@ def check_label(theta: ThetaIndex) -> None:
     _packed(theta)
 
 
-def _philox_key(root_seed: int, theta: ThetaIndex) -> int:
+def _philox_key(root_seed: int, theta: tuple) -> int:
     check_label(theta)
     return _key(_hasher(root_seed, theta))
 
@@ -358,7 +351,7 @@ def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     ndtri(out, out=out, where=drawn)
 
 
-def stream_for(root_seed: int, theta: ThetaIndex) -> RandomStream:
+def stream_for(root_seed: int, theta: tuple) -> RandomStream:
     """Create the stream addressed by ``(root_seed, theta)``.
 
     Deterministic: the same address always yields bit-identical draw
@@ -368,7 +361,7 @@ def stream_for(root_seed: int, theta: ThetaIndex) -> RandomStream:
     return RandomStream(_philox_key(root_seed, theta))
 
 
-def streams_for(root_seed: int, parent: ThetaIndex, pairs) -> list:
+def streams_for(root_seed: int, parent: tuple, pairs) -> list:
     """The streams ``stream_for(root_seed, parent + (a, b))`` for ``(a, b)`` in ``pairs``.
 
     Hashes the root seed and ``parent`` once for the whole batch.
@@ -377,7 +370,7 @@ def streams_for(root_seed: int, parent: ThetaIndex, pairs) -> list:
     return [RandomStream(low | high << 64) for low, high in keys.tolist()]
 
 
-def keys_at(root_seed: int, parent: ThetaIndex, suffixes: bytes, width: int) -> np.ndarray:
+def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:
     """The Philox keys of the labels ``parent`` plus each packed suffix, as
     ``(P, 2)`` uint64 words, low word first (see :class:`StreamBatch`).
 

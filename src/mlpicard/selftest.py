@@ -19,7 +19,7 @@ from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
 from .problems import instantiate
-from .rng import StreamOrderError, child, philox_blocks, stream_for
+from .rng import StreamOrderError, philox_blocks, stream_for, streams_for
 
 
 def _check_rng_determinism():
@@ -52,9 +52,10 @@ def _check_philox_kernel():
             assert np.array_equal(row, np.random.Philox(key=key).advance(block).random_raw(4))
 
 
-def _check_child_concat():
-    assert child((0,), 0, -1) == (0, 0, -1)
-    assert child(child((0,), 1, 1), 1, 1) == (0, 1, 1, 1, 1)
+def _check_label_concat():
+    # a stream keyed under a parent label is the stream of the concatenated label
+    batched = streams_for(9, (0, 1, 1), [(2, -3)])[0]
+    assert batched.uniform() == stream_for(9, (0, 1, 1) + (2, -3)).uniform()
 
 
 def _check_euler_identity():
@@ -123,7 +124,7 @@ CHECKS = [
     ("rng-determinism", _check_rng_determinism),
     ("rng-order-guard", _check_rng_order_guard),
     ("philox-kernel", _check_philox_kernel),
-    ("theta-concatenation", _check_child_concat),
+    ("theta-concatenation", _check_label_concat),
     ("euler-identity-and-grid", _check_euler_identity),
     ("zero-depth-and-determinism", _check_zero_depth_and_determinism),
     ("cost-tally-soundness", _check_cost_soundness),

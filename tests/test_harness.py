@@ -2,10 +2,12 @@
 
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from mlpicard import harness
 from mlpicard.harness import (
     ConfigError,
     OUTPUT_DIR_ENV,
@@ -116,6 +118,12 @@ class TestParseConfig:
             parse_config("problem = heat-quadratic\nkappa = 0.5\n")
         assert "does not accept override" in str(err.value)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"workers = {workers}\n")
+        assert err.value.violations == [f"workers must be >= 1, got {workers}"]
+
     def test_output_dir_environment_override(self, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, "/tmp/forced-out")
         cfg = parse_config(MINIMAL + "output_dir = ignored\n")
@@ -211,6 +219,55 @@ class TestRunExperiment:
             f"seed = 7\noutput_dir = {tmp_path / 'dec'}\n")
         rows, _, _ = run_experiment(cfg)
         assert rows[1].rmse_vs_reference < rows[0].rmse_vs_reference
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records each pool and its submits,
+    and runs every task inline."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submits = 0
+        _InlinePool.pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestDispatch:
+    CONFIG = "problem = linear-reaction\ndepths = 1, 2, 3\nreplications = 5\nseed = 42\n"
+
+    def _run(self, tmp_path, tag, workers):
+        cfg = parse_config(self.CONFIG + f"workers = {workers}\noutput_dir = {tmp_path / tag}\n")
+        _, _, paths = run_experiment(cfg)
+        return tuple(open(paths[k], "rb").read() for k in ("results", "raw", "bounds"))
+
+    def test_one_pool_and_one_submit_per_extra_block(self, tmp_path, monkeypatch):
+        real = self._run(tmp_path, "real", 1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "pools", [])
+        assert self._run(tmp_path, "three", 3) == real
+        assert [(pool.max_workers, pool.submits) for pool in _InlinePool.pools] == [(2, 2)]
+        assert self._run(tmp_path, "one", 1) == real
+        assert len(_InlinePool.pools) == 1  # workers = 1 starts no pool
+
+    def test_block_error_propagates(self, tmp_path, monkeypatch):
+        def fail(task):
+            raise RuntimeError(f"block of seeds {task[3]} failed")
+        monkeypatch.setattr(harness, "_evaluate_block", fail)
+        with pytest.raises(RuntimeError, match="failed"):
+            self._run(tmp_path, "err", 2)
 
 
 class TestDepthSearch:

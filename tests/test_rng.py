@@ -16,7 +16,6 @@ from mlpicard.rng import (
     StreamBatch,
     StreamOrderError,
     _philox_key,
-    child,
     fill_gaussians,
     keys_at,
     philox_blocks,
@@ -25,15 +24,6 @@ from mlpicard.rng import (
 )
 
 from helpers import raw_uniform_sequence
-
-
-def test_child_appends_pair():
-    assert child((0,), 0, -1) == (0, 0, -1)
-    assert child((0, 1, 2), -1, 3) == (0, 1, 2, -1, 3)
-
-
-def test_child_composes_by_concatenation():
-    assert child(child((0,), 1, 1), 1, 1) == (0, 1, 1, 1, 1)
 
 
 def test_same_address_is_bit_identical():

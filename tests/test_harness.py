@@ -1,8 +1,10 @@
 """Config parsing, experiment orchestration, CSV contract, depth search."""
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +223,18 @@ class TestRunExperiment:
         assert rows[1].rmse_vs_reference < rows[0].rmse_vs_reference
 
 
+_EVALUATE_BLOCK = harness._evaluate_block
+
+
+def _fail_after_first_block(task):
+    """Stands in for ``harness._evaluate_block`` in pool processes too: every
+    block but the one that starts at seed 42 fails."""
+    seeds = task[3]
+    if seeds[0] != 42:
+        raise RuntimeError(f"block of seeds {seeds} failed")
+    return _EVALUATE_BLOCK(task)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records each pool and its submits,
     and runs every task inline."""
@@ -251,7 +265,7 @@ class TestDispatch:
     def _run(self, tmp_path, tag, workers):
         cfg = parse_config(self.CONFIG + f"workers = {workers}\noutput_dir = {tmp_path / tag}\n")
         _, _, paths = run_experiment(cfg)
-        return tuple(open(paths[k], "rb").read() for k in ("results", "raw", "bounds"))
+        return tuple(Path(paths[k]).read_bytes() for k in ("results", "raw", "bounds"))
 
     def test_one_pool_and_one_submit_per_extra_block(self, tmp_path, monkeypatch):
         real = self._run(tmp_path, "real", 1)
@@ -262,12 +276,11 @@ class TestDispatch:
         assert self._run(tmp_path, "one", 1) == real
         assert len(_InlinePool.pools) == 1  # workers = 1 starts no pool
 
-    def test_block_error_propagates(self, tmp_path, monkeypatch):
-        def fail(task):
-            raise RuntimeError(f"block of seeds {task[3]} failed")
-        monkeypatch.setattr(harness, "_evaluate_block", fail)
-        with pytest.raises(RuntimeError, match="failed"):
-            self._run(tmp_path, "err", 2)
+    def test_pool_block_error_propagates_and_pool_is_joined(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_evaluate_block", _fail_after_first_block)
+        with pytest.raises(RuntimeError, match=r"seeds \[43, 44\] failed"):
+            self._run(tmp_path, "err", 3)
+        assert multiprocessing.active_children() == []
 
 
 class TestDepthSearch:

@@ -19,7 +19,7 @@ from .bounds import (
     perturbation_bound,
     total_cost_bound,
 )
-from .euler import EulerConfig, lyapunov_check, update_times
+from .euler import lyapunov_check
 from .mlp import (
     ESTIMATOR_VERSION,
     CostTally,
@@ -40,7 +40,6 @@ __all__ = [
     "CostTally",
     "ESTIMATOR_VERSION",
     "Estimate",
-    "EulerConfig",
     "MlpParams",
     "Problem",
     "RNG_ALGORITHM",
@@ -57,6 +56,5 @@ __all__ = [
     "perturbation_bound",
     "stream_for",
     "total_cost_bound",
-    "update_times",
     "validate",
 ]

@@ -92,6 +92,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.samples < 1:
+        print(f"invalid --samples: must be >= 1, got {args.samples}", file=sys.stderr)
+        return 2
     overrides = {}
     for item in args.override or []:
         key, _, value = item.partition("=")

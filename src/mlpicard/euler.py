@@ -3,14 +3,14 @@
 A path starts at its own time ``t`` in its own state ``x`` and is advanced by
 frozen-coefficient updates at every grid time strictly between ``t`` and the
 query time ``s``, plus one final partial step ending exactly at ``s``.  The
-number of Gaussian scalars consumed is ``d * len(update_times(t, s, N, T))``,
-a pure function of ``(t, s, N, d)``; this is what makes the hierarchical
-streams reproducible under any evaluation order.
+number of Gaussian scalars consumed is ``d`` per update target, a pure
+function of ``(t, s, N, d)``; this is what makes the hierarchical streams
+reproducible under any evaluation order.
 
 Grid times are evaluated as ``k * T / N`` (left-to-right float evaluation);
 membership is decided by index arithmetic around ``floor(t*N/T)``, never by
 floating-point equality against ``s``.  One vectorized planner states this
-for a whole batch; ``update_times`` is its one-path view.
+for a whole batch.
 
 A batch may mix start points, so one call can simulate every path of one
 depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import lyapunov_phi_batch
 from .problems import Problem
-from .rng import StreamBatch, fill_gaussians, stream_for
+from .rng import StreamBatch, fill_gaussians, keys_at
 
 # upper bound on the scalars in one chunk's draw buffer
 _CHUNK_SCALARS = 1 << 17
@@ -36,15 +37,6 @@ _CHUNK_SCALARS = 1 << 17
 
 class DomainError(ValueError):
     """Query time outside [t, T]."""
-
-
-@dataclass(frozen=True)
-class EulerConfig:
-    steps: int  # N, grid intervals over [0, T]
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("EulerConfig.steps must be >= 1")
 
 
 def _plan(t: np.ndarray, s: np.ndarray, steps: int, T: float):
@@ -85,23 +77,18 @@ def _targets(first, counts, ends, width: int, steps: int, T: float) -> np.ndarra
     return grid
 
 
-def update_times(t: float, s: float, steps: int, T: float) -> list:
-    """Update targets for a path from time ``t`` to ``s``: interior grid
-    times in ``(t, s)`` in ascending order, then ``s`` itself."""
-    first, counts = _plan(np.array([t], dtype=float), np.array([s], dtype=float), steps, T)
-    count = int(counts[0])
-    return _targets(first, counts, np.array([s], dtype=float), count, steps, T)[0].tolist()
-
-
-def simulate_batch(problem: Problem, cfg: EulerConfig, streams, t, x, end_times):
+def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
     """Simulate one path per stream from its start ``(t, x)`` to its end time.
 
-    ``streams`` is a sequence of ``RandomStream`` or a ``StreamBatch``.  ``t``
-    is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams
-    must already be past their uniform draw.  Returns the terminal states
-    ``(P, d)`` and per-path step counts ``(P,)``.
+    ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``streams`` is a
+    sequence of ``RandomStream`` or a ``StreamBatch``.  ``t`` is a scalar or
+    ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams must already be
+    past their uniform draw.  Returns the terminal states ``(P, d)`` and
+    per-path step counts ``(P,)``.
     """
-    d, T, N = problem.d, problem.T, cfg.steps
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    d, T, N = problem.d, problem.T, steps
     P = len(streams)
     t = np.broadcast_to(np.asarray(t, dtype=float), (P,))
     x = np.broadcast_to(np.asarray(x, dtype=float), (P, d))
@@ -149,19 +136,16 @@ class LyapunovCheck:
     std_error: float
 
 
-def lyapunov_check(problem: Problem, cfg: EulerConfig, t: float, x, s: float,
+def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
                    paths: int, seed: int) -> LyapunovCheck:
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
-    ``exp(2 c^3 (s-t)) phi(x)``."""
+    ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    streams = []
-    for i in range(paths):
-        st = stream_for(seed, (i,))
-        st.skip_uniform()  # path-only use; the stream uniform is never drawn
-        streams.append(st)
-    states, _ = simulate_batch(problem, cfg, streams, t, x, np.full(paths, s))
-    phis = 2.0 * problem.lyapunov_a + 2.0 * np.sum(states * states, axis=-1)
+    streams = StreamBatch(keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8))
+    streams.uniforms(np.zeros(paths, bool))  # path-only use; the uniforms are never drawn
+    states, _ = simulate_batch(problem, steps, streams, t, x, np.full(paths, s))
+    phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())
     se = float(phis.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     bound = math.exp(2.0 * problem.coeff_lip**3 * (s - t)) * problem.phi(x)

@@ -302,6 +302,8 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
         errors.append("reference = mc-baseline requires the reference_* budget keys")
     if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
+    if cfg.x0 is not None and not np.all(np.isfinite(cfg.x0)):
+        errors.append(f"x0 entries must be finite, got {cfg.x0.tolist()}")
     problem = None
     if cfg.problem:
         try:
@@ -311,12 +313,16 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     T = problem.T if problem is not None else math.inf
     if not (math.isfinite(cfg.t0) and 0.0 <= cfg.t0 <= T):
         errors.append(f"t0 must be finite and lie in [0, T] with T = {T:g}, got {cfg.t0}")
-    # every configured depth must pass the cost ceiling; a NaN ceiling would
-    # pass every comparison below
+    # every configured depth must pass the cost ceiling; a NaN ceiling or
+    # weight would pass every comparison below, and all-zero weights would too
     if not math.isfinite(cfg.cost_ceiling):
         errors.append(f"cost_ceiling must be finite, got {cfg.cost_ceiling}")
+    weights = cfg.cost_weights
+    weights_ok = any(weights) and all(math.isfinite(w) and w >= 0 for w in weights)
+    if not weights_ok:
+        errors.append(f"cost_weights must be finite, >= 0 and not all 0, got {weights}")
     for n, M in cfg.depths:
-        if n < 0 or M < 1:
+        if n < 0 or M < 1 or not weights_ok:
             continue
         bound = cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M), cfg.cost_weights)
         if bound > cfg.cost_ceiling:
@@ -325,7 +331,7 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
                 f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}")
     # so must the mc-baseline run, which a reference cache miss starts
     budget = cfg.reference_budget
-    if cfg.reference == "mc-baseline" and budget is not None:
+    if cfg.reference == "mc-baseline" and budget is not None and weights_ok:
         bound = budget.replications * cost_recursion_bound(
             budget.n, budget.M, cfg.dimension, budget.euler_steps, cfg.cost_weights)
         if bound > cfg.cost_ceiling:

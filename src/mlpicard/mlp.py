@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .euler import EulerConfig, simulate_batch
+from .euler import simulate_batch
 from .problems import Problem
 from .rng import StreamBatch, check_label, keys_at
 
@@ -75,13 +75,6 @@ class CostTally:
     euler_steps: int = 0
     g_evals: int = 0
     f_evals: int = 0
-
-    def add(self, other: "CostTally") -> None:
-        self.uniforms += other.uniforms
-        self.gaussians += other.gaussians
-        self.euler_steps += other.euler_steps
-        self.g_evals += other.g_evals
-        self.f_evals += other.f_evals
 
     def weighted(self, w_draw: float, w_step: float, w_g: float, w_f: float) -> float:
         return (
@@ -165,10 +158,9 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
     if params.n <= 0:
         return [Estimate(value=0.0) for _ in seeds]
     waves = _tree_plan(int(params.n), int(params.M))
-    cfg = EulerConfig(steps=params.resolved_steps)
     results = []
     for block in seed_blocks(params, seeds):
-        results += _forest(problem, cfg, waves, block, theta, float(t), x)
+        results += _forest(problem, params.resolved_steps, waves, block, theta, float(t), x)
     return results
 
 
@@ -282,8 +274,8 @@ def _frozen(values, dtype=np.int64) -> np.ndarray:
     return array
 
 
-def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
-    """Evaluate the trees of ``seeds`` at ``(t, x)``, one batch per wave."""
+def _forest(problem, N, waves, seeds, theta, t, x) -> list:
+    """Evaluate the trees of ``seeds`` at ``(t, x)`` with ``N`` grid steps, one batch per wave."""
     S, d, T = len(seeds), problem.d, problem.T
     work = np.zeros((S, 3), dtype=np.int64)  # uniforms, g_evals, f_evals
     steps = np.zeros(S, dtype=np.int64)
@@ -306,7 +298,7 @@ def _forest(problem, cfg, waves, seeds, theta, t, x) -> list:
         t0 = ends[rows, wave.path_parent[paths]]
         path_ends = np.full(len(paths), T)
         path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)
-        path_states, counts = simulate_batch(problem, cfg, streams, t0,
+        path_states, counts = simulate_batch(problem, N, streams, t0,
                                              states[rows, wave.path_parent[paths]], path_ends)
         ends = np.zeros(sim.shape)
         ends[rows, paths] = path_ends

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import BoundParams, lyapunov_phi_batch
+from .bounds import BoundParams, lyapunov_phi, lyapunov_phi_batch
 
 CATALOGUE = ("heat-quadratic", "linear-reaction", "nonlinear-coeff-sine", "scaled-bs")
 
@@ -66,8 +66,7 @@ class Problem:
             raise ProblemError("require a >= 1/2 so that phi >= 1 everywhere")
 
     def phi(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(2.0 * self.lyapunov_a + 2.0 * np.dot(x.ravel(), x.ravel()))
+        return lyapunov_phi(x, self.lyapunov_a)
 
     def bound_params(self, x) -> BoundParams:
         return BoundParams(

@@ -106,10 +106,6 @@ def _hasher(root_seed: int, theta: tuple):
     return h
 
 
-def _key(h) -> int:
-    return int.from_bytes(h.digest()[:16], "little")
-
-
 def check_label(theta: tuple) -> None:
     """Raise unless ``theta`` is a valid stream label: nonempty, integers only,
     each fitting in 64 bits."""
@@ -120,7 +116,7 @@ def check_label(theta: tuple) -> None:
 
 def _philox_key(root_seed: int, theta: tuple) -> int:
     check_label(theta)
-    return _key(_hasher(root_seed, theta))
+    return int.from_bytes(_hasher(root_seed, theta).digest()[:16], "little")
 
 
 def _key_words(key: int) -> tuple:
@@ -359,15 +355,6 @@ def stream_for(root_seed: int, theta: tuple) -> RandomStream:
     be integers (``int`` or ``np.integer``, not ``bool``).
     """
     return RandomStream(_philox_key(root_seed, theta))
-
-
-def streams_for(root_seed: int, parent: tuple, pairs) -> list:
-    """The streams ``stream_for(root_seed, parent + (a, b))`` for ``(a, b)`` in ``pairs``.
-
-    Hashes the root seed and ``parent`` once for the whole batch.
-    """
-    keys = keys_at(root_seed, parent, _packed([el for a, b in pairs for el in (a, b)]), 16)
-    return [RandomStream(low | high << 64) for low, high in keys.tolist()]
 
 
 def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:

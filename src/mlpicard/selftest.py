@@ -14,12 +14,12 @@ import tempfile
 import numpy as np
 
 from .bounds import gronwall_discrete
-from .euler import EulerConfig, simulate_batch, update_times
+from .euler import _plan, simulate_batch
 from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
 from .problems import instantiate
-from .rng import StreamOrderError, philox_blocks, stream_for, streams_for
+from .rng import StreamBatch, StreamOrderError, keys_at, philox_blocks, stream_for
 
 
 def _check_rng_determinism():
@@ -54,19 +54,20 @@ def _check_philox_kernel():
 
 def _check_label_concat():
     # a stream keyed under a parent label is the stream of the concatenated label
-    batched = streams_for(9, (0, 1, 1), [(2, -3)])[0]
-    assert batched.uniform() == stream_for(9, (0, 1, 1) + (2, -3)).uniform()
+    batched = StreamBatch(keys_at(9, (0, 1, 1), np.array([2, -3], dtype="<i8").tobytes(), 16))
+    assert batched.uniforms(np.ones(1, bool))[0] == stream_for(9, (0, 1, 1) + (2, -3)).uniform()
 
 
 def _check_euler_identity():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     st = stream_for(3, (5,))
     st.uniform()
-    states, counts = simulate_batch(prob, EulerConfig(steps=8), [st], 0.25, np.array([0.7]),
-                                    np.array([0.25]))
+    states, counts = simulate_batch(prob, 8, [st], 0.25, np.array([0.7]), np.array([0.25]))
     assert counts[0] == 0 and st.cursor == 1  # only the discarded uniform
     assert np.array_equal(states[0], np.array([0.7]))
-    assert update_times(0.3, 0.9, 4, 1.0) == [0.5, 0.75, 0.9]
+    # 0.3 -> 0.9 on the grid of 4 steps: targets 0.5 (grid index 2), 0.75, then 0.9
+    first, counts = _plan(np.array([0.3]), np.array([0.9]), 4, 1.0)
+    assert first.tolist() == [2] and counts.tolist() == [3]
 
 
 def _check_zero_depth_and_determinism():

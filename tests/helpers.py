@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mlpicard.euler import DomainError, simulate_batch
+from mlpicard.euler import DomainError, _plan, _targets, simulate_batch
 from mlpicard.rng import _generator_at, _key_words, _philox_key, stream_for
 
 
@@ -41,6 +41,14 @@ def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
     return fams
 
 
+def update_times(t, s, steps, T):
+    """One path's update targets from the vectorized planner: interior grid
+    times in ``(t, s)`` in ascending order, then ``s`` itself."""
+    s = np.array([s], dtype=float)
+    first, counts = _plan(np.array([t], dtype=float), s, steps, T)
+    return _targets(first, counts, s, int(counts[0]), steps, T)[0].tolist()
+
+
 def update_times_reference(t, s, steps, T):
     """One-path scalar loop over grid indices; reference for the planner."""
     if s < t or s > T or t < 0:
@@ -61,7 +69,7 @@ def update_times_reference(t, s, steps, T):
     return times
 
 
-def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
+def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
     """Depth-first evaluation of one estimator node, one ``simulate_batch``
     call per path set; reference for the level-synchronous evaluation."""
     if n <= 0:
@@ -74,7 +82,7 @@ def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
         st = stream_for(seed, theta + (0, -i))
         st.uniform()
         streams.append(st)
-    states, steps = simulate_batch(problem, cfg, streams, t, x, np.full(count, T))
+    states, steps = simulate_batch(problem, N, streams, t, x, np.full(count, T))
     total_steps = int(steps.sum())
     tally.euler_steps += total_steps
     tally.gaussians += d * total_steps
@@ -91,7 +99,7 @@ def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
         uniforms = np.array([st.uniform() for st in streams])
         tally.uniforms += count
         eval_times = np.minimum(t + (T - t) * uniforms, T)
-        states, steps = simulate_batch(problem, cfg, streams, t, x, eval_times)
+        states, steps = simulate_batch(problem, N, streams, t, x, eval_times)
         total_steps = int(steps.sum())
         tally.euler_steps += total_steps
         tally.gaussians += d * total_steps
@@ -100,7 +108,7 @@ def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
             minuend_values = np.zeros(count)
         else:
             minuend_values = np.array([
-                recursive_node(problem, cfg, M, seed, labels[i], level, float(eval_times[i]),
+                recursive_node(problem, N, M, seed, labels[i], level, float(eval_times[i]),
                                states[i], tally)
                 for i in range(count)
             ])
@@ -108,7 +116,7 @@ def recursive_node(problem, cfg, M, seed, theta, n, t, x, tally):
         tally.f_evals += count
         if level > 0:
             subtrahend_values = np.array([
-                recursive_node(problem, cfg, M, seed, theta + (-level, i + 1), level - 1,
+                recursive_node(problem, N, M, seed, theta + (-level, i + 1), level - 1,
                                float(eval_times[i]), states[i], tally)
                 for i in range(count)
             ])

@@ -9,12 +9,13 @@ would trip the runtime criterion).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlpicard.bounds import gronwall_discrete, gronwall_mlp, total_cost_bound
-from mlpicard.euler import EulerConfig, lyapunov_check, simulate_batch
+from mlpicard.euler import lyapunov_check, simulate_batch
 from mlpicard.harness import (
     find_depth_for_epsilon,
     parse_config,
@@ -203,13 +204,12 @@ def test_criterion_06_euler_strong_rate():
     steps_grid = [4, 16, 64, 256]
     errors = []
     for n_steps in steps_grid:
-        cfg = EulerConfig(steps=n_steps)
         streams = []
         for i in range(n_paths):
             st = stream_for(60_000 + n_steps, (i,))
             st.uniform()
             streams.append(st)
-        states, _ = simulate_batch(prob, cfg, streams, 0.0, np.array([x0]),
+        states, _ = simulate_batch(prob, n_steps, streams, 0.0, np.array([x0]),
                                    np.full(n_paths, horizon))
         # exact lognormal endpoint from the same increments
         exact = np.empty(n_paths)
@@ -232,7 +232,7 @@ def test_criterion_07_lyapunov_inequality():
     details = []
     for name in CATALOGUE:
         prob = instantiate(name)
-        res = lyapunov_check(prob, EulerConfig(steps=16), 0.0, np.zeros(prob.d),
+        res = lyapunov_check(prob, 16, 0.0, np.zeros(prob.d),
                              prob.T, paths=10_000, seed=88)
         slack = 1.0 + 3.0 * res.std_error / res.empirical_mean
         if res.empirical_mean > res.bound * slack:
@@ -257,21 +257,20 @@ def test_criterion_08_mean_identity():
     lhs_mean = lhs_vals.mean()
     lhs_se = lhs_vals.std(ddof=1) / math.sqrt(lhs_vals.size)
 
-    cfg = EulerConfig(steps=n_steps)
     rhs_samples = 20_000
     rhs_vals = np.empty(rhs_samples)
     for j in range(rhs_samples):
         seed = 5_000_000 + j
         term_stream = stream_for(seed, (1,))
         term_stream.uniform()
-        terminal_state, _ = simulate_batch(prob, cfg, [term_stream], 0.0,
+        terminal_state, _ = simulate_batch(prob, n_steps, [term_stream], 0.0,
                                            np.zeros(1), np.array([horizon]))
         g_part = float(prob.terminal(terminal_state)[0])
 
         level_stream = stream_for(seed, (2,))
         r = level_stream.uniform()
         eval_time = min(horizon * r, horizon)
-        state, _ = simulate_batch(prob, cfg, [level_stream], 0.0, np.zeros(1),
+        state, _ = simulate_batch(prob, n_steps, [level_stream], 0.0, np.zeros(1),
                                   np.array([eval_time]))
         inner = estimate(prob, MlpParams(n=1, M=2, euler_steps=n_steps, root_seed=seed),
                          (3,), eval_time, state[0]).value
@@ -332,7 +331,7 @@ def test_criterion_10_parallel_determinism(tmp_path):
             f"seed = 42\nworkers = {workers}\n"
             f"output_dir = {tmp_path / f'w{workers}'}\n")
         _, _, paths = run_experiment(cfg)
-        blobs[workers] = tuple(open(paths[k], "rb").read()
+        blobs[workers] = tuple(Path(paths[k]).read_bytes()
                                for k in ("results", "raw", "bounds"))
     ok = blobs[1] == blobs[8]
     _announce(10, "schedule-independent outputs", ok,

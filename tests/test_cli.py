@@ -21,6 +21,14 @@ def test_validate_problem_bad_override_exits_2(capsys, override, message):
     assert message in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_validate_problem_samples_below_one_exits_2(capsys, samples):
+    assert main(["validate-problem", "heat-quadratic", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid --samples: must be >= 1, got {samples}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_run_workers_below_one_exits_2(capsys, workers):
     assert main(["run", HEAT_CONFIG, "--workers", workers]) == 2

@@ -5,19 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard.euler import (
-    DomainError,
-    EulerConfig,
-    _plan,
-    _targets,
-    lyapunov_check,
-    simulate_batch,
-    update_times,
-)
+from mlpicard.bounds import lyapunov_phi_batch
+from mlpicard.euler import DomainError, _plan, _targets, lyapunov_check, simulate_batch
 from mlpicard.problems import Problem, instantiate
 from mlpicard.rng import stream_for
 
-from helpers import update_times_reference
+from helpers import update_times, update_times_reference
 
 
 def _path_stream(seed, theta):
@@ -54,7 +47,7 @@ class TestUpdateTimes:
         with pytest.raises(DomainError):
             update_times(math.nan, 0.5, 4, 1.0)
         with pytest.raises(DomainError):
-            simulate_batch(instantiate("heat-quadratic"), EulerConfig(steps=4),
+            simulate_batch(instantiate("heat-quadratic"), 4,
                            [_path_stream(1, (1,))], np.array([0.2]), np.zeros(1), [1.5])
 
     def test_count_is_pure_in_time_arguments(self):
@@ -118,20 +111,26 @@ class TestPlannerMatchesScalarLoop:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_grid_without_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            simulate_batch(instantiate("heat-quadratic"), steps, [_path_stream(1, (1,))], 0.0,
+                           np.zeros(1), np.array([1.0]))
+
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")
         st = _path_stream(0, (1,))
-        states, counts = simulate_batch(prob, EulerConfig(steps=16), [st], 0.4,
+        states, counts = simulate_batch(prob, 16, [st], 0.4,
                                         np.array([1.5]), np.array([0.4]))
         assert counts[0] == 0 and st.cursor == 1  # nothing drawn after the uniform
         assert np.array_equal(states[0], np.array([1.5]))
 
     def test_gaussian_consumption_is_pure_in_plan(self):
         prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
-        cfg = EulerConfig(steps=8)
+        N = 8
         for seed in (1, 2):
             st = _path_stream(seed, (4, seed))
-            _, counts = simulate_batch(prob, cfg, [st], 0.13, np.array([0.2]), np.array([0.77]))
+            _, counts = simulate_batch(prob, N, [st], 0.13, np.array([0.2]), np.array([0.77]))
             assert counts[0] == len(update_times(0.13, 0.77, 8, prob.T))
             assert st.cursor == 1 + counts[0] * prob.d
 
@@ -150,8 +149,8 @@ class TestSimulate:
         )
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
-        cfg = EulerConfig(steps=8)
-        states, counts = simulate_batch(prob, cfg, [_path_stream(9, (3, 3))], t, x,
+        N = 8
+        states, counts = simulate_batch(prob, N, [_path_stream(9, (3, 3))], t, x,
                                         np.array([s]))
 
         # step-by-step recurrence on the shared draws
@@ -168,11 +167,11 @@ class TestSimulate:
         # constant_coefficients selects no separate update: same paths bit for bit
         prob = instantiate("heat-quadratic", d=3)
         stripped = Problem(**{**prob.__dict__, "constant_coefficients": None})
-        cfg = EulerConfig(steps=16)
+        N = 16
         x = np.array([0.1, -0.2, 0.3])
         end = np.array([1.0])
-        fast, fast_steps = simulate_batch(prob, cfg, [_path_stream(5, (2,))], 0.0, x, end)
-        slow, slow_steps = simulate_batch(stripped, cfg, [_path_stream(5, (2,))], 0.0, x, end)
+        fast, fast_steps = simulate_batch(prob, N, [_path_stream(5, (2,))], 0.0, x, end)
+        slow, slow_steps = simulate_batch(stripped, N, [_path_stream(5, (2,))], 0.0, x, end)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast_steps, slow_steps)
 
@@ -189,7 +188,7 @@ class TestSimulate:
         import dataclasses
         probed = dataclasses.replace(base, drift=recording_drift)
         t, s = 0.1, 0.65
-        _, counts = simulate_batch(probed, EulerConfig(steps=4), [_path_stream(21, (8,))], t,
+        _, counts = simulate_batch(probed, 4, [_path_stream(21, (8,))], t,
                                    np.array([0.4]), np.array([s]))
         plan = update_times(t, s, 4, 1.0)
         assert plan == [0.25, 0.5, 0.65]
@@ -197,19 +196,19 @@ class TestSimulate:
 
         # the last frozen state equals the path value at max{t, n T/N} = 0.5,
         # reproduced by an identically seeded shorter simulation
-        partial, _ = simulate_batch(base, EulerConfig(steps=4), [_path_stream(21, (8,))], t,
+        partial, _ = simulate_batch(base, 4, [_path_stream(21, (8,))], t,
                                     np.array([0.4]), np.array([0.5]))
         assert np.array_equal(seen[-1][0], partial[0])
         assert counts[0] == 3
 
     def test_batch_matches_single_paths(self):
         prob = instantiate("scaled-bs")
-        cfg = EulerConfig(steps=8)
+        N = 8
         ends = np.array([0.3, 0.7, 1.0])
         streams = [_path_stream(6, (1, i)) for i in range(3)]
-        states, counts = simulate_batch(prob, cfg, streams, 0.1, np.array([1.0]), ends)
+        states, counts = simulate_batch(prob, N, streams, 0.1, np.array([1.0]), ends)
         for i in range(len(ends)):
-            single, single_count = simulate_batch(prob, cfg, [_path_stream(6, (1, i))], 0.1,
+            single, single_count = simulate_batch(prob, N, [_path_stream(6, (1, i))], 0.1,
                                                   np.array([1.0]), ends[i:i + 1])
             assert np.array_equal(states[i], single[0])
             assert counts[i] == single_count[0]
@@ -224,7 +223,6 @@ class TestStrongRate:
         errors = []
         steps_grid = [4, 16, 64, 256]
         for n_steps in steps_grid:
-            cfg = EulerConfig(steps=n_steps)
             sq = 0.0
             for i in range(n_paths):
                 st = _path_stream(100 + n_steps, (i,))
@@ -245,8 +243,8 @@ class TestStrongRate:
     def test_engine_matches_flat_euler_on_shared_draws(self):
         # the flat loop above is also the reference for the engine itself
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
-        cfg = EulerConfig(steps=16)
-        states, _ = simulate_batch(prob, cfg, [_path_stream(55, (3,))], 0.0, np.array([1.0]),
+        N = 16
+        states, _ = simulate_batch(prob, N, [_path_stream(55, (3,))], 0.0, np.array([1.0]),
                                    np.array([1.0]))
         st = _path_stream(55, (3,))
         z = st.gaussians(16)
@@ -260,8 +258,26 @@ class TestLyapunovCheck:
     def test_zero_elapsed_returns_phi_exactly(self):
         prob = instantiate("heat-quadratic", d=2)
         x = np.array([0.5, -1.0])
-        res = lyapunov_check(prob, EulerConfig(steps=4), 0.3, x, 0.3, paths=64, seed=0)
+        res = lyapunov_check(prob, 4, 0.3, x, 0.3, paths=64, seed=0)
         assert res.empirical_mean == prob.phi(x)
+
+    @pytest.mark.parametrize("paths", [5, 300])
+    @pytest.mark.parametrize("name,overrides,x", [
+        ("heat-quadratic", {"d": 2}, [0.5, -1.0]),
+        ("scaled-bs", {"d": 3}, [1.0, 0.8, 1.2]),
+    ])
+    def test_equals_replay_of_one_stream_per_path(self, name, overrides, x, paths):
+        # path i draws from stream (seed, (i,)) past its skipped uniform
+        prob = instantiate(name, **overrides)
+        res = lyapunov_check(prob, 8, 0.1, np.array(x), 0.9, paths=paths, seed=31)
+        streams = [stream_for(31, (i,)) for i in range(paths)]
+        for st in streams:
+            st.skip_uniform()
+        states, _ = simulate_batch(prob, 8, streams, 0.1, np.array(x), np.full(paths, 0.9))
+        phis = lyapunov_phi_batch(states, prob.lyapunov_a)
+        assert res.empirical_mean == float(phis.mean())
+        assert res.std_error == float(phis.std(ddof=1) / math.sqrt(paths))
+        assert res.bound == math.exp(2.0 * prob.coeff_lip**3 * (0.9 - 0.1)) * prob.phi(x)
 
     @pytest.mark.parametrize("name,overrides", [
         ("heat-quadratic", {"d": 2}),
@@ -269,8 +285,8 @@ class TestLyapunovCheck:
     ])
     def test_growth_inequality_with_statistical_slack(self, name, overrides):
         prob = instantiate(name, **overrides)
-        cfg = EulerConfig(steps=16)
+        N = 16
         x = np.zeros(prob.d)
-        res = lyapunov_check(prob, cfg, 0.0, x, 1.0, paths=10_000, seed=12)
+        res = lyapunov_check(prob, N, 0.0, x, 1.0, paths=10_000, seed=12)
         slack = 1.0 + 3.0 * res.std_error / res.empirical_mean
         assert res.empirical_mean <= res.bound * slack

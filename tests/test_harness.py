@@ -126,6 +126,22 @@ class TestParseConfig:
             parse_config(MINIMAL + f"workers = {workers}\n")
         assert err.value.violations == [f"workers must be >= 1, got {workers}"]
 
+    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+    def test_non_finite_x0_rejected(self, x0):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"x0 = {x0}\n")
+        assert err.value.violations == [f"x0 entries must be finite, got [{float(x0)}]"]
+
+    @pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-1,1", "1,1,1,-inf",
+                                         "0,0,0,0"])
+    def test_bad_cost_weights_rejected(self, weights):
+        # with depths = 9, NaN or all-zero weights used to pass the cost ceiling
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"depths = 9\ncost_weights = {weights}\n")
+        got = tuple(float(w) for w in weights.split(","))
+        assert err.value.violations == [
+            f"cost_weights must be finite, >= 0 and not all 0, got {got}"]
+
     def test_output_dir_environment_override(self, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, "/tmp/forced-out")
         cfg = parse_config(MINIMAL + "output_dir = ignored\n")
@@ -136,7 +152,7 @@ class TestEmitCsv:
     def test_empty_rows_yield_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         emit_csv(["a", "b"], [], path)
-        assert open(path, "rb").read() == b"a,b\n"
+        assert Path(path).read_bytes() == b"a,b\n"
 
     def test_roundtrip_reproduces_rows(self, tmp_path):
         path = str(tmp_path / "rt.csv")
@@ -151,7 +167,7 @@ class TestEmitCsv:
     def test_lf_line_endings(self, tmp_path):
         path = str(tmp_path / "lf.csv")
         emit_csv(["a"], [[1.5]], path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert b"\r" not in blob and blob.endswith(b"\n")
 
     def test_identical_rows_identical_bytes(self, tmp_path):
@@ -159,7 +175,7 @@ class TestEmitCsv:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit_csv(["a", "b", "c"], rows, p1)
         emit_csv(["a", "b", "c"], rows, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def _tiny_config(tmp_path, extra="", reps=8, depths="1, 2"):
@@ -191,7 +207,7 @@ class TestRunExperiment:
                            ("re", "workers = 1\n")]:
             cfg = _tiny_config(tmp_path / tag, extra)
             _, _, paths = run_experiment(cfg)
-            blobs[tag] = tuple(open(paths[k], "rb").read()
+            blobs[tag] = tuple(Path(paths[k]).read_bytes()
                                for k in ("results", "raw", "bounds"))
         assert blobs["one"] == blobs["two"] == blobs["re"]
 
@@ -203,7 +219,7 @@ class TestRunExperiment:
                 "problem = linear-reaction\ndepths = 1, 2, 3\nreplications = 5\n"
                 f"seed = 42\nworkers = {workers}\noutput_dir = {tmp_path / str(workers)}\n")
             _, _, paths = run_experiment(cfg)
-            blobs[workers] = tuple(open(paths[k], "rb").read()
+            blobs[workers] = tuple(Path(paths[k]).read_bytes()
                                    for k in ("results", "raw", "bounds"))
         assert blobs[1] == blobs[2] == blobs[3] == blobs[8]
 

@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 from mlpicard import euler, mlp
-from mlpicard.euler import EulerConfig, update_times
 from mlpicard.mlp import (
     CostTally,
     MlpParams,
@@ -20,7 +19,7 @@ from mlpicard.mlp import (
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
 
-from helpers import recursive_node
+from helpers import recursive_node, update_times
 
 MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 
@@ -197,8 +196,7 @@ class TestWaveMatchesRecursion:
         params = MlpParams(n=n, M=M, euler_steps=N, root_seed=11)
         x = np.array(x)
         tally = CostTally()
-        want = recursive_node(prob, EulerConfig(steps=params.resolved_steps), M, 11, (0,), n,
-                              t, x, tally)
+        want = recursive_node(prob, params.resolved_steps, M, 11, (0,), n, t, x, tally)
         if chunk_scalars is not None:
             # chunks of a row or two, so a node's paths are split across chunks
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestMcBaseline:
         prob = instantiate("heat-quadratic", d=1)
         first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=502, cache_path=str(tmp_path))
         path = first.diagnostics["path"]
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob.replace(b"value = ", b"value =  ", 1))
         again = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=502, cache_path=str(tmp_path))
@@ -182,7 +183,7 @@ class TestMcBaseline:
         prob = instantiate("heat-quadratic", d=1)
         first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=505, cache_path=str(tmp_path))
         path = first.diagnostics["path"]
-        lines = open(path).read().rstrip("\n").split("\n")[:-1]
+        lines = Path(path).read_text().rstrip("\n").split("\n")[:-1]
         assert f"estimator_version = {ESTIMATOR_VERSION}" in lines
         assert f"rng_algorithm = {RNG_ALGORITHM}" in lines
         oracle._write_cache(path, [ln for ln in map(edit, lines) if ln is not None])
@@ -207,7 +208,7 @@ class TestMcBaseline:
     def test_cache_file_is_flat_key_value_with_checksum(self, tmp_path):
         prob = instantiate("heat-quadratic", d=1)
         ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=504, cache_path=str(tmp_path))
-        lines = open(ref.diagnostics["path"]).read().rstrip("\n").split("\n")
+        lines = Path(ref.diagnostics["path"]).read_text().rstrip("\n").split("\n")
         assert lines[0] == "format = mlp-baseline-v1"
         assert lines[-1].startswith("checksum = ")
         assert any(ln.startswith("value = ") for ln in lines)

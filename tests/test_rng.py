@@ -20,7 +20,6 @@ from mlpicard.rng import (
     keys_at,
     philox_blocks,
     stream_for,
-    streams_for,
 )
 
 from helpers import raw_uniform_sequence
@@ -67,7 +66,7 @@ def test_non_integer_label_element_rejected(bad):
     with pytest.raises(TypeError, match="integers"):
         stream_for(1, (0, bad, 3))
     with pytest.raises(TypeError, match="integers"):
-        streams_for(1, (0,), [(1, bad)])
+        keys_at(1, (0, bad), np.array([1, 2], dtype="<i8").tobytes(), 16)
 
 
 def test_numpy_integer_labels_equal_int_labels():
@@ -84,9 +83,10 @@ def test_label_element_outside_64_bits_rejected():
 def test_batch_keys_equal_single_keys():
     pairs = [(0, -1), (0, -2), (3, 7), (-2, 5), (np.int64(1), np.int64(1))]
     for parent in [(0,), (4, -1, 2), ()]:
-        batch = streams_for(9, parent, pairs)
-        assert [st.key for st in batch] == [stream_for(9, parent + tuple(p)).key for p in pairs]
-        assert all(st.cursor == 0 for st in batch)
+        batch = StreamBatch(keys_at(9, parent, np.array(pairs, dtype="<i8").tobytes(), 16))
+        assert [low | high << 64 for low, high in batch.keys.tolist()] == [
+            stream_for(9, parent + tuple(p)).key for p in pairs]
+        assert np.all(batch.cursors == 0)
 
 
 @pytest.mark.parametrize("bad, error", [(-1, ValueError), (-5, ValueError), (2.0, TypeError),
@@ -123,8 +123,8 @@ def test_skip_uniform_moves_past_the_uniform_only():
 
 def test_fill_gaussians_matches_per_stream_draws_and_keeps_padding():
     counts = np.array([5, 0, 9, 2])
-    streams = streams_for(8, (1,), [(0, -i) for i in range(1, 5)])
-    singles = streams_for(8, (1,), [(0, -i) for i in range(1, 5)])
+    streams = [stream_for(8, (1, 0, -i)) for i in range(1, 5)]
+    singles = [stream_for(8, (1, 0, -i)) for i in range(1, 5)]
     for st, one in zip(streams, singles):
         st.uniform(), one.uniform()
         st.gaussians(3), one.gaussians(3)
@@ -153,7 +153,7 @@ def test_draws_construct_no_generator(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    for st in streams_for(0, (2,), [(1, i) for i in range(50)]):
+    for st in [stream_for(0, (2, 1, i)) for i in range(50)]:
         st.uniform()
         st.gaussians(11)
     raw_uniform_sequence(0, (3,), 20)
@@ -362,7 +362,7 @@ def _batch(size, seed=21):
     """``size`` streams of one parent label, as records and as one batch."""
     pairs = [(1, i) for i in range(size)]
     keys = keys_at(seed, (4,), np.array(pairs, dtype="<i8").tobytes(), 16)
-    return streams_for(seed, (4,), pairs), StreamBatch(keys)
+    return [stream_for(seed, (4,) + p) for p in pairs], StreamBatch(keys)
 
 
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS])
@@ -392,7 +392,7 @@ def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, mo
     cursors = 1 + np.arange(size) % 5
     counts = np.array([lengths[i % len(lengths)] for i in range(size)][::-1])
     singles, batch = _batch(size)
-    records = streams_for(21, (4,), [(1, i) for i in range(size)])
+    records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
     for st, one, cursor in zip(records, singles, cursors.tolist()):
         st.skip_uniform(), one.skip_uniform()

@@ -20,15 +20,20 @@ from .selftest import run_selftest
 
 
 def _load_config(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """The parsed config, or None after one error line on stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+    return None
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 2
     if args.workers is not None:
         if args.workers < 1:
@@ -58,10 +63,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 2
     epsilons = []
     for item in filter(str.strip, args.eps.split(",")):
@@ -73,6 +76,9 @@ def _cmd_sweep(args) -> int:
             print(f"invalid --eps: {item.strip()!r} is not a number in (0, 1]", file=sys.stderr)
             return 2
         epsilons.append(eps)
+    if not epsilons:
+        print(f"invalid --eps: {args.eps!r} names no target", file=sys.stderr)
+        return 2
     sweep_rows, reference = find_depth_for_epsilon(cfg, epsilons)
     print(f"reference ({reference.method}): {reference.value:.10g} "
           f"+- {reference.ci_halfwidth:.3g}")

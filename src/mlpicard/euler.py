@@ -31,8 +31,19 @@ from .bounds import lyapunov_phi_batch
 from .problems import Problem
 from .rng import StreamBatch, fill_gaussians, keys_at
 
-# upper bound on the scalars in one chunk's draw buffer
-_CHUNK_SCALARS = 1 << 17
+# Upper bound on the scalars in one chunk's live buffers: 2^19 float64s, 4 MiB.
+# Larger chunks take fewer trips through the stepping loop; each doubling adds
+# a few MiB of peak RSS.  Measured (2-vCPU VM, numpy 2.4) on one estimate of
+# scaled-bs d=8 at (n, M, N) = (2, 32, 256) and of nonlinear-coeff-sine d=1 at
+# (4, 4, 256): median ms of interleaved in-process calls, loop trips, and the
+# max RSS of a fresh process:
+#   2^17: d=8 382 ms, 9456 trips, 59.2 MiB; d=1 122 ms, 2019 trips, 59.2 MiB
+#   2^18: d=8 341 ms, 4975 trips, 62.0 MiB; d=1 111 ms, 1352 trips, 60.9 MiB
+#   2^19: d=8 338 ms, 2699 trips, 67.6 MiB; d=1 113 ms,  983 trips, 63.5 MiB
+#   2^20: d=8 350 ms, 1547 trips, 73.2 MiB; d=1 119 ms,  877 trips, 65.7 MiB
+# heat-quadratic d=10 at (4, 4) took 376, 338, 308 and 339 ms.  Quartiles
+# spread about +-10% on that host; 2^20 was faster on none of the three.
+_CHUNK_SCALARS = 1 << 19
 
 
 class DomainError(ValueError):

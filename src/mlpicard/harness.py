@@ -531,7 +531,8 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
 
     Scans n = 1, 2, ... and stops at the configured cost ceiling or depth
     cap, emitting an explicit failure row instead of a result.  Depth runs
-    are shared across targets (they are deterministic in the config).
+    are shared across targets (they are deterministic in the config) and
+    use ``cfg.workers`` processes, as in :func:`run_experiment`.
     Reported cost is the per-realization mean of the weighted tally, summed
     over all depths up to n*.
     """
@@ -567,7 +568,7 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
                                tripped_bound=bound)
                 break
             if n not in depth_cache:
-                depth_data, = _run_depths(cfg, [(n, n)], 1)
+                depth_data, = _run_depths(cfg, [(n, n)], cfg.workers)
                 depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
             report = depth_cache[n]
             margin = report.rmse_vs_reference + 2.0 * report.rmse_se

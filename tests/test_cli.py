@@ -35,9 +35,24 @@ def test_run_workers_below_one_exits_2(capsys, workers):
     assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["abc", "nan", "0", "-0.5", "2", "0.5,inf"])
-def test_sweep_bad_eps_exits_2(capsys, eps):
+@pytest.mark.parametrize("eps", ["abc", "nan", "0", "-0.5", "2", "0.5,inf", "", " , "])
+def test_sweep_bad_eps_exits_2(capsys, monkeypatch, tmp_path, eps):
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))
     assert main(["sweep-epsilon", HEAT_CONFIG, "--eps", eps]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid --eps: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep-epsilon", "--eps", "0.5"]])
+@pytest.mark.parametrize("config", ["missing.cfg", ".", "latin1.cfg"])
+def test_unreadable_config_exits_2(capsys, monkeypatch, tmp_path, argv, config):
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "latin1.cfg").write_bytes("problem = heat-quadratic  # \xe9\n".encode("latin-1"))
+    command, *options = argv
+    assert main([command, str(tmp_path / config), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: ")
+    assert err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["latin1.cfg"]

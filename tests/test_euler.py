@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
 from mlpicard.euler import DomainError, _plan, _targets, lyapunov_check, simulate_batch
 from mlpicard.problems import Problem, instantiate
-from mlpicard.rng import stream_for
+from mlpicard.rng import StreamBatch, keys_at, stream_for
 
 from helpers import update_times, update_times_reference
 
@@ -212,6 +213,28 @@ class TestSimulate:
                                                   np.array([1.0]), ends[i:i + 1])
             assert np.array_equal(states[i], single[0])
             assert counts[i] == single_count[0]
+
+    def test_chunk_size_changes_no_value(self, monkeypatch):
+        prob = instantiate("scaled-bs", d=8)
+        P, N = 320, 256
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, prob.T, P)
+        ends = np.where(rng.random(P) < 0.2, prob.T, rng.uniform(t, prob.T))
+        ends[:10] = t[:10]  # paths with no step
+        x = rng.uniform(0.5, 1.5, (P, prob.d))
+
+        def run():
+            streams = StreamBatch(keys_at(3, (), np.arange(P, dtype="<i8").tobytes(), 8))
+            streams.uniforms(np.arange(P) % 2 == 0)
+            states, counts = simulate_batch(prob, N, streams, t, x, ends)
+            return states, counts, streams.cursors
+
+        want = run()  # the default
+        # one row per chunk, and 51 rows per full-length chunk
+        for chunk_scalars in (200, 1 << 17):
+            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
+            for a, b in zip(run(), want):
+                assert np.array_equal(a, b)
 
 
 class TestStrongRate:

@@ -18,6 +18,7 @@ from mlpicard.harness import (
     parse_config,
     read_csv,
     run_experiment,
+    write_sweep_csv,
 )
 from mlpicard.mlp import cost_recursion_bound
 
@@ -332,3 +333,20 @@ class TestDepthSearch:
         # identical depth-1 statistics reused for both targets
         assert sweep[0].depth_rows[0].rmse_vs_reference == \
             sweep[1].depth_rows[0].rmse_vs_reference
+
+    def test_sweep_csv_byte_identical_across_workers(self, tmp_path, monkeypatch):
+        def sweep_bytes(tag, workers):
+            cfg = _tiny_config(tmp_path / tag, f"workers = {workers}\n", reps=16)
+            sweep, _ = find_depth_for_epsilon(cfg, [1.0, 0.5])
+            path = tmp_path / f"{tag}.csv"
+            write_sweep_csv(sweep, str(path))
+            return path.read_bytes(), len(sweep[-1].depth_rows)
+
+        one, depths = sweep_bytes("one", 1)
+        assert sweep_bytes("two", 2)[0] == one
+        # each depth run cuts its replications into two blocks, one of them pooled
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "pools", [])
+        assert sweep_bytes("inline", 2)[0] == one
+        assert [(pool.max_workers, pool.submits) for pool in _InlinePool.pools] == \
+            [(1, 1)] * depths

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,24 @@ class TestPicardQuadrature:
         a = picard_quadrature_1d(prob, 0.2, [0.4], depth=6)
         b = picard_quadrature_1d(prob, 0.2, [0.4], depth=6)
         assert a.value == b.value and a.ci_halfwidth == b.ci_halfwidth
+
+    def test_only_this_route_loads_scipy_interpolate(self):
+        # a fresh interpreter: this session has loaded every module already
+        script = (
+            "import sys\n"
+            "import mlpicard, mlpicard.harness, mlpicard.cli\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "from mlpicard.oracle import picard_quadrature_1d\n"
+            "picard_quadrature_1d(mlpicard.instantiate('linear-reaction', d=1), 0.0, [0.0],"
+            " depth=2, nodes=8, time_cells=8, space_points=17)\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
     def test_off_grid_query_point(self):
         prob = instantiate("linear-reaction", d=1)

@@ -14,22 +14,33 @@ for a whole batch.
 
 A batch may mix start points, so one call can simulate every path of one
 depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
-so the live ``(rows, steps, d)`` draw buffer stays below ``_CHUNK_SCALARS``
-whatever the batch size.  A chunk's draws are read straight into that
-buffer and turned into Gaussians there in one pass.  Every path draws from
-its own stream, so chunking changes no value.
+so a chunk's live ``(rows, steps, d)`` draw buffer stays below
+``_CHUNK_SCALARS`` whatever the batch size.  The calling thread reads a
+chunk's draws straight into that buffer as uniforms, and one inverse-CDF
+pass turns them into Brownian increments there.  In a call of more than one
+chunk, one helper thread runs that pass: on chunk k while the caller draws
+chunk k + 1, and on chunk k + 1 while the caller steps chunk k, so two
+chunks may be live at once.  The pass is whole-buffer ufuncs, which release
+the GIL; the draws, the ``Problem`` callables and the stepping loop stay on
+the calling thread.  The helper is started per call and joined before the
+call returns or raises, so no thread is left when the harness forks its
+pool.  A call of one chunk runs the pass inline and starts no thread.  Every
+path draws from its own stream and the pass works element by element, so
+neither the chunks nor the helper change a value.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import lyapunov_phi_batch
 from .problems import Problem
-from .rng import StreamBatch, fill_gaussians, keys_at
+from .rng import StreamBatch, draw_uniforms, keys_at, uniforms_to_gaussians
 
 # Upper bound on the scalars in one chunk's live buffers: 2^19 float64s, 4 MiB.
 # Larger chunks take fewer trips through the stepping loop; each doubling adds
@@ -88,6 +99,13 @@ def _targets(first, counts, ends, width: int, steps: int, T: float) -> np.ndarra
     return grid
 
 
+def _done(fn, *args) -> Future:
+    """``fn(*args)``, run now, as a finished future."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
     """Simulate one path per stream from its start ``(t, x)`` to its end time.
 
@@ -110,15 +128,18 @@ def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
         return states, counts
 
     order = np.argsort(-counts, kind="stable")
+    # chunk k is rows order[cuts[k]:cuts[k + 1]]; its live buffers (targets,
+    # dts and the (rows, W, d) increments) hold at most _CHUNK_SCALARS scalars
+    cuts = [0]
+    while cuts[-1] < P:
+        W = max(int(counts[order[cuts[-1]]]), 1)
+        cuts.append(min(P, cuts[-1] + max(1, _CHUNK_SCALARS // (W * (d + 2)))))
 
-    lo = 0
-    while lo < P:
-        W = int(counts[order[lo]])
-        # live buffers: targets, dts and the (rows, W, d) increments, which
-        # take the raw draws and their Gaussians in place
-        rows = order[lo: lo + max(1, _CHUNK_SCALARS // (max(W, 1) * (d + 2)))]
-        lo += len(rows)
+    def drawn(lo: int, hi: int):
+        """Chunk ``order[lo:hi]`` with its dts, and its draws as uniforms."""
+        rows = order[lo:hi]
         c = counts[rows]
+        W = int(c[0])
         targets = _targets(first[rows], c, ends[rows], W, N, T)
         dts = np.empty_like(targets)
         dts[:, :1] = targets[:, :1] - t[rows, None]
@@ -126,17 +147,36 @@ def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
         incs = np.zeros((len(rows), W, d))
         chunk = (streams[rows] if isinstance(streams, StreamBatch)
                  else [streams[p] for p in rows.tolist()])
-        fill_gaussians(chunk, c * d, incs.reshape(len(rows), -1))
-        incs *= np.sqrt(dts, out=targets)[:, :, None]
+        draw_uniforms(chunk, c * d, incs.reshape(len(rows), -1))
+        return rows, c, targets, dts, incs
 
+    def mapped(rows, c, targets, dts, incs):
+        """The chunk's uniforms as Brownian increments, in place.  Whole-buffer
+        ufuncs only, which release the GIL, so the helper thread runs it."""
+        uniforms_to_gaussians(c * d, incs.reshape(len(rows), -1))
+        incs *= np.sqrt(dts, out=targets)[:, :, None]
+        return rows, c, dts, incs
+
+    def step(rows, c, dts, incs):
         y = states[rows]
         # rows are longest first, so the paths still moving at step k are a prefix
-        active = np.searchsorted(-c, -np.arange(W), side="left")
+        active = np.searchsorted(-c, -np.arange(dts.shape[1]), side="left")
         for k, a in enumerate(active.tolist()):
             ya = y[:a]
             y[:a] = ya + (problem.drift(ya) * dts[:a, k, None]
                           + problem.diffusion(ya) * incs[:a, k])
         states[rows] = y
+
+    # The caller draws chunk k + 1 while the helper maps chunk k, and steps
+    # chunk k while the helper maps chunk k + 1: two chunks are live at once.
+    spans = list(zip(cuts, cuts[1:]))
+    with ThreadPoolExecutor(max_workers=1) if len(spans) > 1 else nullcontext() as helper:
+        submit = helper.submit if helper else _done
+        queued = [submit(mapped, *drawn(*spans[0]))]
+        for span in spans[1:] + [None]:
+            if span:
+                queued.append(submit(mapped, *drawn(*span)))
+            step(*queued.pop(0).result())
     return states, counts
 
 

@@ -16,7 +16,8 @@ task evaluates every configured depth of one block, each depth as one
 ``mlp.estimate_many`` forest.  The calling process is one of the workers: it
 submits blocks 2, 3, ... to a pool of the others, evaluates block 1 itself,
 and reassembles each depth's results in seed order; ``workers = 1`` starts
-no pool, and the depth search of ``find_depth_for_epsilon`` runs serially.
+no pool.  The depth search of ``find_depth_for_epsilon`` runs each depth the
+same way, at ``cfg.workers``, and one pool serves its whole scan.
 Outputs are byte-identical for identical configs regardless of the worker
 count: every realization is a pure function of its seed.  Wall-clock
 timings (a depth's time is its slowest block's) are reported on stdout only;
@@ -30,6 +31,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -384,22 +386,26 @@ def _evaluate_block(task) -> list:
     return outcomes
 
 
-def _run_depths(cfg: ExperimentConfig, depths: list, workers: int) -> list:
+def _seed_pool(cfg: ExperimentConfig):
+    """The pool that evaluates seed blocks 2.. of every depth run of ``cfg``,
+    or a null context when the replications make one block."""
+    blocks = min(cfg.workers, cfg.replications)
+    return ProcessPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext()
+
+
+def _run_depths(cfg: ExperimentConfig, depths: list, pool) -> list:
     """The replications of every depth, cut into ``min(workers, replications)``
-    seed blocks: the pool evaluates blocks 2.. while this process evaluates
-    block 1.  Returns one record per depth, its seeds in order."""
+    seed blocks: ``pool`` (from :func:`_seed_pool`) evaluates blocks 2.. while
+    this process evaluates block 1.  Returns one record per depth, its seeds
+    in order."""
     seeds = [cfg.seed + r for r in range(cfg.replications)]
-    blocks = min(workers, len(seeds))
+    blocks = min(cfg.workers, len(seeds))
     cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
     plan = [(n, M, cfg.resolved_steps(M)) for n, M in depths]
     tasks = [(cfg.problem, cfg.overrides, plan, seeds[lo:hi], cfg.t0, tuple(cfg.query_point()))
              for lo, hi in zip(cuts, cuts[1:])]
-    if blocks == 1:
-        outcomes = [_evaluate_block(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=blocks - 1) as pool:
-            futures = [pool.submit(_evaluate_block, task) for task in tasks[1:]]
-            outcomes = [_evaluate_block(tasks[0])] + [future.result() for future in futures]
+    futures = [pool.submit(_evaluate_block, task) for task in tasks[1:]]
+    outcomes = [_evaluate_block(tasks[0])] + [future.result() for future in futures]
     records = []
     for i, (n, M, steps) in enumerate(plan):
         items = [item for block in outcomes for item in block[i][1]]
@@ -480,7 +486,9 @@ def run_experiment(cfg: ExperimentConfig):
     rows = []
     raw_rows = []
     bound_rows = []
-    for depth_data in _run_depths(cfg, cfg.depths, cfg.workers):
+    with _seed_pool(cfg) as pool:
+        depth_records = _run_depths(cfg, cfg.depths, pool)
+    for depth_data in depth_records:
         n, M, N = depth_data["n"], depth_data["M"], depth_data["N"]
         row = _report_row(cfg, problem, depth_data, reference)
         rows.append(row)
@@ -532,7 +540,8 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
     Scans n = 1, 2, ... and stops at the configured cost ceiling or depth
     cap, emitting an explicit failure row instead of a result.  Depth runs
     are shared across targets (they are deterministic in the config) and
-    use ``cfg.workers`` processes, as in :func:`run_experiment`.
+    use ``cfg.workers`` processes, as in :func:`run_experiment`, from one
+    pool opened for the whole scan.
     Reported cost is the per-realization mean of the weighted tally, summed
     over all depths up to n*.
     """
@@ -549,42 +558,44 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
 
     depth_cache: dict = {}
     sweep_rows = []
-    for eps in epsilons:
-        n = 0
-        row = None
-        while True:
-            n += 1
-            if n > cfg.max_depth:
-                row = SweepRow(epsilon=eps, status="max-depth", n_star=-1, rmse=math.nan,
-                               rmse_plus_2se=math.nan, cost_sum=math.nan,
-                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                               tripped_bound=float(cfg.max_depth))
-                break
-            bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n), cfg.cost_weights)
-            if bound > cfg.cost_ceiling:
-                row = SweepRow(epsilon=eps, status="cost-ceiling", n_star=-1, rmse=math.nan,
-                               rmse_plus_2se=math.nan, cost_sum=math.nan,
-                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                               tripped_bound=bound)
-                break
-            if n not in depth_cache:
-                depth_data, = _run_depths(cfg, [(n, n)], cfg.workers)
-                depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
-            report = depth_cache[n]
-            margin = report.rmse_vs_reference + 2.0 * report.rmse_se
-            if margin < eps:
-                cost_sum = sum(depth_cache[k].tallied_cost for k in range(1, n + 1))
-                row = SweepRow(
-                    epsilon=eps, status="ok", n_star=n,
-                    rmse=report.rmse_vs_reference, rmse_plus_2se=margin,
-                    cost_sum=cost_sum,
-                    total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
-                    cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
-                    tripped_bound=0.0,
-                )
-                break
-        row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]
-        sweep_rows.append(row)
+    with _seed_pool(cfg) as pool:
+        for eps in epsilons:
+            n = 0
+            row = None
+            while True:
+                n += 1
+                if n > cfg.max_depth:
+                    row = SweepRow(epsilon=eps, status="max-depth", n_star=-1, rmse=math.nan,
+                                   rmse_plus_2se=math.nan, cost_sum=math.nan,
+                                   total_cost_bound=math.nan, cost_times_eps_power=math.nan,
+                                   tripped_bound=float(cfg.max_depth))
+                    break
+                bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n),
+                                             cfg.cost_weights)
+                if bound > cfg.cost_ceiling:
+                    row = SweepRow(epsilon=eps, status="cost-ceiling", n_star=-1, rmse=math.nan,
+                                   rmse_plus_2se=math.nan, cost_sum=math.nan,
+                                   total_cost_bound=math.nan, cost_times_eps_power=math.nan,
+                                   tripped_bound=bound)
+                    break
+                if n not in depth_cache:
+                    depth_data, = _run_depths(cfg, [(n, n)], pool)
+                    depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
+                report = depth_cache[n]
+                margin = report.rmse_vs_reference + 2.0 * report.rmse_se
+                if margin < eps:
+                    cost_sum = sum(depth_cache[k].tallied_cost for k in range(1, n + 1))
+                    row = SweepRow(
+                        epsilon=eps, status="ok", n_star=n,
+                        rmse=report.rmse_vs_reference, rmse_plus_2se=margin,
+                        cost_sum=cost_sum,
+                        total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
+                        cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
+                        tripped_bound=0.0,
+                    )
+                    break
+            row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]
+            sweep_rows.append(row)
     return sweep_rows, reference
 
 

@@ -326,14 +326,29 @@ def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     :class:`StreamBatch`, ``counts`` an integer array and ``out`` a float64
     ``(len(streams), width)`` array; the rest of each row is left as it is.
     Every stream must be past its uniform, and its cursor moves by its count.
-    The raw words land in ``out`` as uniforms, and one inverse-CDF pass maps
-    them in place.
+    The raw words land in ``out`` as uniforms (:func:`draw_uniforms`), and one
+    inverse-CDF pass maps them in place (:func:`uniforms_to_gaussians`).
+    """
+    draw_uniforms(streams, counts, out)
+    uniforms_to_gaussians(counts, out)
+
+
+def draw_uniforms(streams, counts, out: np.ndarray) -> None:
+    """The draw phase of :func:`fill_gaussians`: the next ``counts[i]`` words of
+    ``streams[i]`` as uniforms in [0, 1), in ``out[i, :counts[i]]``.
+
+    Checks every stream and count before it draws or moves a cursor.
     """
     if isinstance(streams, StreamBatch):
         keys, cursors = streams._arrays()
     else:
         keys = np.array([_key_words(st.key) for st in streams], dtype=np.uint64).reshape(-1, 2)
         cursors = np.array([st.cursor for st in streams], dtype=np.int64)
+    if not (len(counts) == len(cursors) == out.shape[0]):
+        raise ValueError(f"need one count and one row of out per stream, got {len(counts)} "
+                         f"counts and {out.shape[0]} rows for {len(cursors)} streams")
+    if np.any((counts < 0) | (counts > out.shape[1])):
+        raise ValueError(f"counts must lie in [0, {out.shape[1]}], the width of out")
     if np.count_nonzero(cursors) < len(cursors):
         raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
     _draw(keys, cursors, counts, out)
@@ -342,6 +357,15 @@ def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     else:
         for st, cursor in zip(streams, (cursors + counts).tolist()):
             st.cursor = cursor
+
+
+def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
+    """The map phase of :func:`fill_gaussians`: ``out[i, :counts[i]]``, uniforms
+    from :func:`draw_uniforms`, become their Gaussians in place.
+
+    Whole-buffer ufuncs only, element by element, so another thread may run
+    it while the GIL is elsewhere.
+    """
     drawn = np.arange(out.shape[1]) < counts[:, None]
     np.add(out, _HALF_ULP, out=out, where=drawn)
     ndtri(out, out=out, where=drawn)

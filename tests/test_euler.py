@@ -1,6 +1,8 @@
 """Path simulation: grid mechanics, draw accounting, exactness, strong rate."""
 
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -186,7 +188,6 @@ class TestSimulate:
             seen.append(np.array(x, copy=True))
             return base.drift(x)
 
-        import dataclasses
         probed = dataclasses.replace(base, drift=recording_drift)
         t, s = 0.1, 0.65
         _, counts = simulate_batch(probed, 4, [_path_stream(21, (8,))], t,
@@ -235,6 +236,93 @@ class TestSimulate:
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
             for a, b in zip(run(), want):
                 assert np.array_equal(a, b)
+
+
+def _mixed_paths(prob, P, seed):
+    """``P`` paths with mixed starts and ends, the first ten with no step."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, prob.T, P)
+    ends = np.where(rng.random(P) < 0.2, prob.T, rng.uniform(t, prob.T))
+    ends[:10] = t[:10]
+    return t, rng.uniform(0.5, 1.5, (P, prob.d)), ends
+
+
+def _path_batch(P, seed):
+    streams = StreamBatch(keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8))
+    streams.uniforms(np.arange(P) % 2 == 0)
+    return streams
+
+
+class TestPipeline:
+    """Chunk k + 1 is drawn and mapped to Gaussians while chunk k is stepped."""
+
+    @pytest.mark.parametrize("name, d", [("scaled-bs", 8), ("nonlinear-coeff-sine", 3)])
+    def test_pipelined_chunks_equal_one_row_calls(self, name, d, monkeypatch):
+        prob = instantiate(name, d=d)
+        seen = set()
+
+        def on_caller(fn):
+            def wrapped(*args):
+                seen.add(threading.get_ident())
+                return fn(*args)
+            return wrapped
+
+        probed = dataclasses.replace(prob, drift=on_caller(prob.drift),
+                                     diffusion=on_caller(prob.diffusion))
+        chunks = []
+        draw = euler.draw_uniforms
+        monkeypatch.setattr(euler, "draw_uniforms",
+                            lambda streams, *a: chunks.append(len(streams)) or draw(streams, *a))
+        P, N = 320, 64
+        t, x, ends = _mixed_paths(prob, P, 7)
+        # about 40 full-length rows per chunk
+        monkeypatch.setattr(euler, "_CHUNK_SCALARS", 40 * (N + 1) * (d + 2))
+        streams = _path_batch(P, 11)
+        states, counts = simulate_batch(probed, N, streams, t, x, ends)
+        assert len(chunks) >= 3 and sum(chunks) == P
+        assert seen == {threading.get_ident()}
+
+        singles = _path_batch(P, 11)
+        for i in range(P):
+            row = np.array([i])
+            one, one_count = simulate_batch(prob, N, singles[row], t[row], x[row], ends[row])
+            assert np.array_equal(one[0], states[i])
+            assert one_count[0] == counts[i]
+        assert np.array_equal(singles.cursors, streams.cursors)
+
+    def test_helper_is_joined_on_return_and_on_raise(self, monkeypatch):
+        prob = instantiate("scaled-bs", d=8)
+        P, N = 300, 64
+        t, x, ends = _mixed_paths(prob, P, 8)
+        threads = []
+        calls = []
+
+        def drift(y):
+            threads.append(threading.active_count())
+            calls.append(len(y))
+            if fail_after and len(calls) > fail_after:
+                raise RuntimeError("drift failed")
+            return prob.drift(y)
+
+        before = threading.active_count()
+        fail_after = 0
+        # one chunk at the default size: mapped inline, no helper
+        simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12), t, x, ends)
+        assert set(threads) == {before}
+        threads.clear()
+        monkeypatch.setattr(euler, "_CHUNK_SCALARS", 40 * (N + 1) * (prob.d + 2))
+        _, counts = simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12),
+                                   t, x, ends)
+        assert threading.active_count() == before
+        assert max(threads) == before + 1  # the helper ran beside the stepping loop
+        # the first chunk takes as many steps as its longest path
+        fail_after = int(counts.max())
+        calls.clear()
+        with pytest.raises(RuntimeError, match="drift failed"):
+            simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12),
+                           t, x, ends)
+        assert len(calls) == fail_after + 1
+        assert threading.active_count() == before
 
 
 class TestStrongRate:

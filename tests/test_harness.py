@@ -344,9 +344,10 @@ class TestDepthSearch:
 
         one, depths = sweep_bytes("one", 1)
         assert sweep_bytes("two", 2)[0] == one
-        # each depth run cuts its replications into two blocks, one of them pooled
+        # each depth run cuts its replications into two blocks, one of them
+        # pooled, and one pool serves the whole scan
         monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "pools", [])
         assert sweep_bytes("inline", 2)[0] == one
         assert [(pool.max_workers, pool.submits) for pool in _InlinePool.pools] == \
-            [(1, 1)] * depths
+            [(1, depths)]

@@ -421,6 +421,43 @@ def test_fill_checks_every_stream_before_drawing():
     assert not batch.cursors.any()
 
 
+@pytest.mark.parametrize("size", [3, rng._KERNEL_MIN_STREAMS])
+@pytest.mark.parametrize("as_batch", [False, True])
+@pytest.mark.parametrize("counts, shape", [
+    ("wide", None),      # one count wider than out's rows
+    ("negative", None),  # one count below zero
+    ("short", None),     # one count fewer than the streams
+    (None, "rows"),      # one row of out more than the streams
+])
+def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
+    # with fewer than _KERNEL_MIN_STREAMS streams the native generator draws,
+    # with more the kernel; either way nothing is drawn and no cursor moves
+    singles, batch = _batch(size)
+    records = [stream_for(21, (4, 1, i)) for i in range(size)]
+    batch.uniforms(np.zeros(size, bool))
+    for st in records:
+        st.skip_uniform()
+    streams = batch if as_batch else records
+    n = np.full(size, 2)
+    if counts == "wide":
+        n[size // 2] = 4
+    elif counts == "negative":
+        n[-1] = -1
+    elif counts == "short":
+        n = n[1:]
+    out = np.full((size + (shape == "rows"), 3), 7.0)
+    with pytest.raises(ValueError):
+        fill_gaussians(streams, n, out)
+    cursors = batch.cursors if as_batch else np.array([st.cursor for st in records])
+    assert np.all(cursors == 1)
+    assert np.all(out == 7.0)
+    m = size // 2
+    after = np.empty((1, 3))
+    fill_gaussians(batch[np.array([m])] if as_batch else [records[m]], np.array([3]), after)
+    singles[m].skip_uniform()
+    assert np.array_equal(after[0], singles[m].gaussians(3))
+
+
 # ---------------------------------------------------------------------------
 # distributional checks
 

@@ -113,6 +113,21 @@ class TestPlannerMatchesScalarLoop:
         assert pairs * 3 >= 10_000
 
 
+def _mixed_paths(prob, P, seed):
+    """``P`` paths with mixed starts and ends, the first ten with no step."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, prob.T, P)
+    ends = np.where(rng.random(P) < 0.2, prob.T, rng.uniform(t, prob.T))
+    ends[:10] = t[:10]
+    return t, rng.uniform(0.5, 1.5, (P, prob.d)), ends
+
+
+def _path_batch(P, seed):
+    streams = StreamBatch(keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8))
+    streams.uniforms(np.arange(P) % 2 == 0)
+    return streams
+
+
 class TestSimulate:
     @pytest.mark.parametrize("steps", [0, -1])
     def test_grid_without_steps_rejected(self, steps):
@@ -218,15 +233,10 @@ class TestSimulate:
     def test_chunk_size_changes_no_value(self, monkeypatch):
         prob = instantiate("scaled-bs", d=8)
         P, N = 320, 256
-        rng = np.random.default_rng(5)
-        t = rng.uniform(0.0, prob.T, P)
-        ends = np.where(rng.random(P) < 0.2, prob.T, rng.uniform(t, prob.T))
-        ends[:10] = t[:10]  # paths with no step
-        x = rng.uniform(0.5, 1.5, (P, prob.d))
+        t, x, ends = _mixed_paths(prob, P, 5)
 
         def run():
-            streams = StreamBatch(keys_at(3, (), np.arange(P, dtype="<i8").tobytes(), 8))
-            streams.uniforms(np.arange(P) % 2 == 0)
+            streams = _path_batch(P, 3)
             states, counts = simulate_batch(prob, N, streams, t, x, ends)
             return states, counts, streams.cursors
 
@@ -236,21 +246,6 @@ class TestSimulate:
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
             for a, b in zip(run(), want):
                 assert np.array_equal(a, b)
-
-
-def _mixed_paths(prob, P, seed):
-    """``P`` paths with mixed starts and ends, the first ten with no step."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, prob.T, P)
-    ends = np.where(rng.random(P) < 0.2, prob.T, rng.uniform(t, prob.T))
-    ends[:10] = t[:10]
-    return t, rng.uniform(0.5, 1.5, (P, prob.d)), ends
-
-
-def _path_batch(P, seed):
-    streams = StreamBatch(keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8))
-    streams.uniforms(np.arange(P) % 2 == 0)
-    return streams
 
 
 class TestPipeline:
@@ -304,23 +299,22 @@ class TestPipeline:
                 raise RuntimeError("drift failed")
             return prob.drift(y)
 
+        probed = dataclasses.replace(prob, drift=drift)
         before = threading.active_count()
         fail_after = 0
         # one chunk at the default size: mapped inline, no helper
-        simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12), t, x, ends)
+        simulate_batch(probed, N, _path_batch(P, 12), t, x, ends)
         assert set(threads) == {before}
         threads.clear()
         monkeypatch.setattr(euler, "_CHUNK_SCALARS", 40 * (N + 1) * (prob.d + 2))
-        _, counts = simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12),
-                                   t, x, ends)
+        _, counts = simulate_batch(probed, N, _path_batch(P, 12), t, x, ends)
         assert threading.active_count() == before
         assert max(threads) == before + 1  # the helper ran beside the stepping loop
         # the first chunk takes as many steps as its longest path
         fail_after = int(counts.max())
         calls.clear()
         with pytest.raises(RuntimeError, match="drift failed"):
-            simulate_batch(dataclasses.replace(prob, drift=drift), N, _path_batch(P, 12),
-                           t, x, ends)
+            simulate_batch(probed, N, _path_batch(P, 12), t, x, ends)
         assert len(calls) == fail_after + 1
         assert threading.active_count() == before
 

@@ -106,14 +106,13 @@ def _done(fn, *args) -> Future:
     return future
 
 
-def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
-    """Simulate one path per stream from its start ``(t, x)`` to its end time.
+def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end_times):
+    """Simulate one path per row of ``streams`` from its start ``(t, x)`` to its end time.
 
-    ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``streams`` is a
-    sequence of ``RandomStream`` or a ``StreamBatch``.  ``t`` is a scalar or
-    ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Streams must already be
-    past their uniform draw.  Returns the terminal states ``(P, d)`` and
-    per-path step counts ``(P,)``.
+    ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``t`` is a
+    scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Every stream of
+    the batch must already be past its uniform draw.  Returns the terminal
+    states ``(P, d)`` and per-path step counts ``(P,)``.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -145,9 +144,7 @@ def simulate_batch(problem: Problem, steps: int, streams, t, x, end_times):
         dts[:, :1] = targets[:, :1] - t[rows, None]
         np.subtract(targets[:, 1:], targets[:, :-1], out=dts[:, 1:])
         incs = np.zeros((len(rows), W, d))
-        chunk = (streams[rows] if isinstance(streams, StreamBatch)
-                 else [streams[p] for p in rows.tolist()])
-        draw_uniforms(chunk, c * d, incs.reshape(len(rows), -1))
+        draw_uniforms(streams[rows], c * d, incs.reshape(len(rows), -1))
         return rows, c, targets, dts, incs
 
     def mapped(rows, c, targets, dts, incs):

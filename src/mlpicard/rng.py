@@ -21,12 +21,13 @@ standard Gaussian scalars in consumption order.  Callers that do not need
 the uniform skip it, so the Gaussian subsequence seen by a consumer depends
 only on the stream address.
 
-A stream is a key plus a cursor, and owns no generator
-(:class:`RandomStream`; :class:`StreamBatch` holds many as arrays).  Philox
-is counter based (Salmon et al., SC'11), so word ``w`` of a stream is a pure
-function of its key and ``w``: word ``w % 4`` of the 4-word block ``w // 4``,
-which Philox computes at counter ``w // 4 + 1``.  Words are read in one of
-two ways, with the same bits:
+A stream is a key plus a cursor, and owns no generator.  A
+:class:`StreamBatch` holds many as arrays; a single stream
+(:class:`RandomStream`) is a batch of one row.  Philox is counter based
+(Salmon et al., SC'11), so word ``w`` of a stream is a pure function of its
+key and ``w``: word ``w % 4`` of the 4-word block ``w // 4``, which Philox
+computes at counter ``w // 4 + 1``.  Words are read in one of two ways, with
+the same bits:
 
 * the native generator: a draw sets this thread's one numpy Philox generator
   to the key at the block that holds the cursor, discards the words before
@@ -41,7 +42,7 @@ every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` words, and
 the rest of the cursor's block of a longer one, which the native generator
 continues from the next block with no words to discard.  The kernel runs in
 passes of about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.
-Smaller batches, and so single streams, use the native generator alone.
+Smaller batches, single streams among them, use the native generator alone.
 """
 
 from __future__ import annotations
@@ -112,16 +113,6 @@ def check_label(theta: tuple) -> None:
     if len(theta) < 1:
         raise ValueError("stream label must be a nonempty integer sequence")
     _packed(theta)
-
-
-def _philox_key(root_seed: int, theta: tuple) -> int:
-    check_label(theta)
-    return int.from_bytes(_hasher(root_seed, theta).digest()[:16], "little")
-
-
-def _key_words(key: int) -> tuple:
-    """A 128-bit Philox key as its ``(low, high)`` 64-bit words."""
-    return key & _U64_MASK, key >> 64
 
 
 def philox_blocks(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -236,49 +227,14 @@ def _kernel_draw(keys, cursors, counts, rows, out) -> None:
     np.put(out, index, _uniforms(words))
 
 
-class RandomStream:
-    """Single-consumer draw source for one ``(root_seed, theta)`` address.
-
-    A record of the Philox ``key`` and the ``cursor``, the number of scalars
-    consumed so far (the word offset of the next draw).  The first draw must
-    be :meth:`uniform` or :meth:`skip_uniform`; all later draws are Gaussian.
-    """
-
-    __slots__ = ("key", "cursor")
-
-    def __init__(self, key: int):
-        self.key = key
-        self.cursor = 0
-
-    def uniform(self) -> float:
-        """Draw the stream's single uniform in [0, 1).  Must be the first draw."""
-        self.skip_uniform()
-        return _generator_at(_key_words(self.key), 0).random()
-
-    def skip_uniform(self) -> None:
-        """Move past the stream's uniform without drawing it."""
-        if self.cursor:
-            raise StreamOrderError("uniform must be the first draw on a stream")
-        self.cursor = 1
-
-    def gaussians(self, n: int) -> np.ndarray:
-        """Draw ``n`` independent standard normal scalars as a float64 array."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"gaussians needs an integer count, got {n!r}")
-        if n < 0:
-            raise ValueError(f"gaussians needs a count >= 0, got {n}")
-        out = np.empty((1, n))
-        fill_gaussians([self], np.array([n]), out)
-        return out[0]
-
-
 class StreamBatch:
     """Many streams as arrays, for batched draws.
 
     Row ``i`` is the stream with Philox key ``keys[i]`` (``(P, 2)`` uint64,
-    low word first) and cursor ``cursors[i]``, as in :class:`RandomStream`;
-    new streams start at cursor 0.  ``batch[rows]``, for an integer array
-    ``rows``, is a view of those rows: its draws move the cursors of ``batch``.
+    low word first) and cursor ``cursors[i]``, the number of scalars it has
+    consumed (the word offset of its next draw); new streams start at cursor
+    0.  ``batch[rows]``, for an integer array ``rows``, is a view of those
+    rows: its draws move the cursors of ``batch``.
     """
 
     __slots__ = ("keys", "cursors", "rows")
@@ -302,7 +258,11 @@ class StreamBatch:
     def uniforms(self, drawn: np.ndarray) -> np.ndarray:
         """Take every stream's first draw: draw the uniforms in [0, 1) of the
         streams where the boolean array ``drawn`` holds, in row order, and
-        skip the others' (see :meth:`RandomStream.skip_uniform`)."""
+        skip the others'.  Checks ``drawn`` and every cursor before any
+        cursor moves."""
+        if not (isinstance(drawn, np.ndarray) and drawn.dtype == bool
+                and drawn.shape == (len(self),)):
+            raise ValueError(f"drawn must be a boolean array of shape ({len(self)},)")
         keys, cursors = self._arrays()
         if np.count_nonzero(cursors):
             raise StreamOrderError("uniform must be the first draw on a stream")
@@ -319,12 +279,40 @@ class StreamBatch:
             self.cursors[self.rows] += counts
 
 
-def fill_gaussians(streams, counts, out: np.ndarray) -> None:
+class RandomStream(StreamBatch):
+    """Single-consumer draw source for one ``(root_seed, theta)`` address: a
+    :class:`StreamBatch` of one row.
+
+    The first draw must be :meth:`uniform` or :meth:`skip_uniform`; all later
+    draws are Gaussian.
+    """
+
+    __slots__ = ()
+
+    def uniform(self) -> float:
+        """Draw the stream's single uniform in [0, 1).  Must be the first draw."""
+        return self.uniforms(np.ones(1, bool))[0]
+
+    def skip_uniform(self) -> None:
+        """Move past the stream's uniform without drawing it."""
+        self.uniforms(np.zeros(1, bool))
+
+    def gaussians(self, n: int) -> np.ndarray:
+        """Draw ``n`` independent standard normal scalars as a float64 array."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"gaussians needs an integer count, got {n!r}")
+        if n < 0:
+            raise ValueError(f"gaussians needs a count >= 0, got {n}")
+        out = np.empty((1, n))
+        fill_gaussians(self, np.array([n]), out)
+        return out[0]
+
+
+def fill_gaussians(streams: StreamBatch, counts, out: np.ndarray) -> None:
     """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into ``out[i, :counts[i]]``.
 
-    ``streams`` is a sequence of :class:`RandomStream` or a
-    :class:`StreamBatch`, ``counts`` an integer array and ``out`` a float64
-    ``(len(streams), width)`` array; the rest of each row is left as it is.
+    ``counts`` is an integer array and ``out`` a float64 ``(len(streams),
+    width)`` array; the rest of each row is left as it is.
     Every stream must be past its uniform, and its cursor moves by its count.
     The raw words land in ``out`` as uniforms (:func:`draw_uniforms`), and one
     inverse-CDF pass maps them in place (:func:`uniforms_to_gaussians`).
@@ -333,17 +321,13 @@ def fill_gaussians(streams, counts, out: np.ndarray) -> None:
     uniforms_to_gaussians(counts, out)
 
 
-def draw_uniforms(streams, counts, out: np.ndarray) -> None:
+def draw_uniforms(streams: StreamBatch, counts, out: np.ndarray) -> None:
     """The draw phase of :func:`fill_gaussians`: the next ``counts[i]`` words of
     ``streams[i]`` as uniforms in [0, 1), in ``out[i, :counts[i]]``.
 
     Checks every stream and count before it draws or moves a cursor.
     """
-    if isinstance(streams, StreamBatch):
-        keys, cursors = streams._arrays()
-    else:
-        keys = np.array([_key_words(st.key) for st in streams], dtype=np.uint64).reshape(-1, 2)
-        cursors = np.array([st.cursor for st in streams], dtype=np.int64)
+    keys, cursors = streams._arrays()
     if not (len(counts) == len(cursors) == out.shape[0]):
         raise ValueError(f"need one count and one row of out per stream, got {len(counts)} "
                          f"counts and {out.shape[0]} rows for {len(cursors)} streams")
@@ -352,11 +336,7 @@ def draw_uniforms(streams, counts, out: np.ndarray) -> None:
     if np.count_nonzero(cursors) < len(cursors):
         raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
     _draw(keys, cursors, counts, out)
-    if isinstance(streams, StreamBatch):
-        streams._advance(counts)
-    else:
-        for st, cursor in zip(streams, (cursors + counts).tolist()):
-            st.cursor = cursor
+    streams._advance(counts)
 
 
 def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
@@ -372,13 +352,15 @@ def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
 
 
 def stream_for(root_seed: int, theta: tuple) -> RandomStream:
-    """Create the stream addressed by ``(root_seed, theta)``.
+    """Create the stream addressed by ``(root_seed, theta)``, a one-row batch.
 
     Deterministic: the same address always yields bit-identical draw
     sequences.  The root seed is reduced modulo 2**64.  Label elements must
     be integers (``int`` or ``np.integer``, not ``bool``).
     """
-    return RandomStream(_philox_key(root_seed, theta))
+    check_label(theta)
+    # a key is the first 16 digest bytes, little endian, as in keys_at
+    return RandomStream(np.frombuffer(_hasher(root_seed, theta).digest()[:16], dtype="<u8")[None])
 
 
 def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:

@@ -55,15 +55,15 @@ def _check_philox_kernel():
 def _check_label_concat():
     # a stream keyed under a parent label is the stream of the concatenated label
     batched = StreamBatch(keys_at(9, (0, 1, 1), np.array([2, -3], dtype="<i8").tobytes(), 16))
-    assert batched.uniforms(np.ones(1, bool))[0] == stream_for(9, (0, 1, 1) + (2, -3)).uniform()
+    assert np.array_equal(batched.keys, stream_for(9, (0, 1, 1) + (2, -3)).keys)
 
 
 def _check_euler_identity():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     st = stream_for(3, (5,))
     st.uniform()
-    states, counts = simulate_batch(prob, 8, [st], 0.25, np.array([0.7]), np.array([0.25]))
-    assert counts[0] == 0 and st.cursor == 1  # only the discarded uniform
+    states, counts = simulate_batch(prob, 8, st, 0.25, np.array([0.7]), np.array([0.25]))
+    assert counts[0] == 0 and st.cursors[0] == 1  # only the discarded uniform
     assert np.array_equal(states[0], np.array([0.7]))
     # 0.3 -> 0.9 on the grid of 4 steps: targets 0.5 (grid index 2), 0.75, then 0.9
     first, counts = _plan(np.array([0.3]), np.array([0.9]), 4, 1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from mlpicard.euler import DomainError, _plan, _targets, simulate_batch
-from mlpicard.rng import _generator_at, _key_words, _philox_key, stream_for
+from mlpicard.rng import StreamBatch, _generator_at, stream_for
 
 
 def _sum_ascending(values: np.ndarray) -> float:
@@ -19,7 +19,13 @@ def raw_uniform_sequence(root_seed, theta, count):
     Production consumers obey the one-uniform draw order, but distributional
     checks (correlation, KS) need long uniform sequences from a single label.
     """
-    return _generator_at(_key_words(_philox_key(root_seed, theta)), 0).random(count)
+    return _generator_at(stream_for(root_seed, theta).keys[0].tolist(), 0).random(count)
+
+
+def stacked(streams) -> StreamBatch:
+    """One batch of the given one-row streams, keys and cursors in order."""
+    return StreamBatch(np.concatenate([st.keys for st in streams]),
+                       np.concatenate([st.cursors for st in streams]))
 
 
 def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
@@ -82,7 +88,7 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
         st = stream_for(seed, theta + (0, -i))
         st.uniform()
         streams.append(st)
-    states, steps = simulate_batch(problem, N, streams, t, x, np.full(count, T))
+    states, steps = simulate_batch(problem, N, stacked(streams), t, x, np.full(count, T))
     total_steps = int(steps.sum())
     tally.euler_steps += total_steps
     tally.gaussians += d * total_steps
@@ -99,7 +105,7 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
         uniforms = np.array([st.uniform() for st in streams])
         tally.uniforms += count
         eval_times = np.minimum(t + (T - t) * uniforms, T)
-        states, steps = simulate_batch(problem, N, streams, t, x, eval_times)
+        states, steps = simulate_batch(problem, N, stacked(streams), t, x, eval_times)
         total_steps = int(steps.sum())
         tally.euler_steps += total_steps
         tally.gaussians += d * total_steps

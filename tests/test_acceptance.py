@@ -23,9 +23,9 @@ from mlpicard.harness import (
 )
 from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
-from mlpicard.rng import stream_for
+from mlpicard.rng import StreamBatch, fill_gaussians, keys_at, stream_for
 
-from helpers import build_recursive_family
+from helpers import build_recursive_family, stacked
 
 
 def _announce(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -204,22 +204,21 @@ def test_criterion_06_euler_strong_rate():
     steps_grid = [4, 16, 64, 256]
     errors = []
     for n_steps in steps_grid:
-        streams = []
-        for i in range(n_paths):
-            st = stream_for(60_000 + n_steps, (i,))
-            st.uniform()
-            streams.append(st)
+        # path i draws from stream (60_000 + n_steps, (i,)) past its uniform
+        keys = keys_at(60_000 + n_steps, (), np.arange(n_paths, dtype="<i8").tobytes(), 8)
+        streams, replay = StreamBatch(keys), StreamBatch(keys)
+        streams.uniforms(np.zeros(n_paths, bool))
         states, _ = simulate_batch(prob, n_steps, streams, 0.0, np.array([x0]),
                                    np.full(n_paths, horizon))
         # exact lognormal endpoint from the same increments
-        exact = np.empty(n_paths)
+        replay.uniforms(np.zeros(n_paths, bool))
+        increments = np.empty((n_paths, n_steps))
+        fill_gaussians(replay, np.full(n_paths, n_steps), increments)
         dt = horizon / n_steps
-        for i in range(n_paths):
-            st = stream_for(60_000 + n_steps, (i,))
-            st.uniform()
-            w_T = math.sqrt(dt) * st.gaussians(n_steps).sum()
-            exact[i] = x0 * math.exp((mu_bar - 0.5 * sigma_bar**2) * horizon
-                                     + sigma_bar * w_T)
+        exact = np.array([
+            x0 * math.exp((mu_bar - 0.5 * sigma_bar**2) * horizon + sigma_bar * w_T)
+            for w_T in (math.sqrt(dt) * increments.sum(axis=1)).tolist()
+        ])
         errors.append(math.sqrt(np.mean((states[:, 0] - exact) ** 2)))
     slope = float(np.polyfit(np.log(steps_grid), np.log(errors), 1)[0])
     ok = -0.65 <= slope <= -0.35
@@ -257,26 +256,27 @@ def test_criterion_08_mean_identity():
     lhs_mean = lhs_vals.mean()
     lhs_se = lhs_vals.std(ddof=1) / math.sqrt(lhs_vals.size)
 
+    # sample j draws its terminal path from stream (seed_j, (1,)), its level
+    # path from (seed_j, (2,)) and its inner estimate under (seed_j, (3,));
+    # each path depends only on its own stream, so both are batched over j
     rhs_samples = 20_000
-    rhs_vals = np.empty(rhs_samples)
-    for j in range(rhs_samples):
-        seed = 5_000_000 + j
-        term_stream = stream_for(seed, (1,))
-        term_stream.uniform()
-        terminal_state, _ = simulate_batch(prob, n_steps, [term_stream], 0.0,
-                                           np.zeros(1), np.array([horizon]))
-        g_part = float(prob.terminal(terminal_state)[0])
+    seeds = range(5_000_000, 5_000_000 + rhs_samples)
+    term_streams = stacked([stream_for(seed, (1,)) for seed in seeds])
+    term_streams.uniforms(np.ones(rhs_samples, bool))
+    terminal_states, _ = simulate_batch(prob, n_steps, term_streams, 0.0, np.zeros(1),
+                                        np.full(rhs_samples, horizon))
+    g_part = prob.terminal(terminal_states)
 
-        level_stream = stream_for(seed, (2,))
-        r = level_stream.uniform()
-        eval_time = min(horizon * r, horizon)
-        state, _ = simulate_batch(prob, n_steps, [level_stream], 0.0, np.zeros(1),
-                                  np.array([eval_time]))
-        inner = estimate(prob, MlpParams(n=1, M=2, euler_steps=n_steps, root_seed=seed),
-                         (3,), eval_time, state[0]).value
-        f_val = float(prob.nonlinearity(np.array([eval_time]), state,
-                                        np.array([inner]))[0])
-        rhs_vals[j] = g_part + horizon * f_val
+    level_streams = stacked([stream_for(seed, (2,)) for seed in seeds])
+    r = level_streams.uniforms(np.ones(rhs_samples, bool))
+    eval_times = np.minimum(horizon * r, horizon)
+    states, _ = simulate_batch(prob, n_steps, level_streams, 0.0, np.zeros(1), eval_times)
+    inner = np.array([
+        estimate(prob, MlpParams(n=1, M=2, euler_steps=n_steps, root_seed=seed),
+                 (3,), float(eval_time), state).value
+        for seed, eval_time, state in zip(seeds, eval_times, states)
+    ])
+    rhs_vals = g_part + horizon * prob.nonlinearity(eval_times, states, inner)
     rhs_mean = rhs_vals.mean()
     rhs_se = rhs_vals.std(ddof=1) / math.sqrt(rhs_samples)
 

@@ -13,7 +13,7 @@ from mlpicard.euler import DomainError, _plan, _targets, lyapunov_check, simulat
 from mlpicard.problems import Problem, instantiate
 from mlpicard.rng import StreamBatch, keys_at, stream_for
 
-from helpers import update_times, update_times_reference
+from helpers import stacked, update_times, update_times_reference
 
 
 def _path_stream(seed, theta):
@@ -51,7 +51,7 @@ class TestUpdateTimes:
             update_times(math.nan, 0.5, 4, 1.0)
         with pytest.raises(DomainError):
             simulate_batch(instantiate("heat-quadratic"), 4,
-                           [_path_stream(1, (1,))], np.array([0.2]), np.zeros(1), [1.5])
+                           _path_stream(1, (1,)), np.array([0.2]), np.zeros(1), [1.5])
 
     def test_count_is_pure_in_time_arguments(self):
         rng = np.random.default_rng(3)
@@ -132,15 +132,15 @@ class TestSimulate:
     @pytest.mark.parametrize("steps", [0, -1])
     def test_grid_without_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            simulate_batch(instantiate("heat-quadratic"), steps, [_path_stream(1, (1,))], 0.0,
+            simulate_batch(instantiate("heat-quadratic"), steps, _path_stream(1, (1,)), 0.0,
                            np.zeros(1), np.array([1.0]))
 
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")
         st = _path_stream(0, (1,))
-        states, counts = simulate_batch(prob, 16, [st], 0.4,
+        states, counts = simulate_batch(prob, 16, st, 0.4,
                                         np.array([1.5]), np.array([0.4]))
-        assert counts[0] == 0 and st.cursor == 1  # nothing drawn after the uniform
+        assert counts[0] == 0 and st.cursors[0] == 1  # nothing drawn after the uniform
         assert np.array_equal(states[0], np.array([1.5]))
 
     def test_gaussian_consumption_is_pure_in_plan(self):
@@ -148,9 +148,9 @@ class TestSimulate:
         N = 8
         for seed in (1, 2):
             st = _path_stream(seed, (4, seed))
-            _, counts = simulate_batch(prob, N, [st], 0.13, np.array([0.2]), np.array([0.77]))
+            _, counts = simulate_batch(prob, N, st, 0.13, np.array([0.2]), np.array([0.77]))
             assert counts[0] == len(update_times(0.13, 0.77, 8, prob.T))
-            assert st.cursor == 1 + counts[0] * prob.d
+            assert st.cursors[0] == 1 + counts[0] * prob.d
 
     def test_constant_coefficients_match_direct_formula_bitwise(self):
         # nontrivial constant drift and diagonal diffusion, d = 2
@@ -168,7 +168,7 @@ class TestSimulate:
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
         N = 8
-        states, counts = simulate_batch(prob, N, [_path_stream(9, (3, 3))], t, x,
+        states, counts = simulate_batch(prob, N, _path_stream(9, (3, 3)), t, x,
                                         np.array([s]))
 
         # step-by-step recurrence on the shared draws
@@ -188,8 +188,8 @@ class TestSimulate:
         N = 16
         x = np.array([0.1, -0.2, 0.3])
         end = np.array([1.0])
-        fast, fast_steps = simulate_batch(prob, N, [_path_stream(5, (2,))], 0.0, x, end)
-        slow, slow_steps = simulate_batch(stripped, N, [_path_stream(5, (2,))], 0.0, x, end)
+        fast, fast_steps = simulate_batch(prob, N, _path_stream(5, (2,)), 0.0, x, end)
+        slow, slow_steps = simulate_batch(stripped, N, _path_stream(5, (2,)), 0.0, x, end)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast_steps, slow_steps)
 
@@ -205,7 +205,7 @@ class TestSimulate:
 
         probed = dataclasses.replace(base, drift=recording_drift)
         t, s = 0.1, 0.65
-        _, counts = simulate_batch(probed, 4, [_path_stream(21, (8,))], t,
+        _, counts = simulate_batch(probed, 4, _path_stream(21, (8,)), t,
                                    np.array([0.4]), np.array([s]))
         plan = update_times(t, s, 4, 1.0)
         assert plan == [0.25, 0.5, 0.65]
@@ -213,7 +213,7 @@ class TestSimulate:
 
         # the last frozen state equals the path value at max{t, n T/N} = 0.5,
         # reproduced by an identically seeded shorter simulation
-        partial, _ = simulate_batch(base, 4, [_path_stream(21, (8,))], t,
+        partial, _ = simulate_batch(base, 4, _path_stream(21, (8,)), t,
                                     np.array([0.4]), np.array([0.5]))
         assert np.array_equal(seen[-1][0], partial[0])
         assert counts[0] == 3
@@ -222,10 +222,10 @@ class TestSimulate:
         prob = instantiate("scaled-bs")
         N = 8
         ends = np.array([0.3, 0.7, 1.0])
-        streams = [_path_stream(6, (1, i)) for i in range(3)]
+        streams = stacked([_path_stream(6, (1, i)) for i in range(3)])
         states, counts = simulate_batch(prob, N, streams, 0.1, np.array([1.0]), ends)
         for i in range(len(ends)):
-            single, single_count = simulate_batch(prob, N, [_path_stream(6, (1, i))], 0.1,
+            single, single_count = simulate_batch(prob, N, _path_stream(6, (1, i)), 0.1,
                                                   np.array([1.0]), ends[i:i + 1])
             assert np.array_equal(states[i], single[0])
             assert counts[i] == single_count[0]
@@ -349,7 +349,7 @@ class TestStrongRate:
         # the flat loop above is also the reference for the engine itself
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
         N = 16
-        states, _ = simulate_batch(prob, N, [_path_stream(55, (3,))], 0.0, np.array([1.0]),
+        states, _ = simulate_batch(prob, N, _path_stream(55, (3,)), 0.0, np.array([1.0]),
                                    np.array([1.0]))
         st = _path_stream(55, (3,))
         z = st.gaussians(16)
@@ -378,6 +378,7 @@ class TestLyapunovCheck:
         streams = [stream_for(31, (i,)) for i in range(paths)]
         for st in streams:
             st.skip_uniform()
+        streams = stacked(streams)
         states, _ = simulate_batch(prob, 8, streams, 0.1, np.array(x), np.full(paths, 0.9))
         phis = lyapunov_phi_batch(states, prob.lyapunov_a)
         assert res.empirical_mean == float(phis.mean())

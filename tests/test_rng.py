@@ -12,17 +12,15 @@ from scipy.special import ndtri
 
 from mlpicard import rng
 from mlpicard.rng import (
-    RandomStream,
     StreamBatch,
     StreamOrderError,
-    _philox_key,
     fill_gaussians,
     keys_at,
     philox_blocks,
     stream_for,
 )
 
-from helpers import raw_uniform_sequence
+from helpers import raw_uniform_sequence, stacked
 
 
 def test_same_address_is_bit_identical():
@@ -72,7 +70,7 @@ def test_non_integer_label_element_rejected(bad):
 def test_numpy_integer_labels_equal_int_labels():
     a = stream_for(1, (np.int64(2), np.int32(-3), np.uint8(4)))
     b = stream_for(1, (2, -3, 4))
-    assert a.key == b.key
+    assert np.array_equal(a.keys[0], b.keys[0])
 
 
 def test_label_element_outside_64_bits_rejected():
@@ -84,8 +82,8 @@ def test_batch_keys_equal_single_keys():
     pairs = [(0, -1), (0, -2), (3, 7), (-2, 5), (np.int64(1), np.int64(1))]
     for parent in [(0,), (4, -1, 2), ()]:
         batch = StreamBatch(keys_at(9, parent, np.array(pairs, dtype="<i8").tobytes(), 16))
-        assert [low | high << 64 for low, high in batch.keys.tolist()] == [
-            stream_for(9, parent + tuple(p)).key for p in pairs]
+        assert batch.keys.tolist() == [
+            stream_for(9, parent + tuple(p)).keys[0].tolist() for p in pairs]
         assert np.all(batch.cursors == 0)
 
 
@@ -97,7 +95,7 @@ def test_bad_gaussian_count_rejected_before_the_cursor_moves(bad, error):
     st.gaussians(2)
     with pytest.raises(error):
         st.gaussians(bad)
-    assert st.cursor == 3
+    assert st.cursors[0] == 3
     reference = stream_for(4, (1,))
     reference.uniform()
     assert np.array_equal(st.gaussians(4), reference.gaussians(6)[2:])
@@ -113,7 +111,7 @@ def test_skip_uniform_moves_past_the_uniform_only():
     skipped, drawn = stream_for(6, (1, 1)), stream_for(6, (1, 1))
     skipped.skip_uniform()
     drawn.uniform()
-    assert skipped.cursor == drawn.cursor == 1
+    assert skipped.cursors[0] == drawn.cursors[0] == 1
     assert np.array_equal(skipped.gaussians(7), drawn.gaussians(7))
     with pytest.raises(StreamOrderError):
         skipped.skip_uniform()
@@ -128,19 +126,20 @@ def test_fill_gaussians_matches_per_stream_draws_and_keeps_padding():
     for st, one in zip(streams, singles):
         st.uniform(), one.uniform()
         st.gaussians(3), one.gaussians(3)
+    batch = stacked(streams)
     out = np.full((4, 10), 7.0)
-    fill_gaussians(streams, counts, out)
-    for row, n, st, one in zip(out, counts, streams, singles):
+    fill_gaussians(batch, counts, out)
+    for row, n, cursor, one in zip(out, counts, batch.cursors, singles):
         assert np.array_equal(row[:n], one.gaussians(int(n)))
         assert np.all(row[n:] == 7.0)
-        assert st.cursor == 4 + n
+        assert cursor == 4 + n
 
 
 def test_fill_gaussians_needs_the_uniform_first():
     st = stream_for(0, (5,))
     with pytest.raises(StreamOrderError):
-        fill_gaussians([st], np.array([2]), np.zeros((1, 2)))
-    assert st.cursor == 0
+        fill_gaussians(st, np.array([2]), np.zeros((1, 2)))
+    assert st.cursors[0] == 0
 
 
 def test_draws_construct_no_generator(monkeypatch):
@@ -162,19 +161,19 @@ def test_draws_construct_no_generator(monkeypatch):
 
 def test_cursor_counts_scalars():
     st = stream_for(5, (9,))
-    assert st.cursor == 0
+    assert st.cursors[0] == 0
     st.uniform()
-    assert st.cursor == 1
+    assert st.cursors[0] == 1
     st.gaussians(3)
-    assert st.cursor == 4
+    assert st.cursors[0] == 4
 
 
 def test_gaussian_vector_consumes_exactly_d_scalars():
     st = stream_for(11, (4,))
     st.uniform()
-    before = st.cursor
+    before = st.cursors[0]
     st.gaussians(3)
-    assert st.cursor - before == 3
+    assert st.cursors[0] - before == 3
 
 
 def test_successive_gaussian_calls_are_disjoint():
@@ -231,7 +230,7 @@ PINNED = [
 
 def _reference_words(seed, theta, count):
     """The first ``count`` words of a freshly keyed Philox generator."""
-    return np.random.Philox(key=_philox_key(seed, theta)).random_raw(count)
+    return np.random.Philox(key=stream_for(seed, theta).keys[0]).random_raw(count)
 
 
 def _reference_gaussians(words):
@@ -255,7 +254,7 @@ def test_split_draws_match_one_draw_and_reference(seed, theta):
     split, whole = stream_for(seed, theta), stream_for(seed, theta)
     split.uniform(), whole.uniform()
     parts = np.concatenate([split.gaussians(3), split.gaussians(1), split.gaussians(5)])
-    assert split.cursor == whole.cursor + 9
+    assert split.cursors[0] == whole.cursors[0] + 9
     one = whole.gaussians(9)
     assert np.array_equal(parts, one)
     assert np.array_equal(one, _reference_gaussians(_reference_words(seed, theta, 10)[1:]))
@@ -331,8 +330,14 @@ def _key_array(keys):
     return np.array([(k & (2**64 - 1), k >> 64) for k in keys], dtype=np.uint64).reshape(-1, 2)
 
 
+def _key_int(seed, theta):
+    """The 128-bit Philox key of a stream as one integer."""
+    low, high = stream_for(seed, theta).keys[0].tolist()
+    return low | high << 64
+
+
 @pytest.mark.parametrize("key", [0, 2**64 - 1, (2**64 - 1) << 64, 2**128 - 1,
-                                 _philox_key(11, (0, -1, -7))])
+                                 _key_int(11, (0, -1, -7))])
 def test_kernel_blocks_equal_numpy_philox(key):
     blocks = np.arange(21)
     words = philox_blocks(_key_array([key] * len(blocks)), blocks)
@@ -351,7 +356,7 @@ def test_kernel_blocks_equal_numpy_philox_at_any_key_and_block(pairs):
 
 
 def test_kernel_uniforms_are_the_top_53_bits():
-    key = _philox_key(3, (1, 2))
+    key = _key_int(3, (1, 2))
     raw = philox_blocks(_key_array([key] * 4), np.arange(4)).reshape(-1)
     expected = (raw >> np.uint64(11)) * 2.0**-53
     assert np.array_equal(rng._uniforms(raw), expected)
@@ -359,7 +364,7 @@ def test_kernel_uniforms_are_the_top_53_bits():
 
 
 def _batch(size, seed=21):
-    """``size`` streams of one parent label, as records and as one batch."""
+    """``size`` streams of one parent label, one by one and as one batch."""
     pairs = [(1, i) for i in range(size)]
     keys = keys_at(seed, (4,), np.array(pairs, dtype="<i8").tobytes(), 16)
     return [stream_for(seed, (4,) + p) for p in pairs], StreamBatch(keys)
@@ -378,11 +383,26 @@ def test_batch_uniforms_equal_stream_uniforms(size):
         batch[np.arange(2)].uniforms(np.ones(2, bool))
 
 
+@pytest.mark.parametrize("drawn", [np.ones(3, bool), np.array([1, 0, 1, 1]),
+                                   np.ones((4, 1), bool), [True, False, True, True]])
+def test_uniforms_reject_a_mask_that_is_not_one_bool_per_stream(drawn):
+    # a short mask, row indices, a 2-d mask and a list: no cursor moves
+    _, batch = _batch(4)
+    with pytest.raises(ValueError, match="boolean array of shape"):
+        batch.uniforms(drawn)
+    assert not batch.cursors.any()
+    st = stream_for(21, (4, 1, 0))
+    with pytest.raises(ValueError, match="boolean array of shape"):
+        st.uniforms(np.array([1]))
+    assert st.cursors[0] == 0
+    assert batch.uniforms(np.array([True, False, True, True])).tolist() == [
+        stream_for(21, (4, 1, i)).uniform() for i in (0, 2, 3)]
+
+
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
                                   2 * rng._KERNEL_MIN_STREAMS])
-@pytest.mark.parametrize("as_batch", [False, True])
 @pytest.mark.parametrize("blocks_per_pass", [None, 5])
-def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, monkeypatch):
+def test_hybrid_fill_equals_one_stream_draws(size, blocks_per_pass, monkeypatch):
     # short and long rows mixed, at cursors 1-5, with counts around the
     # stream-length cutover; in one kernel pass or in many
     if blocks_per_pass:
@@ -392,29 +412,27 @@ def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, mo
     cursors = 1 + np.arange(size) % 5
     counts = np.array([lengths[i % len(lengths)] for i in range(size)][::-1])
     singles, batch = _batch(size)
-    records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
-    for st, one, cursor in zip(records, singles, cursors.tolist()):
-        st.skip_uniform(), one.skip_uniform()
-        st.gaussians(cursor - 1), one.gaussians(cursor - 1)
+    for one, cursor in zip(singles, cursors.tolist()):
+        one.skip_uniform()
+        one.gaussians(cursor - 1)
     batch.cursors[:] = cursors
     rows = np.arange(size)[::-1]  # a view of the batch in another order
-    streams = batch[rows] if as_batch else [records[i] for i in rows]
     out = np.zeros((size, counts.max() + 3))
-    fill_gaussians(streams, counts, out)
+    fill_gaussians(batch[rows], counts, out)
     for row, n, i in zip(out, counts.tolist(), rows.tolist()):
         assert np.array_equal(row[:n], singles[i].gaussians(n))
         assert np.all(row[n:] == 0.0)
-    moved = batch.cursors if as_batch else np.array([st.cursor for st in records])
-    assert np.array_equal(moved[rows], cursors[rows] + counts)
+    assert np.array_equal(batch.cursors[rows], cursors[rows] + counts)
 
 
 def test_fill_checks_every_stream_before_drawing():
     streams = [stream_for(2, (i,)) for i in range(3)]
     streams[0].skip_uniform(), streams[2].skip_uniform()
+    batch = stacked(streams)
     with pytest.raises(StreamOrderError):
-        fill_gaussians(streams, np.array([2, 2, 2]), np.zeros((3, 2)))
-    assert [st.cursor for st in streams] == [1, 0, 1]
+        fill_gaussians(batch, np.array([2, 2, 2]), np.zeros((3, 2)))
+    assert batch.cursors.tolist() == [1, 0, 1]
     _, batch = _batch(rng._KERNEL_MIN_STREAMS)
     with pytest.raises(StreamOrderError):
         fill_gaussians(batch, np.ones(len(batch), dtype=np.int64), np.zeros((len(batch), 1)))
@@ -422,22 +440,17 @@ def test_fill_checks_every_stream_before_drawing():
 
 
 @pytest.mark.parametrize("size", [3, rng._KERNEL_MIN_STREAMS])
-@pytest.mark.parametrize("as_batch", [False, True])
 @pytest.mark.parametrize("counts, shape", [
     ("wide", None),      # one count wider than out's rows
     ("negative", None),  # one count below zero
     ("short", None),     # one count fewer than the streams
     (None, "rows"),      # one row of out more than the streams
 ])
-def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
+def test_fill_rejects_counts_that_do_not_fit_out(size, counts, shape):
     # with fewer than _KERNEL_MIN_STREAMS streams the native generator draws,
     # with more the kernel; either way nothing is drawn and no cursor moves
     singles, batch = _batch(size)
-    records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
-    for st in records:
-        st.skip_uniform()
-    streams = batch if as_batch else records
     n = np.full(size, 2)
     if counts == "wide":
         n[size // 2] = 4
@@ -447,13 +460,12 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
         n = n[1:]
     out = np.full((size + (shape == "rows"), 3), 7.0)
     with pytest.raises(ValueError):
-        fill_gaussians(streams, n, out)
-    cursors = batch.cursors if as_batch else np.array([st.cursor for st in records])
-    assert np.all(cursors == 1)
+        fill_gaussians(batch, n, out)
+    assert np.all(batch.cursors == 1)
     assert np.all(out == 7.0)
     m = size // 2
     after = np.empty((1, 3))
-    fill_gaussians(batch[np.array([m])] if as_batch else [records[m]], np.array([3]), after)
+    fill_gaussians(batch[np.array([m])], np.array([3]), after)
     singles[m].skip_uniform()
     assert np.array_equal(after[0], singles[m].gaussians(3))
 
@@ -464,8 +476,9 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
 
 @pytest.fixture(scope="module")
 def first_uniforms():
-    # one real uniform draw per stream, 1e5 distinct labels
-    return np.array([stream_for(271828, (i,)).uniform() for i in range(100_000)])
+    # one real uniform draw per stream, 1e5 distinct labels (271828, (i,))
+    labels = np.arange(100_000, dtype="<i8").tobytes()
+    return StreamBatch(keys_at(271828, (), labels, 8)).uniforms(np.ones(100_000, bool))
 
 
 def test_uniform_mean(first_uniforms):

@@ -401,10 +401,13 @@ def test_uniforms_reject_a_mask_that_is_not_one_bool_per_stream(drawn):
 
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
                                   2 * rng._KERNEL_MIN_STREAMS])
+@pytest.mark.parametrize("as_batch", [False, True])
 @pytest.mark.parametrize("blocks_per_pass", [None, 5])
-def test_hybrid_fill_equals_one_stream_draws(size, blocks_per_pass, monkeypatch):
+def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, monkeypatch):
     # short and long rows mixed, at cursors 1-5, with counts around the
-    # stream-length cutover; in one kernel pass or in many
+    # stream-length cutover; in one kernel pass or in many; drawn from a
+    # view of one keys_at batch, or from one-row streams moved one by one
+    # and then stacked
     if blocks_per_pass:
         monkeypatch.setattr(rng, "_KERNEL_BLOCKS", blocks_per_pass)
     cut = rng._KERNEL_MAX_WORDS
@@ -412,18 +415,21 @@ def test_hybrid_fill_equals_one_stream_draws(size, blocks_per_pass, monkeypatch)
     cursors = 1 + np.arange(size) % 5
     counts = np.array([lengths[i % len(lengths)] for i in range(size)][::-1])
     singles, batch = _batch(size)
+    records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
-    for one, cursor in zip(singles, cursors.tolist()):
-        one.skip_uniform()
-        one.gaussians(cursor - 1)
+    for st, one, cursor in zip(records, singles, cursors.tolist()):
+        st.skip_uniform(), one.skip_uniform()
+        st.gaussians(cursor - 1), one.gaussians(cursor - 1)
     batch.cursors[:] = cursors
     rows = np.arange(size)[::-1]  # a view of the batch in another order
+    streams = batch[rows] if as_batch else stacked([records[i] for i in rows])
     out = np.zeros((size, counts.max() + 3))
-    fill_gaussians(batch[rows], counts, out)
+    fill_gaussians(streams, counts, out)
     for row, n, i in zip(out, counts.tolist(), rows.tolist()):
         assert np.array_equal(row[:n], singles[i].gaussians(n))
         assert np.all(row[n:] == 0.0)
-    assert np.array_equal(batch.cursors[rows], cursors[rows] + counts)
+    moved = batch.cursors[rows] if as_batch else streams.cursors
+    assert np.array_equal(moved, cursors[rows] + counts)
 
 
 def test_fill_checks_every_stream_before_drawing():
@@ -440,17 +446,23 @@ def test_fill_checks_every_stream_before_drawing():
 
 
 @pytest.mark.parametrize("size", [3, rng._KERNEL_MIN_STREAMS])
+@pytest.mark.parametrize("as_batch", [False, True])
 @pytest.mark.parametrize("counts, shape", [
     ("wide", None),      # one count wider than out's rows
     ("negative", None),  # one count below zero
     ("short", None),     # one count fewer than the streams
     (None, "rows"),      # one row of out more than the streams
 ])
-def test_fill_rejects_counts_that_do_not_fit_out(size, counts, shape):
+def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
     # with fewer than _KERNEL_MIN_STREAMS streams the native generator draws,
-    # with more the kernel; either way nothing is drawn and no cursor moves
+    # with more the kernel; either way nothing is drawn and no cursor moves,
+    # in one keys_at batch or in a stack of one-row streams
     singles, batch = _batch(size)
+    records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
+    for st in records:
+        st.skip_uniform()
+    streams = batch if as_batch else stacked(records)
     n = np.full(size, 2)
     if counts == "wide":
         n[size // 2] = 4
@@ -460,12 +472,12 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, counts, shape):
         n = n[1:]
     out = np.full((size + (shape == "rows"), 3), 7.0)
     with pytest.raises(ValueError):
-        fill_gaussians(batch, n, out)
-    assert np.all(batch.cursors == 1)
+        fill_gaussians(streams, n, out)
+    assert np.all(streams.cursors == 1)
     assert np.all(out == 7.0)
     m = size // 2
     after = np.empty((1, 3))
-    fill_gaussians(batch[np.array([m])], np.array([3]), after)
+    fill_gaussians(streams[np.array([m])], np.array([3]), after)
     singles[m].skip_uniform()
     assert np.array_equal(after[0], singles[m].gaussians(3))
 

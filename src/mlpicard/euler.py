@@ -13,20 +13,21 @@ floating-point equality against ``s``.  One vectorized planner states this
 for a whole batch.
 
 A batch may mix start points, so one call can simulate every path of one
-depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
-so a chunk's live ``(rows, steps, d)`` draw buffer stays below
-``_CHUNK_SCALARS`` whatever the batch size.  The calling thread reads a
-chunk's draws straight into that buffer as uniforms, and one inverse-CDF
-pass turns them into Brownian increments there.  In a call of more than one
-chunk, one helper thread runs that pass: on chunk k while the caller draws
-chunk k + 1, and on chunk k + 1 while the caller steps chunk k, so two
-chunks may be live at once.  The pass is whole-buffer ufuncs, which release
-the GIL; the draws, the ``Problem`` callables and the stepping loop stay on
-the calling thread.  The helper is started per call and joined before the
-call returns or raises, so no thread is left when the harness forks its
-pool.  A call of one chunk runs the pass inline and starts no thread.  Every
-path draws from its own stream and the pass works element by element, so
-neither the chunks nor the helper change a value.
+depth of the MLP tree.  Its rows are stepped in chunks, longest path first;
+a chunk holds only its ``(rows, steps, d)`` increments and ``(rows, steps)``
+step sizes (a window over the grid's gaps, with each path's first and last
+step set from its own ``t`` and ``s``), at most ``_CHUNK_SCALARS`` scalars.
+The caller reads a chunk's draws into its increments as uniforms; one pass
+plans the step sizes and maps the uniforms to Brownian increments in place.
+In a call of more than one chunk, a helper thread runs that pass on chunk k
+while the caller steps chunk k - 1 and then draws chunk k + 1, so two chunks
+may be live at once.  The pass is whole-buffer numpy, which releases the
+GIL; the draws, the ``Problem`` callables and the stepping loop (in place,
+through two scratch arrays, in the operation order of ``y + (drift * dt +
+diffusion * inc)``) stay on the caller.  The helper is joined before the call
+returns or raises, so no thread is left when the harness forks its pool; a
+call of one chunk maps inline.  Every path draws from its own stream and the
+pass works element by element, so neither chunks nor helper change a value.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from .bounds import lyapunov_phi_batch
 from .problems import Problem
 from .rng import StreamBatch, draw_uniforms, keys_at, uniforms_to_gaussians
 
-# Upper bound on the scalars in one chunk's live buffers: 2^19 float64s, 4 MiB.
+# Upper bound on the scalars in one chunk's live buffers, W * (d + 2) for a row
+# of W steps (increments, step sizes, their transient square roots; the table
+# was measured when a target-time grid held the third share): 2^19, 4 MiB.
 # Larger chunks take fewer trips through the stepping loop; each doubling adds
 # a few MiB of peak RSS.  Measured (2-vCPU VM, numpy 2.4) on one estimate of
 # scaled-bs d=8 at (n, M, N) = (2, 32, 256) and of nonlinear-coeff-sine d=1 at
@@ -89,14 +92,18 @@ def _plan(t: np.ndarray, s: np.ndarray, steps: int, T: float):
     return first, counts
 
 
-def _targets(first, counts, ends, width: int, steps: int, T: float) -> np.ndarray:
-    """Update targets of planned paths, ``(P, width)``, padded with the end time."""
-    j = np.arange(width)
-    grid = np.add.outer(first, j).astype(float)
-    grid *= T
-    grid /= steps
-    np.copyto(grid, ends[:, None], where=j >= counts[:, None] - 1)
-    return grid
+def _step_sizes(first, counts, t, ends, width: int, steps: int, T: float) -> np.ndarray:
+    """Step sizes of planned paths, ``(P, width)``: row i is a window of the gaps
+    of the grid from ``first[i] - 1``, the columns past its count never stepped."""
+    grid = np.arange(steps + width + 1) * T / steps
+    gaps = grid[1:] - grid[:-1]
+    # window k is gaps[k:k + width]; sliding_window_view costs ~17 us a call
+    dts = np.ndarray((steps + 1, width), float, gaps, strides=gaps.strides * 2)[first - 1]
+    if width:  # the first step leaves t, the last reaches the path's end
+        last = np.maximum(counts - 1, 0)
+        dts[:, 0] = grid[first] - t
+        dts[np.arange(len(dts)), last] = ends - np.where(counts > 1, grid[first + last - 1], t)
+    return dts
 
 
 def _done(fn, *args) -> Future:
@@ -127,41 +134,40 @@ def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end
         return states, counts
 
     order = np.argsort(-counts, kind="stable")
-    # chunk k is rows order[cuts[k]:cuts[k + 1]]; its live buffers (targets,
-    # dts and the (rows, W, d) increments) hold at most _CHUNK_SCALARS scalars
+    # chunk k is rows order[cuts[k]:cuts[k + 1]]; its live buffers (the
+    # increments, step sizes and square roots) hold at most _CHUNK_SCALARS scalars
     cuts = [0]
     while cuts[-1] < P:
         W = max(int(counts[order[cuts[-1]]]), 1)
         cuts.append(min(P, cuts[-1] + max(1, _CHUNK_SCALARS // (W * (d + 2)))))
 
     def drawn(lo: int, hi: int):
-        """Chunk ``order[lo:hi]`` with its dts, and its draws as uniforms."""
+        """Chunk ``order[lo:hi]`` with its draws as uniforms."""
         rows = order[lo:hi]
         c = counts[rows]
-        W = int(c[0])
-        targets = _targets(first[rows], c, ends[rows], W, N, T)
-        dts = np.empty_like(targets)
-        dts[:, :1] = targets[:, :1] - t[rows, None]
-        np.subtract(targets[:, 1:], targets[:, :-1], out=dts[:, 1:])
-        incs = np.zeros((len(rows), W, d))
+        incs = np.zeros((len(rows), int(c[0]), d))
         draw_uniforms(streams[rows], c * d, incs.reshape(len(rows), -1))
-        return rows, c, targets, dts, incs
+        return rows, c, incs
 
-    def mapped(rows, c, targets, dts, incs):
-        """The chunk's uniforms as Brownian increments, in place.  Whole-buffer
-        ufuncs only, which release the GIL, so the helper thread runs it."""
+    def mapped(rows, c, incs):
+        """The chunk's step sizes, and its uniforms as Brownian increments in place.
+        Whole-buffer numpy only, which releases the GIL, so the helper runs it."""
+        dts = _step_sizes(first[rows], c, t[rows], ends[rows], incs.shape[1], N, T)
         uniforms_to_gaussians(c * d, incs.reshape(len(rows), -1))
-        incs *= np.sqrt(dts, out=targets)[:, :, None]
+        incs *= np.sqrt(dts)[:, :, None]
         return rows, c, dts, incs
 
     def step(rows, c, dts, incs):
         y = states[rows]
+        drift_dt, noise = np.empty_like(y), np.empty_like(y)
         # rows are longest first, so the paths still moving at step k are a prefix
         active = np.searchsorted(-c, -np.arange(dts.shape[1]), side="left")
         for k, a in enumerate(active.tolist()):
-            ya = y[:a]
-            y[:a] = ya + (problem.drift(ya) * dts[:a, k, None]
-                          + problem.diffusion(ya) * incs[:a, k])
+            ya, fa, ga = y[:a], drift_dt[:a], noise[:a]
+            np.multiply(problem.drift(ya), dts[:a, k, None], out=fa)
+            np.multiply(problem.diffusion(ya), incs[:a, k], out=ga)
+            fa += ga
+            ya += fa
         states[rows] = y
 
     # The caller draws chunk k + 1 while the helper maps chunk k, and steps
@@ -190,6 +196,9 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.d,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite with shape ({problem.d},), got {x.tolist()}")
     streams = StreamBatch(keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8))
     streams.uniforms(np.zeros(paths, bool))  # path-only use; the uniforms are never drawn
     states, _ = simulate_batch(problem, steps, streams, t, x, np.full(paths, s))

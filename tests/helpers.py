@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mlpicard.euler import DomainError, _plan, _targets, simulate_batch
+from mlpicard.euler import DomainError, _plan, simulate_batch
 from mlpicard.rng import StreamBatch, _generator_at, stream_for
 
 
@@ -49,10 +49,10 @@ def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
 
 def update_times(t, s, steps, T):
     """One path's update targets from the vectorized planner: interior grid
-    times in ``(t, s)`` in ascending order, then ``s`` itself."""
-    s = np.array([s], dtype=float)
-    first, counts = _plan(np.array([t], dtype=float), s, steps, T)
-    return _targets(first, counts, s, int(counts[0]), steps, T)[0].tolist()
+    times ``k * T / steps`` in ``(t, s)`` in ascending order, then ``s`` itself."""
+    first, counts = _plan(np.array([t], dtype=float), np.array([s], dtype=float), steps, T)
+    k, c = int(first[0]), int(counts[0])
+    return [j * T / steps for j in range(k, k + c - 1)] + [float(s)] * (c > 0)
 
 
 def update_times_reference(t, s, steps, T):

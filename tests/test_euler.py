@@ -9,9 +9,9 @@ import pytest
 
 from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
-from mlpicard.euler import DomainError, _plan, _targets, lyapunov_check, simulate_batch
+from mlpicard.euler import DomainError, _plan, _step_sizes, lyapunov_check, simulate_batch
 from mlpicard.problems import Problem, instantiate
-from mlpicard.rng import StreamBatch, keys_at, stream_for
+from mlpicard.rng import StreamBatch, fill_gaussians, keys_at, stream_for
 
 from helpers import stacked, update_times, update_times_reference
 
@@ -104,10 +104,10 @@ class TestPlannerMatchesScalarLoop:
             ts, ss = _planner_cases(rng, T, N, 300)
             first, counts = _plan(np.array(ts), np.array(ss), N, T)
             width = int(counts.max())
-            batch = _targets(first, counts, np.array(ss), width, N, T)
+            dts = _step_sizes(first, counts, np.array(ts), np.array(ss), width, N, T)
             for i, (t, s) in enumerate(zip(ts, ss)):
                 want = update_times_reference(t, s, N, T)
-                assert batch[i, : counts[i]].tolist() == want, (t, s, N, T)
+                assert dts[i, : counts[i]].tolist() == np.diff([t] + want).tolist(), (t, s, N, T)
                 assert update_times(t, s, N, T) == want, (t, s, N, T)
             pairs += len(ts)
         assert pairs * 3 >= 10_000
@@ -122,9 +122,11 @@ def _mixed_paths(prob, P, seed):
     return t, rng.uniform(0.5, 1.5, (P, prob.d)), ends
 
 
-def _path_batch(P, seed):
+def _path_batch(P, seed, drawn=True):
+    """Streams ``(seed, (i,))``; the even rows draw their uniform if ``drawn``,
+    the others skip it."""
     streams = StreamBatch(keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8))
-    streams.uniforms(np.arange(P) % 2 == 0)
+    streams.uniforms((np.arange(P) % 2 == 0) & drawn)
     return streams
 
 
@@ -248,6 +250,41 @@ class TestSimulate:
                 assert np.array_equal(a, b)
 
 
+    def test_every_path_of_zero_length(self):
+        prob = instantiate("scaled-bs", d=3)
+        t = np.array([0.0, 0.4, 1.0])
+        first, counts = _plan(t, t, 8, prob.T)
+        assert _step_sizes(first, counts, t, t, 0, 8, prob.T).shape == (3, 0)
+        streams = _path_batch(3, 4)
+        x = np.arange(9.0).reshape(3, 3)
+        states, counts = simulate_batch(prob, 8, streams, t, x, t)
+        assert np.array_equal(states, x) and not counts.any()
+        assert np.array_equal(streams.cursors, _path_batch(3, 4).cursors)
+
+    def test_coefficients_returning_their_argument(self, monkeypatch):
+        # drift and diffusion hand back the states being stepped, so an
+        # update that wrote before it read would change the path
+        prob = dataclasses.replace(instantiate("scaled-bs", d=2),
+                                   drift=lambda y: y, diffusion=lambda y: y)
+        P, N = 60, 16
+        t, x, ends = _mixed_paths(prob, P, 9)
+        monkeypatch.setattr(euler, "_CHUNK_SCALARS", 10 * (N + 1) * (prob.d + 2))
+        states, counts = simulate_batch(prob, N, _path_batch(P, 13), t, x, ends)
+        singles = _path_batch(P, 13)
+        for i in range(P):
+            row = np.array([i])
+            one, _ = simulate_batch(prob, N, singles[row], t[row], x[row], ends[row])
+            assert np.array_equal(one[0], states[i])
+            # the flat recurrence on the same draws
+            dts = np.diff([t[i]] + update_times(t[i], ends[i], N, prob.T))
+            z = np.zeros((1, counts[i] * prob.d))
+            fill_gaussians(_path_batch(P, 13)[row], counts[row] * prob.d, z)
+            y = x[i]
+            for dt, inc in zip(dts, np.sqrt(dts)[:, None] * z.reshape(-1, prob.d)):
+                y = y + (y * dt + y * inc)
+            assert np.array_equal(y, states[i])
+
+
 class TestPipeline:
     """Chunk k + 1 is drawn and mapped to Gaussians while chunk k is stepped."""
 
@@ -321,26 +358,28 @@ class TestPipeline:
 
 class TestStrongRate:
     def test_halforder_strong_convergence_on_gbm(self):
-        # paired with the exact lognormal solution on shared increments
+        # paired with the exact lognormal solution on shared increments;
+        # path i draws from stream (100 + n_steps, (i,)) past its skipped uniform
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
         mu_bar, sigma_bar = 0.06, 0.4
         T, x0, n_paths = 1.0, 1.0, 2000
         errors = []
         steps_grid = [4, 16, 64, 256]
         for n_steps in steps_grid:
+            streams = _path_batch(n_paths, 100 + n_steps, drawn=False)
+            z = np.zeros((n_paths, n_steps))
+            fill_gaussians(streams, np.full(n_paths, n_steps), z)
+            dt = T / n_steps
+            increments = math.sqrt(dt) * z
+            # Euler on the same increments, all paths at once
+            y = np.full(n_paths, x0)
+            for k in range(n_steps):
+                y = y + (mu_bar * y * dt + sigma_bar * y * increments[:, k])
             sq = 0.0
             for i in range(n_paths):
-                st = _path_stream(100 + n_steps, (i,))
-                z = st.gaussians(n_steps)
-                dt = T / n_steps
-                increments = math.sqrt(dt) * z
-                # Euler on the same increments
-                y = x0
-                for k in range(n_steps):
-                    y = y + (mu_bar * y * dt + sigma_bar * y * increments[k])
-                w_T = increments.sum()
+                w_T = increments[i].sum()
                 exact = x0 * math.exp((mu_bar - 0.5 * sigma_bar**2) * T + sigma_bar * w_T)
-                sq += (y - exact) ** 2
+                sq += (y[i] - exact) ** 2
             errors.append(math.sqrt(sq / n_paths))
         slope = np.polyfit(np.log(steps_grid), np.log(errors), 1)[0]
         assert -0.65 <= slope <= -0.35
@@ -365,6 +404,13 @@ class TestLyapunovCheck:
         x = np.array([0.5, -1.0])
         res = lyapunov_check(prob, 4, 0.3, x, 0.3, paths=64, seed=0)
         assert res.empirical_mean == prob.phi(x)
+
+    @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [[0.5, -1.0]]])
+    def test_rejects_bad_x_before_drawing(self, x, monkeypatch):
+        prob = instantiate("heat-quadratic", d=2)
+        monkeypatch.setattr(euler, "keys_at", None)  # any draw would fail here
+        with pytest.raises(ValueError, match="x must"):
+            lyapunov_check(prob, 4, 0.0, np.array(x), 1.0, paths=8, seed=0)
 
     @pytest.mark.parametrize("paths", [5, 300])
     @pytest.mark.parametrize("name,overrides,x", [

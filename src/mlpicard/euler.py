@@ -21,7 +21,7 @@ The caller reads a chunk's draws into its increments as uniforms; one pass
 plans the step sizes and maps the uniforms to Brownian increments in place.
 In a call of more than one chunk, a helper thread runs that pass on chunk k
 while the caller steps chunk k - 1 and then draws chunk k + 1, so two chunks
-may be live at once.  The pass is whole-buffer numpy, which releases the
+may be live at once.  The pass is whole-buffer numpy, mostly without the
 GIL; the draws, the ``Problem`` callables and the stepping loop (in place,
 through two scratch arrays, in the operation order of ``y + (drift * dt +
 diffusion * inc)``) stay on the caller.  The helper is joined before the call
@@ -151,7 +151,7 @@ def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end
 
     def mapped(rows, c, incs):
         """The chunk's step sizes, and its uniforms as Brownian increments in place.
-        Whole-buffer numpy only, which releases the GIL, so the helper runs it."""
+        Whole-buffer numpy, mostly without the GIL, so the helper runs it."""
         dts = _step_sizes(first[rows], c, t[rows], ends[rows], incs.shape[1], N, T)
         uniforms_to_gaussians(c * d, incs.reshape(len(rows), -1))
         incs *= np.sqrt(dts)[:, :, None]

@@ -30,7 +30,7 @@ from .mlp import (
     estimate_many,
 )
 from .problems import CATALOGUE, Problem, instantiate, validate
-from .rng import RNG_ALGORITHM, RandomStream, stream_for
+from .rng import RNG_ALGORITHM, stream_for
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "MlpParams",
     "Problem",
     "RNG_ALGORITHM",
-    "RandomStream",
     "cost_recursion_bound",
     "error_bound",
     "estimate",

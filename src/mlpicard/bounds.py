@@ -32,6 +32,9 @@ class BoundParams:
     phi_x: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"bound parameter {name} must be finite, got {value!r}")
         if not (self.b >= 1 and self.c >= 1 and self.beta >= 1):
             raise ValueError("bound parameters require b, c, beta >= 1")
         if self.p < 2 * self.beta:

@@ -56,6 +56,10 @@ class Problem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("T", "lip_f", "coeff_lip", "growth_b", "growth_beta", "growth_p",
+                     "lyapunov_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProblemError(f"require finite {name}, got {getattr(self, name)!r}")
         if self.d < 1 or self.T <= 0:
             raise ProblemError("require d >= 1, T > 0")
         if self.lip_f < 0 or self.coeff_lip < 1 or self.growth_b < 1:
@@ -259,10 +263,11 @@ def instantiate(name: str, **overrides) -> Problem:
     for key, value in params.items():
         if not math.isfinite(float(value)):
             raise ProblemError(f"override {key} must be finite, got {value!r}")
-    params["d"] = int(params["d"])
+    d = params["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer, str)):
+        raise ProblemError(f"override d must be an integer, got {d!r}")
     for key in params:
-        if key != "d":
-            params[key] = float(params[key])
+        params[key] = int(d) if key == "d" else float(params[key])
     if params["d"] < 1:
         raise ProblemError("override d must be a positive integer")
     if params["T"] <= 0:
@@ -301,6 +306,8 @@ def validate(problem: Problem, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 < box_halfwidth < math.inf:
+        raise ValueError(f"box_halfwidth must be finite and > 0, got {box_halfwidth!r}")
     rng = np.random.default_rng(seed)
     d, T = problem.d, problem.T
     c, b = problem.coeff_lip, problem.growth_b

@@ -8,22 +8,24 @@ and batching never change the values drawn.
 
 Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
 
-* key derivation: BLAKE2b-256 keyed with the root seed (8 bytes, little
-  endian) over the label elements packed as signed 64-bit little-endian
-  words; the first 128 bits of the digest key a Philox-4x64 counter-based
-  generator.
+* key derivation: BLAKE2b-256 keyed with the root seed (an ``int`` or
+  ``np.integer`` modulo 2**64, 8 bytes, little endian) over the label
+  elements packed as signed 64-bit little-endian words; the first 128 bits
+  of the digest key a Philox-4x64 counter-based generator.
 * uniforms: ``(raw >> 11) * 2**-53`` from 64-bit Philox words, in [0, 1).
 * Gaussians: inverse normal CDF (``scipy.special.ndtri``) applied to
   ``((raw >> 11) + 0.5) * 2**-53``, which lies in (0, 1).
 
 Within a stream the draw order is fixed: exactly one uniform first, then
-standard Gaussian scalars in consumption order.  Callers that do not need
-the uniform skip it, so the Gaussian subsequence seen by a consumer depends
-only on the stream address.
+standard Gaussian scalars in consumption order.  :meth:`StreamBatch.uniforms`
+draws the uniform, or skips it for callers that do not need it, so the
+Gaussian subsequence seen by a consumer depends only on the stream address.
+The Gaussians come in two phases: :func:`draw_uniforms` writes the next words
+as uniforms, and :func:`uniforms_to_gaussians` maps them in place.
 
 A stream is a key plus a cursor, and owns no generator.  A
 :class:`StreamBatch` holds many as arrays; a single stream
-(:class:`RandomStream`) is a batch of one row.  Philox is counter based
+(:func:`stream_for`) is a batch of one row.  Philox is counter based
 (Salmon et al., SC'11), so word ``w`` of a stream is a pure function of its
 key and ``w``: word ``w % 4`` of the 4-word block ``w // 4``, which Philox
 computes at counter ``w // 4 + 1``.  Words are read in one of two ways, with
@@ -56,7 +58,6 @@ from scipy.special import ndtri
 
 RNG_ALGORITHM = "blake2b256/philox4x64/inverse-cdf v1"
 
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
 # (raw >> 11) * 2**-53 + 2**-54 rounds the same real number as
 # ((raw >> 11) + 0.5) * 2**-53, and scaling by a power of two is exact
 _HALF_ULP = 2.0**-54
@@ -101,7 +102,9 @@ def _packed(label) -> bytes:
 
 
 def _hasher(root_seed: int, theta: tuple):
-    seed_bytes = (root_seed & _U64_MASK).to_bytes(8, "little")
+    if isinstance(root_seed, bool) or not isinstance(root_seed, (int, np.integer)):
+        raise TypeError(f"root seed must be an integer, got {root_seed!r}")
+    seed_bytes = (int(root_seed) % 2**64).to_bytes(8, "little")
     h = hashlib.blake2b(digest_size=32, key=seed_bytes)
     h.update(_packed(theta))
     return h
@@ -279,53 +282,14 @@ class StreamBatch:
             self.cursors[self.rows] += counts
 
 
-class RandomStream(StreamBatch):
-    """Single-consumer draw source for one ``(root_seed, theta)`` address: a
-    :class:`StreamBatch` of one row.
-
-    The first draw must be :meth:`uniform` or :meth:`skip_uniform`; all later
-    draws are Gaussian.
-    """
-
-    __slots__ = ()
-
-    def uniform(self) -> float:
-        """Draw the stream's single uniform in [0, 1).  Must be the first draw."""
-        return self.uniforms(np.ones(1, bool))[0]
-
-    def skip_uniform(self) -> None:
-        """Move past the stream's uniform without drawing it."""
-        self.uniforms(np.zeros(1, bool))
-
-    def gaussians(self, n: int) -> np.ndarray:
-        """Draw ``n`` independent standard normal scalars as a float64 array."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise TypeError(f"gaussians needs an integer count, got {n!r}")
-        if n < 0:
-            raise ValueError(f"gaussians needs a count >= 0, got {n}")
-        out = np.empty((1, n))
-        fill_gaussians(self, np.array([n]), out)
-        return out[0]
-
-
-def fill_gaussians(streams: StreamBatch, counts, out: np.ndarray) -> None:
-    """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into ``out[i, :counts[i]]``.
+def draw_uniforms(streams: StreamBatch, counts, out: np.ndarray) -> None:
+    """Draw the next ``counts[i]`` words of ``streams[i]`` as uniforms in [0, 1)
+    into ``out[i, :counts[i]]``: the draw phase of their Gaussians.
 
     ``counts`` is an integer array and ``out`` a float64 ``(len(streams),
-    width)`` array; the rest of each row is left as it is.
-    Every stream must be past its uniform, and its cursor moves by its count.
-    The raw words land in ``out`` as uniforms (:func:`draw_uniforms`), and one
-    inverse-CDF pass maps them in place (:func:`uniforms_to_gaussians`).
-    """
-    draw_uniforms(streams, counts, out)
-    uniforms_to_gaussians(counts, out)
-
-
-def draw_uniforms(streams: StreamBatch, counts, out: np.ndarray) -> None:
-    """The draw phase of :func:`fill_gaussians`: the next ``counts[i]`` words of
-    ``streams[i]`` as uniforms in [0, 1), in ``out[i, :counts[i]]``.
-
-    Checks every stream and count before it draws or moves a cursor.
+    width)`` array; the rest of each row is left as it is.  Every stream must
+    be past its uniform, and its cursor moves by its count.  Checks every
+    stream and count before it draws or moves a cursor.
     """
     keys, cursors = streams._arrays()
     if not (len(counts) == len(cursors) == out.shape[0]):
@@ -340,8 +304,9 @@ def draw_uniforms(streams: StreamBatch, counts, out: np.ndarray) -> None:
 
 
 def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
-    """The map phase of :func:`fill_gaussians`: ``out[i, :counts[i]]``, uniforms
-    from :func:`draw_uniforms`, become their Gaussians in place.
+    """The map phase of a stream's Gaussians, after its one uniform:
+    ``out[i, :counts[i]]``, uniforms from :func:`draw_uniforms`, become their
+    Gaussians in place.
 
     Whole-buffer ufuncs only, element by element, so another thread may run
     it while the GIL is elsewhere.
@@ -351,16 +316,15 @@ def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
     ndtri(out, out=out, where=drawn)
 
 
-def stream_for(root_seed: int, theta: tuple) -> RandomStream:
-    """Create the stream addressed by ``(root_seed, theta)``, a one-row batch.
+def stream_for(root_seed: int, theta: tuple) -> StreamBatch:
+    """The stream addressed by ``(root_seed, theta)``, a one-row batch at cursor 0.
 
     Deterministic: the same address always yields bit-identical draw
     sequences.  The root seed is reduced modulo 2**64.  Label elements must
     be integers (``int`` or ``np.integer``, not ``bool``).
     """
     check_label(theta)
-    # a key is the first 16 digest bytes, little endian, as in keys_at
-    return RandomStream(np.frombuffer(_hasher(root_seed, theta).digest()[:16], dtype="<u8")[None])
+    return StreamBatch(keys_at(root_seed, (), _packed(theta), 8 * len(theta)))
 
 
 def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:
@@ -368,7 +332,7 @@ def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.nd
     ``(P, 2)`` uint64 words, low word first (see :class:`StreamBatch`).
 
     ``suffixes`` holds one ``width``-byte suffix after another, each label
-    elements packed as by ``stream_for`` (signed 64-bit little endian).
+    elements packed as signed 64-bit little-endian words.
     Hashes the root seed and ``parent`` once for the whole batch.
     """
     h = _hasher(root_seed, parent)

@@ -19,24 +19,34 @@ from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
 from .problems import instantiate
-from .rng import StreamBatch, StreamOrderError, keys_at, philox_blocks, stream_for
+from .rng import (StreamBatch, StreamOrderError, draw_uniforms, keys_at, philox_blocks,
+                  stream_for, uniforms_to_gaussians)
+
+_ONE = np.ones(1, bool)  # the mask that draws a one-row stream's uniform
+
+
+def _gaussians(stream, n):
+    out = np.empty((1, n))
+    draw_uniforms(stream, np.array([n]), out)
+    uniforms_to_gaussians(np.array([n]), out)
+    return out[0]
 
 
 def _check_rng_determinism():
     a = stream_for(42, (0, 1, -3))
     b = stream_for(42, (0, 1, -3))
-    assert a.uniform() == b.uniform()
-    assert np.array_equal(a.gaussians(64), b.gaussians(64))
+    assert a.uniforms(_ONE) == b.uniforms(_ONE)
+    assert np.array_equal(_gaussians(a, 64), _gaussians(b, 64))
     c = stream_for(42, (0, 1, 3))
-    assert c.uniform() != stream_for(43, (0, 1, 3)).uniform()
+    assert c.uniforms(_ONE) != stream_for(43, (0, 1, 3)).uniforms(_ONE)
 
 
 def _check_rng_order_guard():
     st = stream_for(0, (1,))
-    st.uniform()
-    st.gaussians(2)
+    st.uniforms(_ONE)
+    _gaussians(st, 2)
     try:
-        st.uniform()
+        st.uniforms(_ONE)
     except StreamOrderError:
         return
     raise AssertionError("uniform after Gaussians should fail")
@@ -61,7 +71,7 @@ def _check_label_concat():
 def _check_euler_identity():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     st = stream_for(3, (5,))
-    st.uniform()
+    st.uniforms(_ONE)
     states, counts = simulate_batch(prob, 8, st, 0.25, np.array([0.7]), np.array([0.25]))
     assert counts[0] == 0 and st.cursors[0] == 1  # only the discarded uniform
     assert np.array_equal(states[0], np.array([0.7]))

@@ -5,7 +5,13 @@ import math
 import numpy as np
 
 from mlpicard.euler import DomainError, _plan, simulate_batch
-from mlpicard.rng import StreamBatch, _generator_at, stream_for
+from mlpicard.rng import (
+    StreamBatch,
+    _generator_at,
+    draw_uniforms,
+    stream_for,
+    uniforms_to_gaussians,
+)
 
 
 def _sum_ascending(values: np.ndarray) -> float:
@@ -20,6 +26,30 @@ def raw_uniform_sequence(root_seed, theta, count):
     checks (correlation, KS) need long uniform sequences from a single label.
     """
     return _generator_at(stream_for(root_seed, theta).keys[0].tolist(), 0).random(count)
+
+
+def draw_uniform(stream) -> float:
+    """Draw a one-row stream's uniform, its first draw."""
+    return stream.uniforms(np.ones(1, bool))[0]
+
+
+def skip_uniform(stream) -> None:
+    """Move a one-row stream past its uniform without drawing it."""
+    stream.uniforms(np.zeros(1, bool))
+
+
+def fill_gaussians(streams, counts, out) -> None:
+    """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into
+    ``out[i, :counts[i]]``: the draw phase, then the map phase."""
+    draw_uniforms(streams, counts, out)
+    uniforms_to_gaussians(counts, out)
+
+
+def draw_gaussians(stream, n) -> np.ndarray:
+    """The next ``n`` Gaussians of a one-row stream that is past its uniform."""
+    out = np.empty((1, n))
+    fill_gaussians(stream, np.array([n]), out)
+    return out[0]
 
 
 def stacked(streams) -> StreamBatch:
@@ -86,7 +116,7 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
     streams = []
     for i in range(1, count + 1):
         st = stream_for(seed, theta + (0, -i))
-        st.uniform()
+        draw_uniform(st)
         streams.append(st)
     states, steps = simulate_batch(problem, N, stacked(streams), t, x, np.full(count, T))
     total_steps = int(steps.sum())
@@ -102,7 +132,7 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
         count = M ** (n - level)
         labels = [theta + (level, i) for i in range(1, count + 1)]
         streams = [stream_for(seed, lab) for lab in labels]
-        uniforms = np.array([st.uniform() for st in streams])
+        uniforms = np.array([draw_uniform(st) for st in streams])
         tally.uniforms += count
         eval_times = np.minimum(t + (T - t) * uniforms, T)
         states, steps = simulate_batch(problem, N, stacked(streams), t, x, eval_times)

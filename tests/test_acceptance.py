@@ -23,9 +23,9 @@ from mlpicard.harness import (
 )
 from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
-from mlpicard.rng import StreamBatch, fill_gaussians, keys_at, stream_for
+from mlpicard.rng import StreamBatch, keys_at, stream_for
 
-from helpers import build_recursive_family, stacked
+from helpers import build_recursive_family, fill_gaussians, stacked
 
 
 def _announce(num: int, name: str, passed: bool, detail: str = "") -> None:

@@ -62,6 +62,12 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(-1, 1, _bp())
 
+    @pytest.mark.parametrize("name", ["b", "c", "beta", "p", "T", "phi_x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            _bp(**{name: value})
+
 
 class TestTotalCostBound:
     def test_hand_value(self):

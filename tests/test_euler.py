@@ -11,14 +11,22 @@ from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
 from mlpicard.euler import DomainError, _plan, _step_sizes, lyapunov_check, simulate_batch
 from mlpicard.problems import Problem, instantiate
-from mlpicard.rng import StreamBatch, fill_gaussians, keys_at, stream_for
+from mlpicard.rng import StreamBatch, keys_at, stream_for
 
-from helpers import stacked, update_times, update_times_reference
+from helpers import (
+    draw_gaussians,
+    draw_uniform,
+    fill_gaussians,
+    skip_uniform,
+    stacked,
+    update_times,
+    update_times_reference,
+)
 
 
 def _path_stream(seed, theta):
     st = stream_for(seed, theta)
-    st.uniform()
+    draw_uniform(st)
     return st
 
 
@@ -176,7 +184,7 @@ class TestSimulate:
         # step-by-step recurrence on the shared draws
         plan = update_times(t, s, 8, 1.0)
         dts = np.diff(np.asarray([t] + plan))
-        z = _path_stream(9, (3, 3)).gaussians(len(plan) * 2).reshape(len(plan), 2)
+        z = draw_gaussians(_path_stream(9, (3, 3)), len(plan) * 2).reshape(len(plan), 2)
         expected = x
         for dt, inc in zip(dts, np.sqrt(dts)[:, None] * z):
             expected = expected + (mu0 * dt + sig0 * inc)
@@ -391,7 +399,7 @@ class TestStrongRate:
         states, _ = simulate_batch(prob, N, _path_stream(55, (3,)), 0.0, np.array([1.0]),
                                    np.array([1.0]))
         st = _path_stream(55, (3,))
-        z = st.gaussians(16)
+        z = draw_gaussians(st, 16)
         y, dt = 1.0, 1.0 / 16
         for k in range(16):
             y = y + (0.06 * y * dt + 0.4 * y * (math.sqrt(dt) * z[k]))
@@ -404,6 +412,11 @@ class TestLyapunovCheck:
         x = np.array([0.5, -1.0])
         res = lyapunov_check(prob, 4, 0.3, x, 0.3, paths=64, seed=0)
         assert res.empirical_mean == prob.phi(x)
+
+    def test_numpy_integer_seed(self):
+        prob = instantiate("heat-quadratic", d=1)
+        assert (lyapunov_check(prob, 4, 0.0, [0.0], 0.5, 4, np.int64(-1))
+                == lyapunov_check(prob, 4, 0.0, [0.0], 0.5, 4, -1))
 
     @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [[0.5, -1.0]]])
     def test_rejects_bad_x_before_drawing(self, x, monkeypatch):
@@ -423,7 +436,7 @@ class TestLyapunovCheck:
         res = lyapunov_check(prob, 8, 0.1, np.array(x), 0.9, paths=paths, seed=31)
         streams = [stream_for(31, (i,)) for i in range(paths)]
         for st in streams:
-            st.skip_uniform()
+            skip_uniform(st)
         streams = stacked(streams)
         states, _ = simulate_batch(prob, 8, streams, 0.1, np.array(x), np.full(paths, 0.9))
         phis = lyapunov_phi_batch(states, prob.lyapunov_a)

@@ -19,7 +19,7 @@ from mlpicard.mlp import (
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
 
-from helpers import recursive_node, update_times
+from helpers import draw_gaussians, draw_uniform, recursive_node, update_times
 
 MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 
@@ -27,7 +27,7 @@ MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 def _flat_gbm_path(stream, t, s, steps, T, x0):
     """Scalar left-to-right replay of the frozen-coefficient update."""
     plan = update_times(t, s, steps, T)
-    z = stream.gaussians(len(plan))
+    z = draw_gaussians(stream, len(plan))
     y, prev = x0, t
     for k, t_next in enumerate(plan):
         dt = t_next - prev
@@ -44,7 +44,7 @@ def _flat_estimate(seed, theta, n, M, steps, T, t, x0):
     acc = 0.0
     for i in range(1, M**n + 1):
         st = stream_for(seed, theta + (0, -i))
-        st.uniform()  # discarded
+        draw_uniform(st)  # discarded
         y = _flat_gbm_path(st, t, T, steps, T, x0)
         acc += max(y - STRIKE, 0.0)
     value = acc / M**n
@@ -56,7 +56,7 @@ def _flat_estimate(seed, theta, n, M, steps, T, t, x0):
         for i in range(1, count + 1):
             label = theta + (level, i)
             st = stream_for(seed, label)
-            r = st.uniform()
+            r = draw_uniform(st)
             eval_time = min(t + (T - t) * r, T)
             y = _flat_gbm_path(st, t, eval_time, steps, T, x0)
             if level == 0:
@@ -119,7 +119,7 @@ class TestFlatReference:
 
         def path(stream, t, s):
             plan = update_times(t, s, 4, 1.0)
-            z = stream.gaussians(len(plan) * 2).reshape(len(plan), 2)
+            z = draw_gaussians(stream, len(plan) * 2).reshape(len(plan), 2)
             y, prev = np.zeros(2), t
             for k, t_next in enumerate(plan):
                 dt = t_next - prev
@@ -134,7 +134,7 @@ class TestFlatReference:
             acc = 0.0
             for i in range(1, 2**n + 1):
                 st = stream_for(13, theta + (0, -i))
-                st.uniform()
+                draw_uniform(st)
                 y = path_from(st, t, 1.0, x)
                 acc += float(np.sum(y * y))
             value = acc / 2**n
@@ -144,7 +144,7 @@ class TestFlatReference:
                 for i in range(1, count + 1):
                     label = theta + (level, i)
                     st = stream_for(13, label)
-                    r = st.uniform()
+                    r = draw_uniform(st)
                     s = min(t + (1.0 - t) * r, 1.0)
                     y = path_from(st, t, s, x)
                     v1 = flat(label, level, s, y) if level else 0.0
@@ -158,7 +158,7 @@ class TestFlatReference:
 
         def path_from(stream, t, s, x):
             plan = update_times(t, s, 4, 1.0)
-            z = stream.gaussians(len(plan) * 2).reshape(len(plan), 2)
+            z = draw_gaussians(stream, len(plan) * 2).reshape(len(plan), 2)
             y, prev = np.asarray(x, dtype=float), t
             for k, t_next in enumerate(plan):
                 dt = t_next - prev

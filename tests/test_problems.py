@@ -1,6 +1,7 @@
 """Catalogue construction, overrides, and hypothesis spot checks."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,33 @@ def test_invalid_override_values_rejected():
 def test_non_finite_override_rejected(name, overrides):
     with pytest.raises(ProblemError, match="must be finite"):
         instantiate(name, **overrides)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0)])
+def test_non_integer_dimension_rejected(d):
+    # the CLI's string "2.5" fails in int() (tests/test_cli.py)
+    with pytest.raises(ProblemError, match=re.escape(f"must be an integer, got {d!r}")):
+        instantiate("heat-quadratic", d=d)
+
+
+@pytest.mark.parametrize("d", [2, np.int64(2), "2"])
+def test_integer_dimension_accepted(d):
+    prob = instantiate("heat-quadratic", d=d)
+    assert prob.d == 2 and type(prob.d) is int
+
+
+@pytest.mark.parametrize("name", ["T", "lip_f", "coeff_lip", "growth_b", "growth_beta",
+                                  "growth_p", "lyapunov_a"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_constant_rejected(name, value):
+    with pytest.raises(ProblemError, match=f"finite {name}"):
+        dataclasses.replace(instantiate("heat-quadratic"), **{name: value})
+
+
+@pytest.mark.parametrize("box", [float("nan"), float("inf"), -1.0, 0.0])
+def test_bad_box_rejected(box):
+    with pytest.raises(ValueError, match="box_halfwidth must be finite and > 0"):
+        validate(instantiate("heat-quadratic"), samples=10, seed=0, box_halfwidth=box)
 
 
 def test_linear_reaction_d10_spot_checks():

@@ -14,25 +14,31 @@ from mlpicard import rng
 from mlpicard.rng import (
     StreamBatch,
     StreamOrderError,
-    fill_gaussians,
     keys_at,
     philox_blocks,
     stream_for,
 )
 
-from helpers import raw_uniform_sequence, stacked
+from helpers import (
+    draw_gaussians,
+    draw_uniform,
+    fill_gaussians,
+    raw_uniform_sequence,
+    skip_uniform,
+    stacked,
+)
 
 
 def test_same_address_is_bit_identical():
     for theta in [(0,), (3, -17, 12345), (0, 0, -1)]:
         a = stream_for(2024, theta)
         b = stream_for(2024, theta)
-        assert a.uniform() == b.uniform()
-        assert np.array_equal(a.gaussians(257), b.gaussians(257))
+        assert draw_uniform(a) == draw_uniform(b)
+        assert np.array_equal(draw_gaussians(a, 257), draw_gaussians(b, 257))
 
 
 def test_neighbor_seed_changes_first_uniform():
-    assert stream_for(7, (0, 1)).uniform() != stream_for(8, (0, 1)).uniform()
+    assert draw_uniform(stream_for(7, (0, 1))) != draw_uniform(stream_for(8, (0, 1)))
 
 
 def test_empty_label_rejected():
@@ -42,19 +48,19 @@ def test_empty_label_rejected():
 
 def test_uniform_must_come_first():
     st = stream_for(0, (1,))
-    st.uniform()
+    draw_uniform(st)
     with pytest.raises(StreamOrderError):
-        st.uniform()
+        draw_uniform(st)
 
     st2 = stream_for(0, (2,))
     with pytest.raises(StreamOrderError):
-        st2.gaussians(1)
+        draw_gaussians(st2, 1)
 
     st3 = stream_for(0, (3,))
-    st3.uniform()
-    st3.gaussians(4)
+    draw_uniform(st3)
+    draw_gaussians(st3, 4)
     with pytest.raises(StreamOrderError):
-        st3.uniform()
+        draw_uniform(st3)
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, np.True_, "2", None])
@@ -73,6 +79,27 @@ def test_numpy_integer_labels_equal_int_labels():
     assert np.array_equal(a.keys[0], b.keys[0])
 
 
+@pytest.mark.parametrize("seed, same", [(np.int64(5), 5), (np.uint64(5), 5), (np.int64(-1), -1)])
+def test_numpy_integer_root_seeds_equal_int_seeds(seed, same):
+    assert np.array_equal(stream_for(seed, (1, 2)).keys, stream_for(same, (1, 2)).keys)
+    suffixes = np.array([3, -4], dtype="<i8").tobytes()
+    assert np.array_equal(keys_at(seed, (1,), suffixes, 8), keys_at(same, (1,), suffixes, 8))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_non_integer_root_seed_rejected(bad):
+    with pytest.raises(TypeError, match="root seed"):
+        stream_for(bad, (1,))
+    with pytest.raises(TypeError, match="root seed"):
+        keys_at(bad, (), np.array([1], dtype="<i8").tobytes(), 8)
+
+
+def test_stream_for_is_a_one_row_batch_at_cursor_zero():
+    st = stream_for(2**64 + 3, (0, -1))
+    assert type(st) is StreamBatch and len(st) == 1 and st.cursors.tolist() == [0]
+    assert np.array_equal(st.keys, stream_for(3, (0, -1)).keys)
+
+
 def test_label_element_outside_64_bits_rejected():
     with pytest.raises(OverflowError):
         stream_for(0, (2**63,))
@@ -87,36 +114,29 @@ def test_batch_keys_equal_single_keys():
         assert np.all(batch.cursors == 0)
 
 
-@pytest.mark.parametrize("bad, error", [(-1, ValueError), (-5, ValueError), (2.0, TypeError),
-                                        (True, TypeError), (None, TypeError)])
-def test_bad_gaussian_count_rejected_before_the_cursor_moves(bad, error):
+@pytest.mark.parametrize("bad", [-1, -5])
+def test_bad_gaussian_count_rejected_before_the_cursor_moves(bad):
     st = stream_for(4, (1,))
-    st.uniform()
-    st.gaussians(2)
-    with pytest.raises(error):
-        st.gaussians(bad)
+    draw_uniform(st)
+    draw_gaussians(st, 2)
+    with pytest.raises(ValueError, match="counts must lie"):
+        fill_gaussians(st, np.array([bad]), np.zeros((1, 4)))
     assert st.cursors[0] == 3
     reference = stream_for(4, (1,))
-    reference.uniform()
-    assert np.array_equal(st.gaussians(4), reference.gaussians(6)[2:])
-
-
-def test_numpy_integer_gaussian_count():
-    a, b = stream_for(4, (2,)), stream_for(4, (2,))
-    a.uniform(), b.uniform()
-    assert np.array_equal(a.gaussians(np.int64(5)), b.gaussians(5))
+    draw_uniform(reference)
+    assert np.array_equal(draw_gaussians(st, 4), draw_gaussians(reference, 6)[2:])
 
 
 def test_skip_uniform_moves_past_the_uniform_only():
     skipped, drawn = stream_for(6, (1, 1)), stream_for(6, (1, 1))
-    skipped.skip_uniform()
-    drawn.uniform()
+    skip_uniform(skipped)
+    draw_uniform(drawn)
     assert skipped.cursors[0] == drawn.cursors[0] == 1
-    assert np.array_equal(skipped.gaussians(7), drawn.gaussians(7))
+    assert np.array_equal(draw_gaussians(skipped, 7), draw_gaussians(drawn, 7))
     with pytest.raises(StreamOrderError):
-        skipped.skip_uniform()
+        skip_uniform(skipped)
     with pytest.raises(StreamOrderError):
-        skipped.uniform()
+        draw_uniform(skipped)
 
 
 def test_fill_gaussians_matches_per_stream_draws_and_keeps_padding():
@@ -124,13 +144,13 @@ def test_fill_gaussians_matches_per_stream_draws_and_keeps_padding():
     streams = [stream_for(8, (1, 0, -i)) for i in range(1, 5)]
     singles = [stream_for(8, (1, 0, -i)) for i in range(1, 5)]
     for st, one in zip(streams, singles):
-        st.uniform(), one.uniform()
-        st.gaussians(3), one.gaussians(3)
+        draw_uniform(st), draw_uniform(one)
+        draw_gaussians(st, 3), draw_gaussians(one, 3)
     batch = stacked(streams)
     out = np.full((4, 10), 7.0)
     fill_gaussians(batch, counts, out)
     for row, n, cursor, one in zip(out, counts, batch.cursors, singles):
-        assert np.array_equal(row[:n], one.gaussians(int(n)))
+        assert np.array_equal(row[:n], draw_gaussians(one, int(n)))
         assert np.all(row[n:] == 7.0)
         assert cursor == 4 + n
 
@@ -143,7 +163,7 @@ def test_fill_gaussians_needs_the_uniform_first():
 
 
 def test_draws_construct_no_generator(monkeypatch):
-    stream_for(0, (1,)).uniform()  # this thread's generator now exists
+    draw_uniform(stream_for(0, (1,)))  # this thread's generator now exists
     made = []
     philox = np.random.Philox
 
@@ -153,8 +173,8 @@ def test_draws_construct_no_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting)
     for st in [stream_for(0, (2, 1, i)) for i in range(50)]:
-        st.uniform()
-        st.gaussians(11)
+        draw_uniform(st)
+        draw_gaussians(st, 11)
     raw_uniform_sequence(0, (3,), 20)
     assert not made
 
@@ -162,25 +182,25 @@ def test_draws_construct_no_generator(monkeypatch):
 def test_cursor_counts_scalars():
     st = stream_for(5, (9,))
     assert st.cursors[0] == 0
-    st.uniform()
+    draw_uniform(st)
     assert st.cursors[0] == 1
-    st.gaussians(3)
+    draw_gaussians(st, 3)
     assert st.cursors[0] == 4
 
 
 def test_gaussian_vector_consumes_exactly_d_scalars():
     st = stream_for(11, (4,))
-    st.uniform()
+    draw_uniform(st)
     before = st.cursors[0]
-    st.gaussians(3)
+    draw_gaussians(st, 3)
     assert st.cursors[0] - before == 3
 
 
 def test_successive_gaussian_calls_are_disjoint():
     st = stream_for(13, (6,))
-    st.uniform()
-    first = st.gaussians(50)
-    second = st.gaussians(50)
+    draw_uniform(st)
+    first = draw_gaussians(st, 50)
+    second = draw_gaussians(st, 50)
     assert not np.intersect1d(first, second).size
     assert len(np.unique(first)) == 50
 
@@ -188,9 +208,9 @@ def test_successive_gaussian_calls_are_disjoint():
 def test_batched_and_stepwise_gaussians_agree():
     a = stream_for(3, (8,))
     b = stream_for(3, (8,))
-    a.uniform(), b.uniform()
-    whole = a.gaussians(12)
-    parts = np.concatenate([b.gaussians(4) for _ in range(3)])
+    draw_uniform(a), draw_uniform(b)
+    whole = draw_gaussians(a, 12)
+    parts = np.concatenate([draw_gaussians(b, 4) for _ in range(3)])
     assert np.array_equal(whole, parts)
 
 
@@ -242,8 +262,8 @@ def test_pinned_draws(seed, theta, uniform, words, gaussians):
     raw = _reference_words(seed, theta, 9)
     assert [int(w) for w in raw] == words
     st = stream_for(seed, theta)
-    assert st.uniform() == uniform
-    assert st.gaussians(5).tolist() == gaussians
+    assert draw_uniform(st) == uniform
+    assert draw_gaussians(st, 5).tolist() == gaussians
     assert raw_uniform_sequence(seed, theta, 9).tolist() == ((raw >> np.uint64(11)) * 2.0**-53).tolist()
 
 
@@ -252,10 +272,10 @@ def test_split_draws_match_one_draw_and_reference(seed, theta):
     # after the uniform (word 0) the parts cover words 1-3, 4 and 5-9: each
     # part starts at a different position in Philox's 4-word blocks
     split, whole = stream_for(seed, theta), stream_for(seed, theta)
-    split.uniform(), whole.uniform()
-    parts = np.concatenate([split.gaussians(3), split.gaussians(1), split.gaussians(5)])
+    draw_uniform(split), draw_uniform(whole)
+    parts = np.concatenate([draw_gaussians(split, k) for k in (3, 1, 5)])
     assert split.cursors[0] == whole.cursors[0] + 9
-    one = whole.gaussians(9)
+    one = draw_gaussians(whole, 9)
     assert np.array_equal(parts, one)
     assert np.array_equal(one, _reference_gaussians(_reference_words(seed, theta, 10)[1:]))
 
@@ -265,7 +285,7 @@ def test_alternating_threads_draw_the_sequential_values():
     expected = []
     for theta in labels:
         st = stream_for(77, theta)
-        expected.append([st.uniform()] + [st.gaussians(k) for k in (1, 3, 4, 6)])
+        expected.append([draw_uniform(st)] + [draw_gaussians(st, k) for k in (1, 3, 4, 6)])
 
     turn = threading.Condition()
     state = {"next": 0}
@@ -273,7 +293,8 @@ def test_alternating_threads_draw_the_sequential_values():
 
     def worker(me):
         st = stream_for(77, labels[me])
-        draws = [st.uniform] + [lambda k=k: st.gaussians(k) for k in (1, 3, 4, 6)]
+        draws = [lambda: draw_uniform(st)]
+        draws += [lambda k=k: draw_gaussians(st, k) for k in (1, 3, 4, 6)]
         for draw in draws:
             with turn:
                 turn.wait_for(lambda: state["next"] == me)
@@ -297,7 +318,7 @@ def test_alternating_threads_draw_the_sequential_values():
 def test_concurrent_threads_draw_the_sequential_values():
     def draws(theta):
         st = stream_for(5, theta)
-        return [st.uniform()] + [st.gaussians(k) for k in [3, 500, 1, 2000] * 25]
+        return [draw_uniform(st)] + [draw_gaussians(st, k) for k in [3, 500, 1, 2000] * 25]
 
     labels = [(i, -i) for i in range(1, 5)]
     expected = [draws(theta) for theta in labels]
@@ -375,7 +396,7 @@ def test_batch_uniforms_equal_stream_uniforms(size):
     singles, batch = _batch(size)
     drawn = np.arange(size) % 3 != 0
     r = batch.uniforms(drawn)
-    assert r.tolist() == [st.uniform() for st, on in zip(singles, drawn) if on]
+    assert r.tolist() == [draw_uniform(st) for st, on in zip(singles, drawn) if on]
     assert np.all(batch.cursors == 1)
     with pytest.raises(StreamOrderError):
         batch.uniforms(drawn)
@@ -396,7 +417,7 @@ def test_uniforms_reject_a_mask_that_is_not_one_bool_per_stream(drawn):
         st.uniforms(np.array([1]))
     assert st.cursors[0] == 0
     assert batch.uniforms(np.array([True, False, True, True])).tolist() == [
-        stream_for(21, (4, 1, i)).uniform() for i in (0, 2, 3)]
+        draw_uniform(stream_for(21, (4, 1, i))) for i in (0, 2, 3)]
 
 
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
@@ -418,15 +439,15 @@ def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, mo
     records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
     for st, one, cursor in zip(records, singles, cursors.tolist()):
-        st.skip_uniform(), one.skip_uniform()
-        st.gaussians(cursor - 1), one.gaussians(cursor - 1)
+        skip_uniform(st), skip_uniform(one)
+        draw_gaussians(st, cursor - 1), draw_gaussians(one, cursor - 1)
     batch.cursors[:] = cursors
     rows = np.arange(size)[::-1]  # a view of the batch in another order
     streams = batch[rows] if as_batch else stacked([records[i] for i in rows])
     out = np.zeros((size, counts.max() + 3))
     fill_gaussians(streams, counts, out)
     for row, n, i in zip(out, counts.tolist(), rows.tolist()):
-        assert np.array_equal(row[:n], singles[i].gaussians(n))
+        assert np.array_equal(row[:n], draw_gaussians(singles[i], n))
         assert np.all(row[n:] == 0.0)
     moved = batch.cursors[rows] if as_batch else streams.cursors
     assert np.array_equal(moved, cursors[rows] + counts)
@@ -434,7 +455,7 @@ def test_hybrid_fill_equals_one_stream_draws(size, as_batch, blocks_per_pass, mo
 
 def test_fill_checks_every_stream_before_drawing():
     streams = [stream_for(2, (i,)) for i in range(3)]
-    streams[0].skip_uniform(), streams[2].skip_uniform()
+    skip_uniform(streams[0]), skip_uniform(streams[2])
     batch = stacked(streams)
     with pytest.raises(StreamOrderError):
         fill_gaussians(batch, np.array([2, 2, 2]), np.zeros((3, 2)))
@@ -461,7 +482,7 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
     records = [stream_for(21, (4, 1, i)) for i in range(size)]
     batch.uniforms(np.zeros(size, bool))
     for st in records:
-        st.skip_uniform()
+        skip_uniform(st)
     streams = batch if as_batch else stacked(records)
     n = np.full(size, 2)
     if counts == "wide":
@@ -478,8 +499,8 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, as_batch, counts, shape):
     m = size // 2
     after = np.empty((1, 3))
     fill_gaussians(streams[np.array([m])], np.array([3]), after)
-    singles[m].skip_uniform()
-    assert np.array_equal(after[0], singles[m].gaussians(3))
+    skip_uniform(singles[m])
+    assert np.array_equal(after[0], draw_gaussians(singles[m], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +553,14 @@ def test_pooled_streams_look_uniform():
 
 def test_gaussian_moments():
     st = stream_for(17, (2, 2))
-    st.uniform()
-    z = st.gaussians(100_000)
+    draw_uniform(st)
+    z = draw_gaussians(st, 100_000)
     assert abs(z.mean()) < 0.02
     assert abs(z.var(ddof=1) - 1.0) < 0.02
 
 
 def test_gaussian_normality():
     st = stream_for(23, (3, 1))
-    st.uniform()
-    z = st.gaussians(10_000)
+    draw_uniform(st)
+    z = draw_gaussians(st, 10_000)
     assert stats.kstest(z, "norm").pvalue > 0.01

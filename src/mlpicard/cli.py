@@ -15,7 +15,7 @@ from .harness import (
     run_experiment,
     write_sweep_csv,
 )
-from .problems import CATALOGUE, instantiate, validate
+from .problems import CATALOGUE, ProblemError, instantiate, validate
 from .selftest import run_selftest
 
 
@@ -107,7 +107,7 @@ def _cmd_validate(args) -> int:
         overrides[key] = value
     try:
         problem = instantiate(args.name, **overrides)
-    except ValueError as exc:  # ProblemError, or a value that is not a number
+    except ProblemError as exc:
         print(f"invalid override: {exc}", file=sys.stderr)
         return 2
     report = validate(problem, args.samples, args.seed)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import lyapunov_phi_batch
-from .problems import Problem
+from .problems import Problem, is_integer
 from .rng import StreamBatch, draw_uniforms, keys_at, uniforms_to_gaussians
 
 # Upper bound on the scalars in one chunk's live buffers, W * (d + 2) for a row
@@ -113,6 +113,13 @@ def _done(fn, *args) -> Future:
     return future
 
 
+def _check_steps(steps) -> None:
+    if not is_integer(steps):
+        raise TypeError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+
+
 def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end_times):
     """Simulate one path per row of ``streams`` from its start ``(t, x)`` to its end time.
 
@@ -121,8 +128,7 @@ def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end
     the batch must already be past its uniform draw.  Returns the terminal
     states ``(P, d)`` and per-path step counts ``(P,)``.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_steps(steps)
     d, T, N = problem.d, problem.T, steps
     P = len(streams)
     t = np.broadcast_to(np.asarray(t, dtype=float), (P,))
@@ -194,6 +200,7 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
                    paths: int, seed: int) -> LyapunovCheck:
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
     ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``."""
+    _check_steps(steps)
     if paths < 1:
         raise ValueError("paths must be >= 1")
     x = np.asarray(x, dtype=float)

@@ -44,10 +44,11 @@ from .oracle import (
     OracleError,
     Reference,
     closed_form,
+    has_closed_form,
     mc_baseline,
     picard_quadrature_1d,
 )
-from .problems import Problem, instantiate
+from .problems import PARAMETERS, Problem, instantiate
 
 RESULTS_HEADER = [
     "n", "M", "N", "value_mean", "value_se", "rmse_vs_reference",
@@ -187,9 +188,7 @@ def _parse_weights(value: str) -> tuple:
 # fixes the order of the reported errors.
 _KEYS = {
     "problem": (str, "problem"),
-    "d": (int, "overrides.d"),
-    **{key: (float, f"overrides.{key}")
-       for key in ("T", "a", "kappa", "lip_f", "source", "mu_bar", "sigma_bar", "strike")},
+    **{key: (int if key == "d" else float, f"overrides.{key}") for key in PARAMETERS},
     "t0": (float, "t0"),
     "x0": (_parse_x0, "x0"),
     "depths": (_parse_depths, "depths"),
@@ -348,7 +347,7 @@ def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
     x0 = cfg.query_point()
     kind = cfg.reference
     if kind == "auto":
-        if problem.name in ("heat-quadratic", "linear-reaction"):
+        if has_closed_form(problem):
             kind = "closed-form"
         elif problem.d == 1 and problem.constant_coefficients is not None:
             kind = "picard"

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .euler import simulate_batch
-from .problems import Problem
+from .problems import Problem, is_integer
 from .rng import StreamBatch, check_label, keys_at
 
 ESTIMATOR_VERSION = "single-kernel v1"
@@ -60,10 +60,6 @@ it next to ``RNG_ALGORITHM``."""
 
 # upper bound on the tree paths of one seed block, summed over its seeds
 _BLOCK_PATHS = 1 << 15
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -104,7 +100,7 @@ class MlpParams:
     def __post_init__(self):
         for name in ("n", "M", "euler_steps", "root_seed"):
             value = getattr(self, name)
-            if not (value is None and name == "euler_steps") and not _is_integer(value):
+            if not (value is None and name == "euler_steps") and not is_integer(value):
                 raise TypeError(f"MlpParams.{name} must be an integer, got {value!r}")
         if self.n < 0 or self.M < 1:
             raise ValueError("MlpParams requires n >= 0 and M >= 1")
@@ -152,7 +148,7 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
     check_label(theta)
     seeds = list(seeds)
     for seed in seeds:
-        if not _is_integer(seed):
+        if not is_integer(seed):
             raise TypeError(f"root seeds must be integers, got {seed!r}")
     seeds = [int(seed) for seed in seeds]
     if params.n <= 0:

@@ -58,6 +58,17 @@ def problem_hash(problem: Problem, t: float, x) -> str:
     return hashlib.sha256(problem_fingerprint(problem, t, x).encode()).hexdigest()
 
 
+# name -> u(t, x) from ||x||^2, d and T - t, for the problems with elementary solutions
+_CLOSED_FORMS = {
+    "heat-quadratic": lambda sq, d, remaining: sq + d * remaining,
+    "linear-reaction": lambda sq, d, remaining: math.exp(remaining) * (sq + d * remaining),
+}
+
+
+def has_closed_form(problem: Problem) -> bool:
+    return problem.name in _CLOSED_FORMS
+
+
 def closed_form(problem: Problem, t: float, x) -> Reference:
     """Exact solution for the heat-quadratic and linear-reaction problems.
 
@@ -69,14 +80,9 @@ def closed_form(problem: Problem, t: float, x) -> Reference:
     x = np.asarray(x, dtype=float)
     if not (0.0 <= t <= problem.T):
         raise ValueError(f"t must lie in [0, {problem.T}]")
-    sq = float(np.dot(x.ravel(), x.ravel()))
-    remaining = problem.T - t
-    if problem.name == "heat-quadratic":
-        value = sq + problem.d * remaining
-    elif problem.name == "linear-reaction":
-        value = math.exp(remaining) * (sq + problem.d * remaining)
-    else:
+    if not has_closed_form(problem):
         raise OracleError(f"no closed form for problem {problem.name!r}")
+    value = _CLOSED_FORMS[problem.name](float(np.dot(x.ravel(), x.ravel())), problem.d, problem.T - t)
     return Reference(value=value, ci_halfwidth=0.0, method="closed_form",
                      provenance=f"closed-form:{problem_hash(problem, t, x)[:16]}")
 

@@ -1,5 +1,11 @@
 """Problem definitions: PDE/fixed-point data plus a catalogue of test cases.
 
+The catalogue is one table, ``_CATALOGUE``: each row names a problem, gives
+the defaults of its own parameters and a builder for its own
+:class:`Problem` fields.  :func:`instantiate` adds the parameters every
+problem shares (``d``, ``T``, ``a``) and the fields they have in common, and
+``CATALOGUE`` and ``PARAMETERS`` are read off the table.
+
 A :class:`Problem` bundles the coefficient functions (drift ``mu``, diffusion
 ``sigma``), the terminal condition ``g``, the nonlinearity ``f``, and the
 regularity constants used by the bound evaluators.  Coefficient callables are
@@ -16,6 +22,7 @@ of global tightness is made.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -24,8 +31,6 @@ import numpy as np
 
 from .bounds import BoundParams, lyapunov_phi, lyapunov_phi_batch
 
-CATALOGUE = ("heat-quadratic", "linear-reaction", "nonlinear-coeff-sine", "scaled-bs")
-
 DEFAULT_BOX_HALFWIDTH = 2.0
 # safety margin applied on top of the exact box supremum when sizing b
 _B_MARGIN = 1.1
@@ -33,6 +38,11 @@ _B_MARGIN = 1.1
 
 class ProblemError(ValueError):
     """Unknown catalogue name or an override violating a problem invariant."""
+
+
+def is_integer(value) -> bool:
+    """An ``int`` or a numpy integer, and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +70,8 @@ class Problem:
                      "lyapunov_a"):
             if not math.isfinite(getattr(self, name)):
                 raise ProblemError(f"require finite {name}, got {getattr(self, name)!r}")
+        if not is_integer(self.d):
+            raise ProblemError(f"require integer d, got {self.d!r}")
         if self.d < 1 or self.T <= 0:
             raise ProblemError("require d >= 1, T > 0")
         if self.lip_f < 0 or self.coeff_lip < 1 or self.growth_b < 1:
@@ -99,180 +111,100 @@ def _growth_b_quadratic(d: int, T: float, a: float, box: float, extra_sup: float
     return max(1.0, math.sqrt(T), _B_MARGIN * max(ratio_g, ratio_f))
 
 
-def _make_heat_quadratic(d: int, T: float, a: float, lip_f_unused=None) -> Problem:
-    mu0 = np.zeros(d)
-    sig0 = np.ones(d)
-
-    def drift(x):
-        return np.zeros_like(x)
-
-    def diffusion(x):
-        return np.ones_like(x)
-
-    def nonlinearity(t, x, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    return Problem(
-        name="heat-quadratic",
-        d=d,
-        T=T,
-        drift=drift,
-        diffusion=diffusion,
-        terminal=_quadratic_terminal,
-        nonlinearity=nonlinearity,
-        lip_f=0.0,
-        coeff_lip=4.0,
-        growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH),
-        growth_beta=1.0,
-        growth_p=2.0,
-        lyapunov_a=a,
-        constant_coefficients=(mu0, sig0),
-        params={"d": d, "T": T, "a": a},
-    )
+def _brownian(lip_f: float, nonlinearity):
+    """Builder for ``mu = 0``, ``sigma = I`` with the given reaction term."""
+    def build(d, T, a):
+        return dict(drift=np.zeros_like, diffusion=np.ones_like, nonlinearity=nonlinearity,
+                    lip_f=lip_f, growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH),
+                    constant_coefficients=(np.zeros(d), np.ones(d)))
+    return build
 
 
-def _make_linear_reaction(d: int, T: float, a: float) -> Problem:
-    base = _make_heat_quadratic(d, T, a)
-
-    def nonlinearity(t, x, v):
-        return np.asarray(v, dtype=float)
-
-    return Problem(
-        name="linear-reaction",
-        d=d,
-        T=T,
-        drift=base.drift,
-        diffusion=base.diffusion,
-        terminal=_quadratic_terminal,
-        nonlinearity=nonlinearity,
-        lip_f=1.0,
-        coeff_lip=4.0,
-        growth_b=base.growth_b,
-        growth_beta=1.0,
-        growth_p=2.0,
-        lyapunov_a=a,
-        constant_coefficients=base.constant_coefficients,
-        params={"d": d, "T": T, "a": a},
-    )
-
-
-def _make_nonlinear_coeff_sine(d: int, T: float, a: float, kappa: float, lip_f: float, source: float) -> Problem:
+def _nonlinear_coeff_sine(d, T, a, kappa, lip_f, source):
     if abs(kappa) > 2.0:
         raise ProblemError("nonlinear-coeff-sine requires |kappa| <= 2 (coefficient Lipschitz <= c)")
     if lip_f > 4.0:
         raise ProblemError("nonlinear-coeff-sine requires L <= 4 (v-Lipschitz <= c)")
 
-    def drift(x):
-        return kappa * np.sin(x)
-
-    def diffusion(x):
-        return 1.0 + kappa * np.cos(x)
-
     def nonlinearity(t, x, v):
         t, v = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(v, dtype=float))
         return lip_f * np.sin(v) + source
 
-    constant = None
-    if kappa == 0.0:
-        constant = (np.zeros(d), np.ones(d))
-
-    return Problem(
-        name="nonlinear-coeff-sine",
-        d=d,
-        T=T,
-        drift=drift,
-        diffusion=diffusion,
-        terminal=_quadratic_terminal,
+    return dict(
+        drift=lambda x: kappa * np.sin(x),
+        diffusion=lambda x: 1.0 + kappa * np.cos(x),
         nonlinearity=nonlinearity,
         lip_f=lip_f,
-        coeff_lip=4.0,
         growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH, extra_sup=T * abs(source)),
-        growth_beta=1.0,
-        growth_p=2.0,
         lyapunov_a=max(a, d * (1.0 + abs(kappa)) ** 2 / 16.0),
-        constant_coefficients=constant,
-        params={"d": d, "T": T, "a": a, "kappa": kappa, "lip_f": lip_f, "source": source},
+        constant_coefficients=(np.zeros(d), np.ones(d)) if kappa == 0.0 else None,
     )
 
 
-def _make_scaled_bs(d: int, T: float, a: float, mu_bar: float, sigma_bar: float, lip_f: float, strike: float) -> Problem:
+def _scaled_bs(d, T, a, mu_bar, sigma_bar, lip_f, strike):
     if max(abs(mu_bar), abs(sigma_bar)) > 4.0:
         raise ProblemError("scaled-bs requires |mu_bar|, |sigma_bar| <= 4 (coefficient Lipschitz <= c)")
     if lip_f > 4.0:
         raise ProblemError("scaled-bs requires L <= 4")
-
-    def drift(x):
-        return mu_bar * x
-
-    def diffusion(x):
-        return sigma_bar * x
-
-    def terminal(x):
-        return np.maximum(x[..., 0] - strike, 0.0)
-
-    def nonlinearity(t, x, v):
-        v = np.asarray(v, dtype=float)
-        return lip_f * np.maximum(v, 0.0)
-
-    return Problem(
-        name="scaled-bs",
-        d=d,
-        T=T,
-        drift=drift,
-        diffusion=diffusion,
-        terminal=terminal,
-        nonlinearity=nonlinearity,
+    return dict(
+        drift=lambda x: mu_bar * x,
+        diffusion=lambda x: sigma_bar * x,
+        terminal=lambda x: np.maximum(x[..., 0] - strike, 0.0),
+        nonlinearity=lambda t, x, v: lip_f * np.maximum(np.asarray(v, dtype=float), 0.0),
         lip_f=lip_f,
-        coeff_lip=4.0,
         growth_b=max(1.0, math.sqrt(T)),
-        growth_beta=1.0,
-        growth_p=2.0,
-        lyapunov_a=a,
-        constant_coefficients=None,
-        params={"d": d, "T": T, "a": a, "mu_bar": mu_bar, "sigma_bar": sigma_bar,
-                "lip_f": lip_f, "strike": strike},
     )
 
 
-_DEFAULTS = {
-    "heat-quadratic": {"d": 1, "T": 1.0, "a": 1.0},
-    "linear-reaction": {"d": 1, "T": 1.0, "a": 1.0},
-    "nonlinear-coeff-sine": {"d": 1, "T": 1.0, "a": 1.0, "kappa": 0.5, "lip_f": 0.5, "source": 1.0},
-    "scaled-bs": {"d": 1, "T": 1.0, "a": 1.0, "mu_bar": 0.06, "sigma_bar": 0.4, "lip_f": 0.5, "strike": 1.0},
+# Every problem's parameters are d, T, a and its own; these are the shared ones.
+_SHARED_DEFAULTS = {"d": 1, "T": 1.0, "a": 1.0}
+# name -> (defaults of its own parameters, builder).  A builder takes every
+# parameter by name and returns the problem's own Problem fields; instantiate
+# supplies the rest (a quadratic terminal, c = 4, beta = 1, p = 2, a).
+_CATALOGUE = {
+    "heat-quadratic": ({}, _brownian(0.0, lambda t, x, v: np.zeros_like(np.asarray(v, dtype=float)))),
+    "linear-reaction": ({}, _brownian(1.0, lambda t, x, v: np.asarray(v, dtype=float))),
+    "nonlinear-coeff-sine": ({"kappa": 0.5, "lip_f": 0.5, "source": 1.0}, _nonlinear_coeff_sine),
+    "scaled-bs": ({"mu_bar": 0.06, "sigma_bar": 0.4, "lip_f": 0.5, "strike": 1.0}, _scaled_bs),
 }
-
-_BUILDERS = {
-    "heat-quadratic": lambda p: _make_heat_quadratic(p["d"], p["T"], p["a"]),
-    "linear-reaction": lambda p: _make_linear_reaction(p["d"], p["T"], p["a"]),
-    "nonlinear-coeff-sine": lambda p: _make_nonlinear_coeff_sine(
-        p["d"], p["T"], p["a"], p["kappa"], p["lip_f"], p["source"]),
-    "scaled-bs": lambda p: _make_scaled_bs(
-        p["d"], p["T"], p["a"], p["mu_bar"], p["sigma_bar"], p["lip_f"], p["strike"]),
-}
+CATALOGUE = tuple(_CATALOGUE)
+# every override name, in catalogue order
+PARAMETERS = tuple(dict.fromkeys(
+    [*_SHARED_DEFAULTS, *(key for own, _ in _CATALOGUE.values() for key in own)]))
 
 
 def instantiate(name: str, **overrides) -> Problem:
     """Build a catalogue problem by name with overrides."""
-    if name not in _BUILDERS:
+    if name not in _CATALOGUE:
         raise ProblemError(f"unknown problem {name!r}; catalogue: {', '.join(CATALOGUE)}")
-    params = dict(_DEFAULTS[name])
+    own, build = _CATALOGUE[name]
+    params = {**_SHARED_DEFAULTS, **own}
     for key, value in overrides.items():
         if key not in params:
             raise ProblemError(f"problem {name!r} does not accept override {key!r}")
         params[key] = value
     for key, value in params.items():
-        if not math.isfinite(float(value)):
+        try:
+            finite = math.isfinite(float(value))
+        except (TypeError, ValueError):
+            raise ProblemError(f"override {key} must be a number, got {value!r}") from None
+        if not finite:
             raise ProblemError(f"override {key} must be finite, got {value!r}")
     d = params["d"]
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer, str)):
-        raise ProblemError(f"override d must be an integer, got {d!r}")
-    for key in params:
-        params[key] = int(d) if key == "d" else float(params[key])
+    if isinstance(d, str):
+        with contextlib.suppress(ValueError):
+            d = int(d)
+    if not is_integer(d):
+        raise ProblemError(f"override d must be an integer, got {params['d']!r}")
+    params = {key: int(d) if key == "d" else float(value) for key, value in params.items()}
     if params["d"] < 1:
         raise ProblemError("override d must be a positive integer")
     if params["T"] <= 0:
         raise ProblemError("override T must be positive")
-    return _BUILDERS[name](params)
+    fields = dict(terminal=_quadratic_terminal, coeff_lip=4.0, growth_beta=1.0, growth_p=2.0,
+                  lyapunov_a=params["a"])
+    fields.update(build(**params))
+    return Problem(name=name, d=params["d"], T=params["T"], params=params, **fields)
 
 
 @dataclass

@@ -12,7 +12,8 @@ HEAT_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 @pytest.mark.parametrize("override,message", [
     ("T=nan", "override T must be finite"),
-    ("d=2.5", "invalid literal for int()"),
+    ("d=2.5", "override d must be an integer, got '2.5'"),
+    ("d=x", "override d must be a number, got 'x'"),
 ])
 def test_validate_problem_bad_override_exits_2(capsys, override, message):
     assert main(["validate-problem", "heat-quadratic", "--override", override]) == 2

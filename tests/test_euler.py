@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -144,6 +145,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             simulate_batch(instantiate("heat-quadratic"), steps, _path_stream(1, (1,)), 0.0,
                            np.zeros(1), np.array([1.0]))
+
+    @pytest.mark.parametrize("steps", [True, 2.5, np.float64(4.0)])
+    def test_non_integer_steps_rejected_before_drawing(self, steps, monkeypatch):
+        prob, stream = instantiate("heat-quadratic"), _path_stream(1, (1,))
+        monkeypatch.setattr(euler, "keys_at", None)  # any keying or draw would fail here
+        monkeypatch.setattr(euler, "draw_uniforms", None)
+        message = re.escape(f"steps must be an integer, got {steps!r}")
+        with pytest.raises(TypeError, match=message):
+            simulate_batch(prob, steps, stream, 0.0, np.zeros(1), np.array([1.0]))
+        with pytest.raises(TypeError, match=message):
+            lyapunov_check(prob, steps, 0.0, np.zeros(1), 1.0, paths=4, seed=0)
 
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")

@@ -21,6 +21,7 @@ from mlpicard.harness import (
     write_sweep_csv,
 )
 from mlpicard.mlp import cost_recursion_bound
+from mlpicard.problems import instantiate
 
 MINIMAL = "problem = heat-quadratic\n"
 
@@ -35,6 +36,21 @@ class TestParseConfig:
         assert cfg.resolved_steps(3) == 27
         assert cfg.t0 == 0.0
         assert np.array_equal(cfg.query_point(), np.zeros(1))
+
+    @pytest.mark.parametrize("name,params", [
+        ("heat-quadratic", {"d": 3, "T": 0.5, "a": 2.0}),
+        ("linear-reaction", {"d": 2, "T": 1.5, "a": 0.75}),
+        ("nonlinear-coeff-sine",
+         {"d": 2, "T": 0.5, "a": 3.0, "kappa": -0.25, "lip_f": 1.5, "source": -2.0}),
+        ("scaled-bs",
+         {"d": 4, "T": 2.0, "a": 1.5, "mu_bar": -0.1, "sigma_bar": 0.3, "lip_f": 2.0,
+          "strike": 0.8}),
+    ])
+    def test_every_problem_parameter_is_a_config_key(self, name, params):
+        assert params.keys() == instantiate(name).params.keys()
+        text = f"problem = {name}\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+        problem = parse_config(text).build_problem()
+        assert problem.params == params and type(problem.params["d"]) is int
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# top\nproblem = heat-quadratic  # tail\n\nd = 2\n")

@@ -19,7 +19,23 @@ from mlpicard.oracle import (
     picard_quadrature_1d,
     problem_fingerprint,
 )
-from mlpicard.problems import instantiate
+from mlpicard.problems import CATALOGUE, instantiate
+
+# Each catalogue problem's fingerprint at its defaults and (t, x) = (0, 0).
+# The shipped baseline's cache key and every provenance string depend on it.
+FINGERPRINTS = {
+    "heat-quadratic": "heat-quadratic|T=1|a=1|d=1|t=0|x=0",
+    "linear-reaction": "linear-reaction|T=1|a=1|d=1|t=0|x=0",
+    "nonlinear-coeff-sine":
+        "nonlinear-coeff-sine|T=1|a=1|d=1|kappa=0.5|lip_f=0.5|source=1|t=0|x=0",
+    "scaled-bs": "scaled-bs|T=1|a=1|d=1|lip_f=0.5|mu_bar=0.059999999999999998"
+                 "|sigma_bar=0.40000000000000002|strike=1|t=0|x=0",
+}
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_catalogue_fingerprint_is_pinned(name):
+    assert problem_fingerprint(instantiate(name), 0.0, np.zeros(1)) == FINGERPRINTS[name]
 
 
 class TestClosedForm:

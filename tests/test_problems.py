@@ -2,12 +2,14 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlpicard.problems import (
     CATALOGUE,
+    PARAMETERS,
     ProblemError,
     instantiate,
     validate,
@@ -70,9 +72,19 @@ def test_non_finite_override_rejected(name, overrides):
         instantiate(name, **overrides)
 
 
-@pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0)])
+@pytest.mark.parametrize("name,key,value", [
+    ("heat-quadratic", "d", None),
+    ("nonlinear-coeff-sine", "kappa", None),
+    ("heat-quadratic", "d", "x"),
+    ("heat-quadratic", "T", "abc"),
+])
+def test_non_number_override_is_named(name, key, value):
+    with pytest.raises(ProblemError, match=re.escape(f"override {key} must be a number, got {value!r}")):
+        instantiate(name, **{key: value})
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0), "2.5"])
 def test_non_integer_dimension_rejected(d):
-    # the CLI's string "2.5" fails in int() (tests/test_cli.py)
     with pytest.raises(ProblemError, match=re.escape(f"must be an integer, got {d!r}")):
         instantiate("heat-quadratic", d=d)
 
@@ -81,6 +93,12 @@ def test_non_integer_dimension_rejected(d):
 def test_integer_dimension_accepted(d):
     prob = instantiate("heat-quadratic", d=d)
     assert prob.d == 2 and type(prob.d) is int
+
+
+@pytest.mark.parametrize("d", [2.5, True])
+def test_problem_rejects_non_integer_dimension(d):
+    with pytest.raises(ProblemError, match=re.escape(f"require integer d, got {d!r}")):
+        dataclasses.replace(instantiate("heat-quadratic"), d=d)
 
 
 @pytest.mark.parametrize("name", ["T", "lip_f", "coeff_lip", "growth_b", "growth_beta",
@@ -152,3 +170,11 @@ def test_growth_constant_scales_with_dimension():
     b1 = instantiate("heat-quadratic", d=1).growth_b
     b10 = instantiate("heat-quadratic", d=10).growth_b
     assert b10 > b1 >= 1.0
+
+
+def test_readme_lists_the_catalogue_and_its_parameters():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    override_row = next(line for line in readme.splitlines() if "| problem overrides" in line)
+    assert re.findall(r"`(\w+)`", override_row.split("|")[1]) == list(PARAMETERS)
+    table = readme.split("## Problem catalogue", 1)[1].split("\n\n")[1].splitlines()
+    assert [re.match(r"\| `([\w-]+)` \|", row).group(1) for row in table[2:]] == list(CATALOGUE)

@@ -25,7 +25,7 @@ may be live at once.  The pass is whole-buffer numpy, mostly without the
 GIL; the draws, the ``Problem`` callables and the stepping loop (in place,
 through two scratch arrays, in the operation order of ``y + (drift * dt +
 diffusion * inc)``) stay on the caller.  The helper is joined before the call
-returns or raises, so no thread is left when the harness forks its pool; a
+returns or raises, so no thread is left when the harness forks a child; a
 call of one chunk maps inline.  Every path draws from its own stream and the
 pass works element by element, so neither chunks nor helper change a value.
 """
@@ -201,6 +201,8 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
     ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``."""
     _check_steps(steps)
+    if not is_integer(paths):
+        raise TypeError(f"paths must be an integer, got {paths!r}")
     if paths < 1:
         raise ValueError("paths must be >= 1")
     x = np.asarray(x, dtype=float)

@@ -14,10 +14,14 @@ The replications use root seeds ``seed, seed + 1, ...``.  A run cuts them
 once into ``min(workers, replications)`` contiguous seed blocks, and one
 task evaluates every configured depth of one block, each depth as one
 ``mlp.estimate_many`` forest.  The calling process is one of the workers: it
-submits blocks 2, 3, ... to a pool of the others, evaluates block 1 itself,
-and reassembles each depth's results in seed order; ``workers = 1`` starts
-no pool.  The depth search of ``find_depth_for_epsilon`` runs each depth the
-same way, at ``cfg.workers``, and one pool serves its whole scan.
+forks one child per block 2, 3, ... (the platform's default start method
+where ``fork`` is not offered), evaluates block 1 itself, receives each
+child's outcome over a one-way pipe, and reassembles each depth's results
+in seed order; ``workers = 1`` starts no child.  :func:`run_experiment` joins
+its children after writing the CSVs, so their exit overlaps the reports, and
+terminates them first on an error; :func:`find_depth_for_epsilon` runs each
+depth the same way, at ``cfg.workers``, and joins after each depth run.  No
+child outlives the call.
 Outputs are byte-identical for identical configs regardless of the worker
 count: every realization is a pure function of its seed.  Wall-clock
 timings (a depth's time is its slowest block's) are reported on stdout only;
@@ -27,11 +31,12 @@ they are the one quantity that would break byte-level reproducibility.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -371,8 +376,8 @@ def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
 
 
 def _evaluate_block(task) -> list:
-    """Process-pool entry: every depth of one seed block, in the given order,
-    as ``(wall_seconds, [(value, cost dict) per seed])`` per depth."""
+    """Every depth of one seed block, in the given order, as
+    ``(wall_seconds, [(value, cost dict) per seed])`` per depth."""
     problem_name, overrides, depths, seeds, t0, x0 = task
     problem = instantiate(problem_name, **overrides)
     outcomes = []
@@ -385,26 +390,79 @@ def _evaluate_block(task) -> list:
     return outcomes
 
 
-def _seed_pool(cfg: ExperimentConfig):
-    """The pool that evaluates seed blocks 2.. of every depth run of ``cfg``,
-    or a null context when the replications make one block."""
-    blocks = min(cfg.workers, cfg.replications)
-    return ProcessPoolExecutor(max_workers=blocks - 1) if blocks > 1 else nullcontext()
+# A forked child inherits the loaded numpy, scipy and plan caches instead of
+# importing them again.  The estimator joins its helper threads before it
+# returns, so the calling process has no other thread when it forks.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
-def _run_depths(cfg: ExperimentConfig, depths: list, pool) -> list:
+def _block_child(task, send) -> None:
+    """Child entry: send ``(outcome, None)`` for one seed block, or the
+    exception it raised and its traceback text, and exit."""
+    try:
+        send.send((_evaluate_block(task), None))
+    except Exception as exc:
+        send.send((exc, traceback.format_exc()))
+    send.close()
+
+
+def _start_child(task) -> tuple:
+    """Start a child that evaluates seed block ``task``; returns the process,
+    the receiving end of its one-way pipe, and the block's first seed."""
+    receive, send = _CONTEXT.Pipe(duplex=False)
+    child = _CONTEXT.Process(target=_block_child, args=(task, send))
+    child.start()
+    send.close()  # the child now holds the only sending end: its exit ends the pipe
+    return child, receive, task[3][0]
+
+
+def _receive(child, receive, first_seed) -> list:
+    """The outcome of one child's block; re-raises the exception it sent."""
+    try:
+        outcome, child_traceback = receive.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"the seed block starting at seed {first_seed} exited with code "
+                           f"{child.exitcode} without sending a result") from None
+    if child_traceback is not None:
+        raise outcome from RuntimeError(
+            f"in the child of the seed block starting at seed {first_seed}:\n{child_traceback}")
+    return outcome
+
+
+@contextmanager
+def _joined_children():
+    """A list for the children that :func:`_run_depths` starts.  On leaving
+    the ``with`` body every child is joined, and terminated first if the body
+    raised."""
+    children = []
+    try:
+        yield children
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive, _ in children:
+            child.join()
+            receive.close()
+
+
+def _run_depths(cfg: ExperimentConfig, depths: list, children: list) -> list:
     """The replications of every depth, cut into ``min(workers, replications)``
-    seed blocks: ``pool`` (from :func:`_seed_pool`) evaluates blocks 2.. while
-    this process evaluates block 1.  Returns one record per depth, its seeds
-    in order."""
+    seed blocks: one child per block 2.. (appended to ``children``, an empty
+    list from :func:`_joined_children`) while this process evaluates block 1.
+    Returns one record per depth, its seeds in order."""
     seeds = [cfg.seed + r for r in range(cfg.replications)]
     blocks = min(cfg.workers, len(seeds))
     cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
     plan = [(n, M, cfg.resolved_steps(M)) for n, M in depths]
     tasks = [(cfg.problem, cfg.overrides, plan, seeds[lo:hi], cfg.t0, tuple(cfg.query_point()))
              for lo, hi in zip(cuts, cuts[1:])]
-    futures = [pool.submit(_evaluate_block, task) for task in tasks[1:]]
-    outcomes = [_evaluate_block(tasks[0])] + [future.result() for future in futures]
+    for task in tasks[1:]:
+        children.append(_start_child(task))
+    outcomes = [_evaluate_block(tasks[0])] + [_receive(*child) for child in children]
     records = []
     for i, (n, M, steps) in enumerate(plan):
         items = [item for block in outcomes for item in block[i][1]]
@@ -485,36 +543,37 @@ def run_experiment(cfg: ExperimentConfig):
     rows = []
     raw_rows = []
     bound_rows = []
-    with _seed_pool(cfg) as pool:
-        depth_records = _run_depths(cfg, cfg.depths, pool)
-    for depth_data in depth_records:
-        n, M, N = depth_data["n"], depth_data["M"], depth_data["N"]
-        row = _report_row(cfg, problem, depth_data, reference)
-        rows.append(row)
-        for seed, value, tally, cost in zip(
-                depth_data["seeds"], depth_data["values"], depth_data["tallies"],
-                depth_data["weighted_costs"]):
-            raw_rows.append([
-                n, M, N, seed, float(value), tally.uniforms, tally.gaussians,
-                tally.euler_steps, tally.g_evals, tally.f_evals, float(cost),
-            ])
-        bound_rows.append([n, M, N, row.theoretical_error_bound, row.cost_recursion_bound])
+    # the children are joined after the reports, which their exit overlaps
+    with _joined_children() as children:
+        depth_records = _run_depths(cfg, cfg.depths, children)
+        for depth_data in depth_records:
+            n, M, N = depth_data["n"], depth_data["M"], depth_data["N"]
+            row = _report_row(cfg, problem, depth_data, reference)
+            rows.append(row)
+            for seed, value, tally, cost in zip(
+                    depth_data["seeds"], depth_data["values"], depth_data["tallies"],
+                    depth_data["weighted_costs"]):
+                raw_rows.append([
+                    n, M, N, seed, float(value), tally.uniforms, tally.gaussians,
+                    tally.euler_steps, tally.g_evals, tally.f_evals, float(cost),
+                ])
+            bound_rows.append([n, M, N, row.theoretical_error_bound, row.cost_recursion_bound])
 
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    paths = {
-        "results": os.path.join(out, "results.csv"),
-        "raw": os.path.join(out, "raw.csv"),
-        "bounds": os.path.join(out, "bounds.csv"),
-    }
-    emit_csv(RESULTS_HEADER, [
-        [r.n, r.M, r.N, r.value_mean, r.value_se, r.rmse_vs_reference,
-         r.reference_value, r.reference_ci, r.reference_ci_flag,
-         r.theoretical_error_bound, r.tallied_cost, r.cost_recursion_bound]
-        for r in rows
-    ], paths["results"])
-    emit_csv(RAW_HEADER, raw_rows, paths["raw"])
-    emit_csv(BOUNDS_HEADER, bound_rows, paths["bounds"])
+        out = cfg.output_dir
+        os.makedirs(out, exist_ok=True)
+        paths = {
+            "results": os.path.join(out, "results.csv"),
+            "raw": os.path.join(out, "raw.csv"),
+            "bounds": os.path.join(out, "bounds.csv"),
+        }
+        emit_csv(RESULTS_HEADER, [
+            [r.n, r.M, r.N, r.value_mean, r.value_se, r.rmse_vs_reference,
+             r.reference_value, r.reference_ci, r.reference_ci_flag,
+             r.theoretical_error_bound, r.tallied_cost, r.cost_recursion_bound]
+            for r in rows
+        ], paths["results"])
+        emit_csv(RAW_HEADER, raw_rows, paths["raw"])
+        emit_csv(BOUNDS_HEADER, bound_rows, paths["bounds"])
     return rows, reference, paths
 
 
@@ -539,8 +598,8 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
     Scans n = 1, 2, ... and stops at the configured cost ceiling or depth
     cap, emitting an explicit failure row instead of a result.  Depth runs
     are shared across targets (they are deterministic in the config) and
-    use ``cfg.workers`` processes, as in :func:`run_experiment`, from one
-    pool opened for the whole scan.
+    use ``cfg.workers`` processes, as in :func:`run_experiment`: each depth
+    run forks its children and joins them before the scan goes on.
     Reported cost is the per-realization mean of the weighted tally, summed
     over all depths up to n*.
     """
@@ -557,44 +616,44 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
 
     depth_cache: dict = {}
     sweep_rows = []
-    with _seed_pool(cfg) as pool:
-        for eps in epsilons:
-            n = 0
-            row = None
-            while True:
-                n += 1
-                if n > cfg.max_depth:
-                    row = SweepRow(epsilon=eps, status="max-depth", n_star=-1, rmse=math.nan,
-                                   rmse_plus_2se=math.nan, cost_sum=math.nan,
-                                   total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                                   tripped_bound=float(cfg.max_depth))
-                    break
-                bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n),
-                                             cfg.cost_weights)
-                if bound > cfg.cost_ceiling:
-                    row = SweepRow(epsilon=eps, status="cost-ceiling", n_star=-1, rmse=math.nan,
-                                   rmse_plus_2se=math.nan, cost_sum=math.nan,
-                                   total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                                   tripped_bound=bound)
-                    break
-                if n not in depth_cache:
-                    depth_data, = _run_depths(cfg, [(n, n)], pool)
-                    depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
-                report = depth_cache[n]
-                margin = report.rmse_vs_reference + 2.0 * report.rmse_se
-                if margin < eps:
-                    cost_sum = sum(depth_cache[k].tallied_cost for k in range(1, n + 1))
-                    row = SweepRow(
-                        epsilon=eps, status="ok", n_star=n,
-                        rmse=report.rmse_vs_reference, rmse_plus_2se=margin,
-                        cost_sum=cost_sum,
-                        total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
-                        cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
-                        tripped_bound=0.0,
-                    )
-                    break
-            row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]
-            sweep_rows.append(row)
+    for eps in epsilons:
+        n = 0
+        row = None
+        while True:
+            n += 1
+            if n > cfg.max_depth:
+                row = SweepRow(epsilon=eps, status="max-depth", n_star=-1, rmse=math.nan,
+                               rmse_plus_2se=math.nan, cost_sum=math.nan,
+                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
+                               tripped_bound=float(cfg.max_depth))
+                break
+            bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n),
+                                         cfg.cost_weights)
+            if bound > cfg.cost_ceiling:
+                row = SweepRow(epsilon=eps, status="cost-ceiling", n_star=-1, rmse=math.nan,
+                               rmse_plus_2se=math.nan, cost_sum=math.nan,
+                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
+                               tripped_bound=bound)
+                break
+            if n not in depth_cache:
+                with _joined_children() as children:
+                    depth_data, = _run_depths(cfg, [(n, n)], children)
+                depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
+            report = depth_cache[n]
+            margin = report.rmse_vs_reference + 2.0 * report.rmse_se
+            if margin < eps:
+                cost_sum = sum(depth_cache[k].tallied_cost for k in range(1, n + 1))
+                row = SweepRow(
+                    epsilon=eps, status="ok", n_star=n,
+                    rmse=report.rmse_vs_reference, rmse_plus_2se=margin,
+                    cost_sum=cost_sum,
+                    total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
+                    cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
+                    tripped_bound=0.0,
+                )
+                break
+        row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]
+        sweep_rows.append(row)
     return sweep_rows, reference
 
 

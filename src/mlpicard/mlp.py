@@ -137,6 +137,8 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
     plan of ``(params.n, params.M)``, in blocks of bounded size
     (:func:`seed_blocks`).
     """
+    if isinstance(t, (bool, np.bool_)):
+        raise TypeError(f"t must be a number, got {t!r}")
     if not (0.0 <= t <= problem.T):
         raise ValueError(f"t must lie in [0, {problem.T}], got {t}")
     x = np.asarray(x, dtype=float)

@@ -184,6 +184,9 @@ def instantiate(name: str, **overrides) -> Problem:
             raise ProblemError(f"problem {name!r} does not accept override {key!r}")
         params[key] = value
     for key, value in params.items():
+        # float(True) is 1.0; d has its own integer check below
+        if isinstance(value, (bool, np.bool_)) and key != "d":
+            raise ProblemError(f"override {key} must be a number, got {value!r}")
         try:
             finite = math.isfinite(float(value))
         except (TypeError, ValueError):

@@ -73,7 +73,7 @@ _KERNEL_MIN_STREAMS = 128
 _KERNEL_MAX_WORDS = 40
 # Kernel passes of about this many blocks keep its scratch (about 150 bytes
 # per block, plus about 30 per word for the scatter into rows) near 0.6 MiB.
-# One pass per heat-run chunk (about 6k blocks) raised a pool worker's peak
+# One pass per heat-run chunk (about 6k blocks) raised a worker process's peak
 # RSS by 0.5 MiB over per-stream native draws; passes of 4096 blocks did not.
 _KERNEL_BLOCKS = 1 << 12
 

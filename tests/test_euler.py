@@ -430,6 +430,13 @@ class TestLyapunovCheck:
         assert (lyapunov_check(prob, 4, 0.0, [0.0], 0.5, 4, np.int64(-1))
                 == lyapunov_check(prob, 4, 0.0, [0.0], 0.5, 4, -1))
 
+    @pytest.mark.parametrize("paths", [2.5, True, np.float64(4.0), np.True_])
+    def test_rejects_non_integer_paths_before_keying(self, paths, monkeypatch):
+        prob = instantiate("heat-quadratic")
+        monkeypatch.setattr(euler, "keys_at", None)  # any keying would fail here
+        with pytest.raises(TypeError, match=re.escape(f"paths must be an integer, got {paths!r}")):
+            lyapunov_check(prob, 4, 0.0, np.zeros(1), 1.0, paths=paths, seed=0)
+
     @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [[0.5, -1.0]]])
     def test_rejects_bad_x_before_drawing(self, x, monkeypatch):
         prob = instantiate("heat-quadratic", d=2)

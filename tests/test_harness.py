@@ -3,7 +3,8 @@
 import math
 import multiprocessing
 import os
-from concurrent.futures import Future
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +261,7 @@ _EVALUATE_BLOCK = harness._evaluate_block
 
 
 def _fail_after_first_block(task):
-    """Stands in for ``harness._evaluate_block`` in pool processes too: every
+    """Stands in for ``harness._evaluate_block`` in forked children too: every
     block but the one that starts at seed 42 fails."""
     seeds = task[3]
     if seeds[0] != 42:
@@ -268,52 +269,92 @@ def _fail_after_first_block(task):
     return _EVALUATE_BLOCK(task)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records each pool and its submits,
-    and runs every task inline."""
+def _exit_after_first_block(task):
+    """Every block but the one that starts at seed 42 exits its process
+    without a result."""
+    if task[3][0] != 42:
+        os._exit(1)
+    return _EVALUATE_BLOCK(task)
 
-    pools = []
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.submits = 0
-        _InlinePool.pools.append(self)
+def _fail_first_block(task):
+    """The calling process's block (seed 42 on) fails at once; every other
+    block sleeps far longer than the test may take before it evaluates."""
+    if task[3][0] == 42:
+        raise RuntimeError("the calling process's block failed")
+    time.sleep(60)
+    return _EVALUATE_BLOCK(task)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+@pytest.fixture
+def started(monkeypatch):
+    """The ``(process, receiving end, first seed)`` of every child that
+    ``harness._start_child`` starts while the test runs."""
+    children = []
+    start = harness._start_child
 
-    def submit(self, fn, *args):
-        self.submits += 1
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def record(task):
+        children.append(start(task))
+        return children[-1]
+
+    monkeypatch.setattr(harness, "_start_child", record)
+    return children
+
+
+def _all_joined(children) -> bool:
+    return multiprocessing.active_children() == [] and all(
+        child.exitcode is not None for child, _, _ in children)
 
 
 class TestDispatch:
     CONFIG = "problem = linear-reaction\ndepths = 1, 2, 3\nreplications = 5\nseed = 42\n"
 
+    def _cfg(self, tmp_path, tag, workers):
+        return parse_config(self.CONFIG + f"workers = {workers}\noutput_dir = {tmp_path / tag}\n")
+
     def _run(self, tmp_path, tag, workers):
-        cfg = parse_config(self.CONFIG + f"workers = {workers}\noutput_dir = {tmp_path / tag}\n")
-        _, _, paths = run_experiment(cfg)
+        _, _, paths = run_experiment(self._cfg(tmp_path, tag, workers))
         return tuple(Path(paths[k]).read_bytes() for k in ("results", "raw", "bounds"))
 
-    def test_one_pool_and_one_submit_per_extra_block(self, tmp_path, monkeypatch):
+    def test_one_child_per_extra_block(self, tmp_path, started):
         real = self._run(tmp_path, "real", 1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "pools", [])
+        assert started == []  # workers = 1 starts no child
         assert self._run(tmp_path, "three", 3) == real
-        assert [(pool.max_workers, pool.submits) for pool in _InlinePool.pools] == [(2, 2)]
-        assert self._run(tmp_path, "one", 1) == real
-        assert len(_InlinePool.pools) == 1  # workers = 1 starts no pool
+        # 5 seeds in 3 blocks: 42 | 43, 44 | 45, 46, one run for every depth
+        assert [first for _, _, first in started] == [43, 45]
+        assert _all_joined(started)
+        assert [child.exitcode for child, _, _ in started] == [0, 0]
 
-    def test_pool_block_error_propagates_and_pool_is_joined(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("search", [False, True])
+    def test_child_block_error_propagates_and_child_is_joined(self, tmp_path, monkeypatch,
+                                                              started, search):
         monkeypatch.setattr(harness, "_evaluate_block", _fail_after_first_block)
-        with pytest.raises(RuntimeError, match=r"seeds \[43, 44\] failed"):
-            self._run(tmp_path, "err", 3)
-        assert multiprocessing.active_children() == []
+        cfg = self._cfg(tmp_path, "err", 3)
+        with pytest.raises(RuntimeError, match=r"seeds \[43, 44\] failed") as err:
+            find_depth_for_epsilon(cfg, 1.0) if search else run_experiment(cfg)
+        assert len(started) == 2 and _all_joined(started)
+        # the child's own traceback comes along
+        assert "_fail_after_first_block" in str(err.value.__cause__)
+
+    def test_child_that_exits_without_a_result_is_named_and_joined(self, tmp_path, monkeypatch,
+                                                                   started):
+        monkeypatch.setattr(harness, "_evaluate_block", _exit_after_first_block)
+        message = "seed block starting at seed 43 exited with code 1 without sending a result"
+        with pytest.raises(RuntimeError, match=message):
+            self._run(tmp_path, "exit", 3)
+        assert len(started) == 2 and _all_joined(started)
+
+    @pytest.mark.parametrize("search", [False, True])
+    def test_own_block_error_terminates_and_joins_children(self, tmp_path, monkeypatch,
+                                                            started, search):
+        monkeypatch.setattr(harness, "_evaluate_block", _fail_first_block)
+        cfg = self._cfg(tmp_path, "own", 3)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="the calling process's block failed"):
+            find_depth_for_epsilon(cfg, 1.0) if search else run_experiment(cfg)
+        assert time.monotonic() - start < 30  # the sleeping children did not run out
+        assert len(started) == 2 and _all_joined(started)
+        assert [child.exitcode for child, _, _ in started] == [-signal.SIGTERM] * 2
 
 
 class TestDepthSearch:
@@ -350,7 +391,7 @@ class TestDepthSearch:
         assert sweep[0].depth_rows[0].rmse_vs_reference == \
             sweep[1].depth_rows[0].rmse_vs_reference
 
-    def test_sweep_csv_byte_identical_across_workers(self, tmp_path, monkeypatch):
+    def test_sweep_csv_byte_identical_across_workers(self, tmp_path, started):
         def sweep_bytes(tag, workers):
             cfg = _tiny_config(tmp_path / tag, f"workers = {workers}\n", reps=16)
             sweep, _ = find_depth_for_epsilon(cfg, [1.0, 0.5])
@@ -359,11 +400,9 @@ class TestDepthSearch:
             return path.read_bytes(), len(sweep[-1].depth_rows)
 
         one, depths = sweep_bytes("one", 1)
+        assert started == []
+        # each depth run cuts its replications into two blocks and starts
+        # one child for the second, joined before the scan goes on
         assert sweep_bytes("two", 2)[0] == one
-        # each depth run cuts its replications into two blocks, one of them
-        # pooled, and one pool serves the whole scan
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "pools", [])
-        assert sweep_bytes("inline", 2)[0] == one
-        assert [(pool.max_workers, pool.submits) for pool in _InlinePool.pools] == \
-            [(1, depths)]
+        assert [first for _, _, first in started] == [50] * depths
+        assert _all_joined(started)

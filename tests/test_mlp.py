@@ -387,6 +387,12 @@ class TestValidation:
         with pytest.raises(TypeError, match="integers"):
             estimate_many(prob, MlpParams(n=1, M=2), [0, seed], (0,), 0.0, np.zeros(1))
 
+    @pytest.mark.parametrize("t", [True, np.False_])
+    def test_bool_time_rejected(self, t):
+        prob = instantiate("heat-quadratic")
+        with pytest.raises(TypeError, match=f"t must be a number, got {t!r}"):
+            estimate_many(prob, MlpParams(n=1, M=2), [0], (0,), t, np.zeros(1))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MlpParams(n=-1, M=2)

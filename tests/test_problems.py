@@ -77,6 +77,10 @@ def test_non_finite_override_rejected(name, overrides):
     ("nonlinear-coeff-sine", "kappa", None),
     ("heat-quadratic", "d", "x"),
     ("heat-quadratic", "T", "abc"),
+    # float(True) is 1.0: a bool must not pass for a float parameter
+    ("heat-quadratic", "T", True),
+    ("nonlinear-coeff-sine", "kappa", False),
+    ("scaled-bs", "strike", np.True_),
 ])
 def test_non_number_override_is_named(name, key, value):
     with pytest.raises(ProblemError, match=re.escape(f"override {key} must be a number, got {value!r}")):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bounds import lyapunov_phi_batch
 from .problems import Problem, is_integer
-from .rng import StreamBatch, draw_uniforms, keys_at, uniforms_to_gaussians
+from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
 
 # Upper bound on the scalars in one chunk's live buffers, W * (d + 2) for a row
 # of W steps (increments, step sizes, their transient square roots; the table
@@ -120,17 +120,18 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
 
-def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end_times):
-    """Simulate one path per row of ``streams`` from its start ``(t, x)`` to its end time.
+def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_times):
+    """Simulate one path per stream key of ``keys`` from its start ``(t, x)`` to its end time.
 
-    ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``t`` is a
-    scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.  Every stream of
-    the batch must already be past its uniform draw.  Returns the terminal
-    states ``(P, d)`` and per-path step counts ``(P,)``.
+    ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``keys`` is
+    ``(P, 2)``, as :func:`~mlpicard.rng.keys_at` gives them; path ``i`` reads
+    the Gaussians of its stream, words 1, 2, ..., and never its uniform.
+    ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.
+    Returns the terminal states ``(P, d)`` and per-path step counts ``(P,)``.
     """
     _check_steps(steps)
     d, T, N = problem.d, problem.T, steps
-    P = len(streams)
+    P = len(keys)
     t = np.broadcast_to(np.asarray(t, dtype=float), (P,))
     x = np.broadcast_to(np.asarray(x, dtype=float), (P, d))
     ends = np.asarray(end_times, dtype=float).reshape(P)
@@ -152,7 +153,7 @@ def simulate_batch(problem: Problem, steps: int, streams: StreamBatch, t, x, end
         rows = order[lo:hi]
         c = counts[rows]
         incs = np.zeros((len(rows), int(c[0]), d))
-        draw_uniforms(streams[rows], c * d, incs.reshape(len(rows), -1))
+        draw_uniforms(keys[rows], c * d, incs.reshape(len(rows), -1))
         return rows, c, incs
 
     def mapped(rows, c, incs):
@@ -208,9 +209,8 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be finite with shape ({problem.d},), got {x.tolist()}")
-    streams = StreamBatch(keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8))
-    streams.uniforms(np.zeros(paths, bool))  # path-only use; the uniforms are never drawn
-    states, _ = simulate_batch(problem, steps, streams, t, x, np.full(paths, s))
+    keys = keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8)
+    states, _ = simulate_batch(problem, steps, keys, t, x, np.full(paths, s))
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())
     se = float(phis.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0

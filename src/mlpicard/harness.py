@@ -297,6 +297,11 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
         errors.append(f"replications must be >= 2 (standard errors need variance), got {cfg.replications}")
     if cfg.workers < 1:
         errors.append(f"workers must be >= 1, got {cfg.workers}")
+    steps_ok = cfg.euler_override is None or cfg.euler_override >= 1
+    if not steps_ok:
+        errors.append(f"euler_steps must be >= 1, got {cfg.euler_override}")
+    if cfg.max_depth < 1:
+        errors.append(f"max_depth must be >= 1, got {cfg.max_depth}")
     if not cfg.depths:
         errors.append("depths must contain at least one entry")
     for n, M in cfg.depths:
@@ -327,8 +332,10 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     weights_ok = any(weights) and all(math.isfinite(w) and w >= 0 for w in weights)
     if not weights_ok:
         errors.append(f"cost_weights must be finite, >= 0 and not all 0, got {weights}")
+    # the bound needs d, N >= 1; a d below 1 is reported as a problem violation
+    bound_ok = weights_ok and steps_ok and cfg.dimension >= 1
     for n, M in cfg.depths:
-        if n < 0 or M < 1 or not weights_ok:
+        if n < 0 or M < 1 or not bound_ok:
             continue
         bound = cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M), cfg.cost_weights)
         if bound > cfg.cost_ceiling:
@@ -337,7 +344,7 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
                 f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}")
     # so must the mc-baseline run, which a reference cache miss starts
     budget = cfg.reference_budget
-    if cfg.reference == "mc-baseline" and budget is not None and weights_ok:
+    if cfg.reference == "mc-baseline" and budget is not None and bound_ok:
         bound = budget.replications * cost_recursion_bound(
             budget.n, budget.M, cfg.dimension, budget.euler_steps, cfg.cost_weights)
         if bound > cfg.cost_ceiling:

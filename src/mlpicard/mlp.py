@@ -29,8 +29,8 @@ order or on which seeds share a block.
 
 Stream label conventions for a node with base label ``theta``:
 
-* ``theta + (0, -i)``: terminal path ``i`` (its uniform is skipped and is
-  not tallied);
+* ``theta + (0, -i)``: terminal path ``i`` (Gaussians only: its uniform
+  is never read and is not tallied);
 * ``theta + (l, i)``: level sample (uniform = ``r``, Gaussians = path) and
   at the same time the base label of the level-``l`` sub-estimate;
 * ``theta + (-l, i)``: base label of the level-``(l-1)`` sub-estimate.
@@ -49,8 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .euler import simulate_batch
-from .problems import Problem, is_integer
-from .rng import StreamBatch, check_label, keys_at
+from .problems import Problem, check_query, is_integer
+from .rng import check_label, keys_at, uniforms
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -137,15 +137,7 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
     plan of ``(params.n, params.M)``, in blocks of bounded size
     (:func:`seed_blocks`).
     """
-    if isinstance(t, (bool, np.bool_)):
-        raise TypeError(f"t must be a number, got {t!r}")
-    if not (0.0 <= t <= problem.T):
-        raise ValueError(f"t must lie in [0, {problem.T}], got {t}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite, got {x}")
+    x = check_query(problem, t, x)
     theta = tuple(theta)
     check_label(theta)
     seeds = list(seeds)
@@ -288,15 +280,15 @@ def _forest(problem, N, waves, seeds, theta, t, x) -> list:
         rows, paths = np.nonzero(sim)
         starts = np.searchsorted(rows, np.arange(S + 1))
         width = wave.suffix.shape[1]
-        streams = StreamBatch(np.concatenate([
+        keys = np.concatenate([
             keys_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(), width)
-            for seed, lo, hi in zip(seeds, starts, starts[1:])]))
+            for seed, lo, hi in zip(seeds, starts, starts[1:])])
         level = wave.is_level[paths]
-        r = streams.uniforms(level)  # terminal paths skip theirs: they never use r
+        r = uniforms(keys[level])  # terminal paths never read theirs
         t0 = ends[rows, wave.path_parent[paths]]
         path_ends = np.full(len(paths), T)
         path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)
-        path_states, counts = simulate_batch(problem, N, streams, t0,
+        path_states, counts = simulate_batch(problem, N, keys, t0,
                                              states[rows, wave.path_parent[paths]], path_ends)
         ends = np.zeros(sim.shape)
         ends[rows, paths] = path_ends
@@ -313,10 +305,9 @@ def _forest(problem, N, waves, seeds, theta, t, x) -> list:
             _reduce_group(problem, group, exists, live, node_t, ends, states, child_values,
                           values)
     return [
-        Estimate(value=value, cost=CostTally(uniforms=uniforms, gaussians=d * n_steps,
+        Estimate(value=value, cost=CostTally(uniforms=u, gaussians=d * n_steps,
                                              euler_steps=n_steps, g_evals=g, f_evals=f))
-        for value, (uniforms, g, f), n_steps in zip(values[:, 0].tolist(), work.tolist(),
-                                                     steps.tolist())
+        for value, (u, g, f), n_steps in zip(values[:, 0].tolist(), work.tolist(), steps.tolist())
     ]
 
 

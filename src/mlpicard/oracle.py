@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .mlp import ESTIMATOR_VERSION, MlpParams, estimate_many, seed_blocks
-from .problems import Problem
+from .problems import Problem, check_query
 from .rng import RNG_ALGORITHM
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -77,12 +77,10 @@ def closed_form(problem: Problem, t: float, x) -> Reference:
     fixed-point equation to two scalar equations with solution
     ``u(t, x) = e^(T-t) ||x||^2 + d (T-t) e^(T-t)``.
     """
-    x = np.asarray(x, dtype=float)
-    if not (0.0 <= t <= problem.T):
-        raise ValueError(f"t must lie in [0, {problem.T}]")
+    x = check_query(problem, t, x)
     if not has_closed_form(problem):
         raise OracleError(f"no closed form for problem {problem.name!r}")
-    value = _CLOSED_FORMS[problem.name](float(np.dot(x.ravel(), x.ravel())), problem.d, problem.T - t)
+    value = _CLOSED_FORMS[problem.name](float(np.dot(x, x)), problem.d, problem.T - t)
     return Reference(value=value, ci_halfwidth=0.0, method="closed_form",
                      provenance=f"closed-form:{problem_hash(problem, t, x)[:16]}")
 
@@ -110,9 +108,7 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
         raise OracleError("picard_quadrature_1d requires constant coefficients")
     if depth < 1 or nodes < 8:
         raise ValueError("require depth >= 1 and nodes >= 8")
-    x = float(np.asarray(x, dtype=float).ravel()[0])
-    if not (0.0 <= t <= problem.T):
-        raise ValueError(f"t must lie in [0, {problem.T}]")
+    x = float(check_query(problem, t, x)[0])
 
     value, deltas = _picard_solve(problem, t, x, depth, nodes, time_cells, space_points)
     coarse, _ = _picard_solve(problem, t, x, depth, max(8, nodes // 2),
@@ -265,7 +261,7 @@ def mc_baseline(problem: Problem, t: float, x, budget: BaselineBudget, seed: int
     ``ESTIMATOR_VERSION`` is reloaded bit-identically; any other entry is
     recomputed.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_query(problem, t, x)
     key = _cache_key(problem, t, x, budget, seed)
     path = _cache_file(cache_path, key)
     provenance = f"mc-baseline:{key}"

@@ -45,6 +45,22 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_query(problem: Problem, t, x) -> np.ndarray:
+    """``x`` as a float array, once the query point ``(t, x)`` is checked:
+    ``t`` a number, not a ``bool``, in ``[0, T]``, and ``x`` finite with
+    shape ``(d,)``."""
+    if isinstance(t, (bool, np.bool_)):
+        raise TypeError(f"t must be a number, got {t!r}")
+    if not (0.0 <= t <= problem.T):
+        raise ValueError(f"t must lie in [0, {problem.T}], got {t}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.d,):
+        raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     name: str

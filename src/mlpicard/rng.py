@@ -2,9 +2,9 @@
 
 Every stream is addressed by a pair ``(root_seed, theta)`` where ``theta`` is
 a nonempty tuple of signed integers.  Two streams with different labels are
-statistically independent for all practical purposes, and the draw sequence
-of a stream is a pure function of its address: evaluation order, threading,
-and batching never change the values drawn.
+statistically independent for all practical purposes, and the words of a
+stream are a pure function of its address: evaluation order, threading, and
+batching never change the values drawn.
 
 Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
 
@@ -16,35 +16,35 @@ Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
 * Gaussians: inverse normal CDF (``scipy.special.ndtri``) applied to
   ``((raw >> 11) + 0.5) * 2**-53``, which lies in (0, 1).
 
-Within a stream the draw order is fixed: exactly one uniform first, then
-standard Gaussian scalars in consumption order.  :meth:`StreamBatch.uniforms`
-draws the uniform, or skips it for callers that do not need it, so the
-Gaussian subsequence seen by a consumer depends only on the stream address.
-The Gaussians come in two phases: :func:`draw_uniforms` writes the next words
-as uniforms, and :func:`uniforms_to_gaussians` maps them in place.
+A stream is its Philox key, a ``(2,)`` row of ``uint64`` words, low word
+first; many streams are a ``(P, 2)`` array of keys (:func:`keys_at`), and a
+single stream (:func:`stream_for`) is one of one row.  Every stream has one
+fixed layout: word 0 is its uniform (:func:`uniforms`), and words 1, 2, ...
+are its standard Gaussians in consumption order.  The Gaussians come in two
+phases: :func:`draw_uniforms` writes words ``1..n`` as uniforms, and
+:func:`uniforms_to_gaussians` maps them in place.  A consumer that needs no
+uniform never reads word 0, so the Gaussians it sees depend only on the
+stream address.
 
-A stream is a key plus a cursor, and owns no generator.  A
-:class:`StreamBatch` holds many as arrays; a single stream
-(:func:`stream_for`) is a batch of one row.  Philox is counter based
-(Salmon et al., SC'11), so word ``w`` of a stream is a pure function of its
-key and ``w``: word ``w % 4`` of the 4-word block ``w // 4``, which Philox
-computes at counter ``w // 4 + 1``.  Words are read in one of two ways, with
-the same bits:
+Philox is counter based (Salmon et al., SC'11), so word ``w`` of a stream is
+a pure function of its key and ``w``: word ``w % 4`` of the 4-word block
+``w // 4``, which Philox computes at counter ``w // 4 + 1``.  Words are read
+in one of two ways, with the same bits:
 
 * the native generator: a draw sets this thread's one numpy Philox generator
-  to the key at the block that holds the cursor, discards the words before
-  it, and reads on.  It costs about 3 µs per keying and 7 ns per word.
+  to the key at the block that holds its first word, discards the words
+  before it, and reads on.  It costs about 3 µs per keying and 7 ns per word.
 * the kernel: :func:`philox_blocks`, Philox-4x64-10 in numpy ``uint64``
   arithmetic, computes the blocks of many ``(key, block)`` pairs in one
   vectorized pass.  It costs about 0.1-0.2 ms per call, whatever the batch
   size, and 30-100 ns per word.
 
 A batch of at least ``_KERNEL_MIN_STREAMS`` streams draws from the kernel
-every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` words, and
-the rest of the cursor's block of a longer one, which the native generator
-continues from the next block with no words to discard.  The kernel runs in
-passes of about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.
-Smaller batches, single streams among them, use the native generator alone.
+every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` Gaussians,
+and words 1-3 of a longer one, which the native generator continues from
+word 4, block 1, with no words to discard.  The kernel runs in passes of
+about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.  Smaller
+batches, single streams among them, use the native generator alone.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ _HALF_ULP = 2.0**-54
 # Measured crossover (2-vCPU VM, numpy 2.4): 48-64 streams that draw 1 word
 # each, 96-192 streams that draw 11 or 27 words each.
 _KERNEL_MIN_STREAMS = 128
-# A longer draw takes only the rest of its cursor's block from the kernel: past
+# A longer draw takes only words 1-3, the rest of block 0, from the kernel: past
 # this length one native keying (about 3-5 µs) costs less than the kernel's
-# premium per word.  Measured crossover: 40-48 words, 1000 streams at cursor 1.
+# premium per word.  Measured crossover: 40-48 words, 1000 streams from word 1.
 _KERNEL_MAX_WORDS = 40
 # Kernel passes of about this many blocks keep its scratch (about 150 bytes
 # per block, plus about 30 per word for the scatter into rows) near 0.6 MiB.
@@ -84,10 +84,6 @@ _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 _PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None, None]
                  * np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64))
-
-
-class StreamOrderError(RuntimeError):
-    """Raised when draws are requested out of the fixed stream order."""
 
 
 def _packed(label) -> bytes:
@@ -189,40 +185,38 @@ def _generator_at(key, word: int) -> np.random.Generator:
     return gen
 
 
-def _draw(keys: np.ndarray, cursors: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-    """Write words ``cursors[i]`` to ``cursors[i] + counts[i] - 1`` of the stream
-    keyed by ``keys[i]`` into ``out[i, :counts[i]]``, as uniforms in [0, 1)."""
+def _draw(keys: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Write words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``
+    into ``out[i, :counts[i]]``, as uniforms in [0, 1)."""
     if len(keys) < _KERNEL_MIN_STREAMS:
-        for key, word, n, row in zip(keys.tolist(), cursors.tolist(), counts.tolist(), out):
+        for key, n, row in zip(keys.tolist(), counts.tolist(), out):
             if n:
-                _generator_at(key, word).random(out=row[:n])
+                _generator_at(key, 1).random(out=row[:n])
         return
-    # a long draw takes the rest of its cursor's block from the kernel, so the
-    # native generator starts on a block boundary
+    # a long draw takes words 1-3 from the kernel, so the native generator
+    # starts on the boundary of block 1
     long = counts > _KERNEL_MAX_WORDS
-    heads = np.where(long, -cursors % 4, counts)
+    heads = np.where(long, 3, counts)
     rows = np.flatnonzero(heads)
-    n_blocks = (cursors[rows] % 4 + heads[rows] + 3) // 4
+    n_blocks = heads[rows] // 4 + 1
     for part in np.split(rows, np.flatnonzero(np.diff((np.cumsum(n_blocks) - 1)
                                                       // _KERNEL_BLOCKS)) + 1):
         if len(part):
-            _kernel_draw(keys[part], cursors[part], heads[part], part, out)
+            _kernel_draw(keys[part], heads[part], part, out)
     rows = np.flatnonzero(long)
-    for i, key, word, head, n in zip(rows.tolist(), keys[rows].tolist(), cursors[rows].tolist(),
-                                     heads[rows].tolist(), counts[rows].tolist()):
-        _generator_at(key, word + head).random(out=out[i, head:n])
+    for i, key, n in zip(rows.tolist(), keys[rows].tolist(), counts[rows].tolist()):
+        _generator_at(key, 4).random(out=out[i, 3:n])
 
 
-def _kernel_draw(keys, cursors, counts, rows, out) -> None:
-    """Write words ``cursors[i]`` to ``cursors[i] + counts[i] - 1`` of the stream
-    keyed by ``keys[i]`` into ``out[rows[i], :counts[i]]``, in one kernel pass."""
-    first, offset = np.divmod(cursors, 4)
-    n_blocks = (offset + counts + 3) // 4
+def _kernel_draw(keys, counts, rows, out) -> None:
+    """Write words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``
+    into ``out[rows[i], :counts[i]]``, in one kernel pass."""
+    n_blocks = counts // 4 + 1
     block_starts = np.cumsum(n_blocks) - n_blocks
-    blocks = np.arange(block_starts[-1] + n_blocks[-1]) + np.repeat(first - block_starts, n_blocks)
+    blocks = np.arange(block_starts[-1] + n_blocks[-1]) - np.repeat(block_starts, n_blocks)
     words = philox_blocks(np.repeat(keys, n_blocks, axis=0), blocks).reshape(-1)
     # word j of draw i is kernel word base[i] + j and goes to out[rows[i], j]
-    base = 4 * block_starts + offset
+    base = 4 * block_starts + 1
     index = np.repeat(base - (np.cumsum(counts) - counts), counts)
     index += np.arange(len(index))
     words = words[index]
@@ -230,83 +224,33 @@ def _kernel_draw(keys, cursors, counts, rows, out) -> None:
     np.put(out, index, _uniforms(words))
 
 
-class StreamBatch:
-    """Many streams as arrays, for batched draws.
+def uniforms(keys: np.ndarray) -> np.ndarray:
+    """Word 0 of the stream keyed by each row of ``keys``: its uniform in [0, 1)."""
+    if len(keys) < _KERNEL_MIN_STREAMS:
+        return np.array([_generator_at(key, 0).random() for key in keys.tolist()])
+    return _uniforms(philox_blocks(keys, np.zeros(len(keys), dtype=np.int64))[:, 0])
 
-    Row ``i`` is the stream with Philox key ``keys[i]`` (``(P, 2)`` uint64,
-    low word first) and cursor ``cursors[i]``, the number of scalars it has
-    consumed (the word offset of its next draw); new streams start at cursor
-    0.  ``batch[rows]``, for an integer array ``rows``, is a view of those
-    rows: its draws move the cursors of ``batch``.
+
+def draw_uniforms(keys: np.ndarray, counts, out: np.ndarray) -> None:
+    """Words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``, as
+    uniforms in [0, 1), into ``out[i, :counts[i]]``: the draw phase of its
+    first ``counts[i]`` Gaussians.
+
+    ``counts`` is an integer array and ``out`` a float64 ``(len(keys),
+    width)`` array; the rest of each row is left as it is.  Checks every
+    count before it draws.
     """
-
-    __slots__ = ("keys", "cursors", "rows")
-
-    def __init__(self, keys: np.ndarray, cursors=None, rows=None):
-        self.keys = keys
-        self.cursors = np.zeros(len(keys), dtype=np.int64) if cursors is None else cursors
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.keys) if self.rows is None else len(self.rows)
-
-    def __getitem__(self, rows) -> "StreamBatch":
-        return StreamBatch(self.keys, self.cursors, rows if self.rows is None else self.rows[rows])
-
-    def _arrays(self) -> tuple:
-        if self.rows is None:
-            return self.keys, self.cursors
-        return self.keys.take(self.rows, axis=0), self.cursors[self.rows]
-
-    def uniforms(self, drawn: np.ndarray) -> np.ndarray:
-        """Take every stream's first draw: draw the uniforms in [0, 1) of the
-        streams where the boolean array ``drawn`` holds, in row order, and
-        skip the others'.  Checks ``drawn`` and every cursor before any
-        cursor moves."""
-        if not (isinstance(drawn, np.ndarray) and drawn.dtype == bool
-                and drawn.shape == (len(self),)):
-            raise ValueError(f"drawn must be a boolean array of shape ({len(self)},)")
-        keys, cursors = self._arrays()
-        if np.count_nonzero(cursors):
-            raise StreamOrderError("uniform must be the first draw on a stream")
-        self._advance(1)
-        keys = keys[drawn]
-        if len(keys) < _KERNEL_MIN_STREAMS:
-            return np.array([_generator_at(key, 0).random() for key in keys.tolist()])
-        return _uniforms(philox_blocks(keys, np.zeros(len(keys), dtype=np.int64))[:, 0])
-
-    def _advance(self, counts) -> None:
-        if self.rows is None:
-            self.cursors += counts
-        else:
-            self.cursors[self.rows] += counts
-
-
-def draw_uniforms(streams: StreamBatch, counts, out: np.ndarray) -> None:
-    """Draw the next ``counts[i]`` words of ``streams[i]`` as uniforms in [0, 1)
-    into ``out[i, :counts[i]]``: the draw phase of their Gaussians.
-
-    ``counts`` is an integer array and ``out`` a float64 ``(len(streams),
-    width)`` array; the rest of each row is left as it is.  Every stream must
-    be past its uniform, and its cursor moves by its count.  Checks every
-    stream and count before it draws or moves a cursor.
-    """
-    keys, cursors = streams._arrays()
-    if not (len(counts) == len(cursors) == out.shape[0]):
+    if not (len(counts) == len(keys) == out.shape[0]):
         raise ValueError(f"need one count and one row of out per stream, got {len(counts)} "
-                         f"counts and {out.shape[0]} rows for {len(cursors)} streams")
+                         f"counts and {out.shape[0]} rows for {len(keys)} streams")
     if np.any((counts < 0) | (counts > out.shape[1])):
         raise ValueError(f"counts must lie in [0, {out.shape[1]}], the width of out")
-    if np.count_nonzero(cursors) < len(cursors):
-        raise StreamOrderError("the stream uniform must be drawn (or skipped) first")
-    _draw(keys, cursors, counts, out)
-    streams._advance(counts)
+    _draw(keys, counts, out)
 
 
 def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
-    """The map phase of a stream's Gaussians, after its one uniform:
-    ``out[i, :counts[i]]``, uniforms from :func:`draw_uniforms`, become their
-    Gaussians in place.
+    """The map phase of a stream's Gaussians: ``out[i, :counts[i]]``,
+    uniforms from :func:`draw_uniforms`, become their Gaussians in place.
 
     Whole-buffer ufuncs only, element by element, so another thread may run
     it while the GIL is elsewhere.
@@ -316,20 +260,21 @@ def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
     ndtri(out, out=out, where=drawn)
 
 
-def stream_for(root_seed: int, theta: tuple) -> StreamBatch:
-    """The stream addressed by ``(root_seed, theta)``, a one-row batch at cursor 0.
+def stream_for(root_seed: int, theta: tuple) -> np.ndarray:
+    """The key of the stream addressed by ``(root_seed, theta)``, as the
+    ``(1, 2)`` array that :func:`keys_at` gives.
 
-    Deterministic: the same address always yields bit-identical draw
-    sequences.  The root seed is reduced modulo 2**64.  Label elements must
+    Deterministic: the same address always yields the same key and so
+    bit-identical words.  The root seed is reduced modulo 2**64.  Label elements must
     be integers (``int`` or ``np.integer``, not ``bool``).
     """
     check_label(theta)
-    return StreamBatch(keys_at(root_seed, (), _packed(theta), 8 * len(theta)))
+    return keys_at(root_seed, (), _packed(theta), 8 * len(theta))
 
 
 def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:
     """The Philox keys of the labels ``parent`` plus each packed suffix, as
-    ``(P, 2)`` uint64 words, low word first (see :class:`StreamBatch`).
+    ``(P, 2)`` uint64 words, low word first.
 
     ``suffixes`` holds one ``width``-byte suffix after another, each label
     elements packed as signed 64-bit little-endian words.

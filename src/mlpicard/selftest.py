@@ -12,6 +12,7 @@ import os
 import tempfile
 
 import numpy as np
+from scipy.special import ndtri
 
 from .bounds import gronwall_discrete
 from .euler import _plan, simulate_batch
@@ -19,15 +20,12 @@ from .harness import emit_csv, read_csv
 from .mlp import MlpParams, cost_recursion_bound, estimate
 from .oracle import closed_form, picard_quadrature_1d
 from .problems import instantiate
-from .rng import (StreamBatch, StreamOrderError, draw_uniforms, keys_at, philox_blocks,
-                  stream_for, uniforms_to_gaussians)
-
-_ONE = np.ones(1, bool)  # the mask that draws a one-row stream's uniform
+from .rng import draw_uniforms, keys_at, philox_blocks, stream_for, uniforms, uniforms_to_gaussians
 
 
-def _gaussians(stream, n):
+def _gaussians(keys, n):
     out = np.empty((1, n))
-    draw_uniforms(stream, np.array([n]), out)
+    draw_uniforms(keys, np.array([n]), out)
     uniforms_to_gaussians(np.array([n]), out)
     return out[0]
 
@@ -35,21 +33,19 @@ def _gaussians(stream, n):
 def _check_rng_determinism():
     a = stream_for(42, (0, 1, -3))
     b = stream_for(42, (0, 1, -3))
-    assert a.uniforms(_ONE) == b.uniforms(_ONE)
+    assert uniforms(a) == uniforms(b)
     assert np.array_equal(_gaussians(a, 64), _gaussians(b, 64))
     c = stream_for(42, (0, 1, 3))
-    assert c.uniforms(_ONE) != stream_for(43, (0, 1, 3)).uniforms(_ONE)
+    assert uniforms(c) != uniforms(stream_for(43, (0, 1, 3)))
 
 
-def _check_rng_order_guard():
-    st = stream_for(0, (1,))
-    st.uniforms(_ONE)
-    _gaussians(st, 2)
-    try:
-        st.uniforms(_ONE)
-    except StreamOrderError:
-        return
-    raise AssertionError("uniform after Gaussians should fail")
+def _check_stream_layout():
+    # word 0 of a stream is its uniform and words 1.. its Gaussians, as numpy's
+    # own Philox keyed by the stream's key gives them
+    key = stream_for(7, (2, -1))
+    raw = np.random.Philox(key=key[0]).random_raw(9)
+    assert uniforms(key)[0] == (raw[0] >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(_gaussians(key, 8), ndtri(((raw[1:] >> np.uint64(11)) + 0.5) * 2.0**-53))
 
 
 def _check_philox_kernel():
@@ -64,16 +60,15 @@ def _check_philox_kernel():
 
 def _check_label_concat():
     # a stream keyed under a parent label is the stream of the concatenated label
-    batched = StreamBatch(keys_at(9, (0, 1, 1), np.array([2, -3], dtype="<i8").tobytes(), 16))
-    assert np.array_equal(batched.keys, stream_for(9, (0, 1, 1) + (2, -3)).keys)
+    batched = keys_at(9, (0, 1, 1), np.array([2, -3], dtype="<i8").tobytes(), 16)
+    assert np.array_equal(batched, stream_for(9, (0, 1, 1) + (2, -3)))
 
 
 def _check_euler_identity():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
-    st = stream_for(3, (5,))
-    st.uniforms(_ONE)
-    states, counts = simulate_batch(prob, 8, st, 0.25, np.array([0.7]), np.array([0.25]))
-    assert counts[0] == 0 and st.cursors[0] == 1  # only the discarded uniform
+    states, counts = simulate_batch(prob, 8, stream_for(3, (5,)), 0.25, np.array([0.7]),
+                                    np.array([0.25]))
+    assert counts[0] == 0
     assert np.array_equal(states[0], np.array([0.7]))
     # 0.3 -> 0.9 on the grid of 4 steps: targets 0.5 (grid index 2), 0.75, then 0.9
     first, counts = _plan(np.array([0.3]), np.array([0.9]), 4, 1.0)
@@ -133,7 +128,7 @@ def _check_csv_roundtrip():
 
 CHECKS = [
     ("rng-determinism", _check_rng_determinism),
-    ("rng-order-guard", _check_rng_order_guard),
+    ("stream-layout", _check_stream_layout),
     ("philox-kernel", _check_philox_kernel),
     ("theta-concatenation", _check_label_concat),
     ("euler-identity-and-grid", _check_euler_identity),

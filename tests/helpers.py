@@ -6,10 +6,10 @@ import numpy as np
 
 from mlpicard.euler import DomainError, _plan, simulate_batch
 from mlpicard.rng import (
-    StreamBatch,
     _generator_at,
     draw_uniforms,
     stream_for,
+    uniforms,
     uniforms_to_gaussians,
 )
 
@@ -20,42 +20,29 @@ def _sum_ascending(values: np.ndarray) -> float:
 
 
 def raw_uniform_sequence(root_seed, theta, count):
-    """Uniform [0, 1) view of a stream's raw word sequence, for statistics.
-
-    Production consumers obey the one-uniform draw order, but distributional
-    checks (correlation, KS) need long uniform sequences from a single label.
-    """
-    return _generator_at(stream_for(root_seed, theta).keys[0].tolist(), 0).random(count)
+    """Uniform [0, 1) view of a stream's raw word sequence from word 0, for
+    statistics: distributional checks (correlation, KS) need long uniform
+    sequences from a single label."""
+    return _generator_at(stream_for(root_seed, theta)[0].tolist(), 0).random(count)
 
 
-def draw_uniform(stream) -> float:
-    """Draw a one-row stream's uniform, its first draw."""
-    return stream.uniforms(np.ones(1, bool))[0]
+def draw_uniform(keys) -> float:
+    """The uniform of a one-row key array, word 0 of its stream."""
+    return float(uniforms(keys)[0])
 
 
-def skip_uniform(stream) -> None:
-    """Move a one-row stream past its uniform without drawing it."""
-    stream.uniforms(np.zeros(1, bool))
-
-
-def fill_gaussians(streams, counts, out) -> None:
-    """Draw the next ``counts[i]`` Gaussians of ``streams[i]`` into
+def fill_gaussians(keys, counts, out) -> None:
+    """The first ``counts[i]`` Gaussians of the stream keyed by ``keys[i]`` into
     ``out[i, :counts[i]]``: the draw phase, then the map phase."""
-    draw_uniforms(streams, counts, out)
+    draw_uniforms(keys, counts, out)
     uniforms_to_gaussians(counts, out)
 
 
-def draw_gaussians(stream, n) -> np.ndarray:
-    """The next ``n`` Gaussians of a one-row stream that is past its uniform."""
+def draw_gaussians(keys, n) -> np.ndarray:
+    """The first ``n`` Gaussians of a one-row key array, words 1 to ``n``."""
     out = np.empty((1, n))
-    fill_gaussians(stream, np.array([n]), out)
+    fill_gaussians(keys, np.array([n]), out)
     return out[0]
-
-
-def stacked(streams) -> StreamBatch:
-    """One batch of the given one-row streams, keys and cursors in order."""
-    return StreamBatch(np.concatenate([st.keys for st in streams]),
-                       np.concatenate([st.cursors for st in streams]))
 
 
 def build_recursive_family(a, b, T, tau, p, M, N, sup_f0, grid_size=801):
@@ -113,12 +100,8 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
     d, T = problem.d, problem.T
 
     count = M**n
-    streams = []
-    for i in range(1, count + 1):
-        st = stream_for(seed, theta + (0, -i))
-        draw_uniform(st)
-        streams.append(st)
-    states, steps = simulate_batch(problem, N, stacked(streams), t, x, np.full(count, T))
+    keys = np.concatenate([stream_for(seed, theta + (0, -i)) for i in range(1, count + 1)])
+    states, steps = simulate_batch(problem, N, keys, t, x, np.full(count, T))
     total_steps = int(steps.sum())
     tally.euler_steps += total_steps
     tally.gaussians += d * total_steps
@@ -131,11 +114,11 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
     for level in range(n):
         count = M ** (n - level)
         labels = [theta + (level, i) for i in range(1, count + 1)]
-        streams = [stream_for(seed, lab) for lab in labels]
-        uniforms = np.array([draw_uniform(st) for st in streams])
+        keys = np.concatenate([stream_for(seed, lab) for lab in labels])
+        r = np.array([draw_uniform(key[None]) for key in keys])
         tally.uniforms += count
-        eval_times = np.minimum(t + (T - t) * uniforms, T)
-        states, steps = simulate_batch(problem, N, stacked(streams), t, x, eval_times)
+        eval_times = np.minimum(t + (T - t) * r, T)
+        states, steps = simulate_batch(problem, N, keys, t, x, eval_times)
         total_steps = int(steps.sum())
         tally.euler_steps += total_steps
         tally.gaussians += d * total_steps

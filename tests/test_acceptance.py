@@ -23,9 +23,9 @@ from mlpicard.harness import (
 )
 from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
-from mlpicard.rng import StreamBatch, keys_at, stream_for
+from mlpicard.rng import keys_at, stream_for, uniforms
 
-from helpers import build_recursive_family, fill_gaussians, stacked
+from helpers import build_recursive_family, fill_gaussians
 
 
 def _announce(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -204,16 +204,13 @@ def test_criterion_06_euler_strong_rate():
     steps_grid = [4, 16, 64, 256]
     errors = []
     for n_steps in steps_grid:
-        # path i draws from stream (60_000 + n_steps, (i,)) past its uniform
+        # path i draws the Gaussians of stream (60_000 + n_steps, (i,))
         keys = keys_at(60_000 + n_steps, (), np.arange(n_paths, dtype="<i8").tobytes(), 8)
-        streams, replay = StreamBatch(keys), StreamBatch(keys)
-        streams.uniforms(np.zeros(n_paths, bool))
-        states, _ = simulate_batch(prob, n_steps, streams, 0.0, np.array([x0]),
+        states, _ = simulate_batch(prob, n_steps, keys, 0.0, np.array([x0]),
                                    np.full(n_paths, horizon))
         # exact lognormal endpoint from the same increments
-        replay.uniforms(np.zeros(n_paths, bool))
         increments = np.empty((n_paths, n_steps))
-        fill_gaussians(replay, np.full(n_paths, n_steps), increments)
+        fill_gaussians(keys, np.full(n_paths, n_steps), increments)
         dt = horizon / n_steps
         exact = np.array([
             x0 * math.exp((mu_bar - 0.5 * sigma_bar**2) * horizon + sigma_bar * w_T)
@@ -261,16 +258,15 @@ def test_criterion_08_mean_identity():
     # each path depends only on its own stream, so both are batched over j
     rhs_samples = 20_000
     seeds = range(5_000_000, 5_000_000 + rhs_samples)
-    term_streams = stacked([stream_for(seed, (1,)) for seed in seeds])
-    term_streams.uniforms(np.ones(rhs_samples, bool))
-    terminal_states, _ = simulate_batch(prob, n_steps, term_streams, 0.0, np.zeros(1),
+    term_keys = np.concatenate([stream_for(seed, (1,)) for seed in seeds])
+    terminal_states, _ = simulate_batch(prob, n_steps, term_keys, 0.0, np.zeros(1),
                                         np.full(rhs_samples, horizon))
     g_part = prob.terminal(terminal_states)
 
-    level_streams = stacked([stream_for(seed, (2,)) for seed in seeds])
-    r = level_streams.uniforms(np.ones(rhs_samples, bool))
+    level_keys = np.concatenate([stream_for(seed, (2,)) for seed in seeds])
+    r = uniforms(level_keys)
     eval_times = np.minimum(horizon * r, horizon)
-    states, _ = simulate_batch(prob, n_steps, level_streams, 0.0, np.zeros(1), eval_times)
+    states, _ = simulate_batch(prob, n_steps, level_keys, 0.0, np.zeros(1), eval_times)
     inner = np.array([
         estimate(prob, MlpParams(n=1, M=2, euler_steps=n_steps, root_seed=seed),
                  (3,), float(eval_time), state).value

@@ -36,6 +36,18 @@ def test_run_workers_below_one_exits_2(capsys, workers):
     assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [("euler_steps = 0", "euler_steps must be >= 1"),
+                                            ("d = 0", "override d must be a positive integer")])
+def test_run_sizes_below_one_exit_2(capsys, monkeypatch, tmp_path, extra, message):
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))
+    config = tmp_path / "small.cfg"
+    config.write_text(f"problem = heat-quadratic\n{extra}\n")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and message in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["small.cfg"]
+
+
 @pytest.mark.parametrize("eps", ["abc", "nan", "0", "-0.5", "2", "0.5,inf", "", " , "])
 def test_sweep_bad_eps_exits_2(capsys, monkeypatch, tmp_path, eps):
     monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))

@@ -12,23 +12,9 @@ from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
 from mlpicard.euler import DomainError, _plan, _step_sizes, lyapunov_check, simulate_batch
 from mlpicard.problems import Problem, instantiate
-from mlpicard.rng import StreamBatch, keys_at, stream_for
+from mlpicard.rng import keys_at, stream_for
 
-from helpers import (
-    draw_gaussians,
-    draw_uniform,
-    fill_gaussians,
-    skip_uniform,
-    stacked,
-    update_times,
-    update_times_reference,
-)
-
-
-def _path_stream(seed, theta):
-    st = stream_for(seed, theta)
-    draw_uniform(st)
-    return st
+from helpers import draw_gaussians, fill_gaussians, update_times, update_times_reference
 
 
 class TestUpdateTimes:
@@ -60,7 +46,7 @@ class TestUpdateTimes:
             update_times(math.nan, 0.5, 4, 1.0)
         with pytest.raises(DomainError):
             simulate_batch(instantiate("heat-quadratic"), 4,
-                           _path_stream(1, (1,)), np.array([0.2]), np.zeros(1), [1.5])
+                           stream_for(1, (1,)), np.array([0.2]), np.zeros(1), [1.5])
 
     def test_count_is_pure_in_time_arguments(self):
         rng = np.random.default_rng(3)
@@ -131,48 +117,43 @@ def _mixed_paths(prob, P, seed):
     return t, rng.uniform(0.5, 1.5, (P, prob.d)), ends
 
 
-def _path_batch(P, seed, drawn=True):
-    """Streams ``(seed, (i,))``; the even rows draw their uniform if ``drawn``,
-    the others skip it."""
-    streams = StreamBatch(keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8))
-    streams.uniforms((np.arange(P) % 2 == 0) & drawn)
-    return streams
+def _path_batch(P, seed):
+    """The keys of streams ``(seed, (i,))``."""
+    return keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8)
 
 
 class TestSimulate:
     @pytest.mark.parametrize("steps", [0, -1])
     def test_grid_without_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            simulate_batch(instantiate("heat-quadratic"), steps, _path_stream(1, (1,)), 0.0,
+            simulate_batch(instantiate("heat-quadratic"), steps, stream_for(1, (1,)), 0.0,
                            np.zeros(1), np.array([1.0]))
 
     @pytest.mark.parametrize("steps", [True, 2.5, np.float64(4.0)])
     def test_non_integer_steps_rejected_before_drawing(self, steps, monkeypatch):
-        prob, stream = instantiate("heat-quadratic"), _path_stream(1, (1,))
+        prob, key = instantiate("heat-quadratic"), stream_for(1, (1,))
         monkeypatch.setattr(euler, "keys_at", None)  # any keying or draw would fail here
         monkeypatch.setattr(euler, "draw_uniforms", None)
         message = re.escape(f"steps must be an integer, got {steps!r}")
         with pytest.raises(TypeError, match=message):
-            simulate_batch(prob, steps, stream, 0.0, np.zeros(1), np.array([1.0]))
+            simulate_batch(prob, steps, key, 0.0, np.zeros(1), np.array([1.0]))
         with pytest.raises(TypeError, match=message):
             lyapunov_check(prob, steps, 0.0, np.zeros(1), 1.0, paths=4, seed=0)
 
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")
-        st = _path_stream(0, (1,))
-        states, counts = simulate_batch(prob, 16, st, 0.4,
+        states, counts = simulate_batch(prob, 16, stream_for(0, (1,)), 0.4,
                                         np.array([1.5]), np.array([0.4]))
-        assert counts[0] == 0 and st.cursors[0] == 1  # nothing drawn after the uniform
+        assert counts[0] == 0
         assert np.array_equal(states[0], np.array([1.5]))
 
     def test_gaussian_consumption_is_pure_in_plan(self):
         prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
         N = 8
         for seed in (1, 2):
-            st = _path_stream(seed, (4, seed))
-            _, counts = simulate_batch(prob, N, st, 0.13, np.array([0.2]), np.array([0.77]))
+            _, counts = simulate_batch(prob, N, stream_for(seed, (4, seed)), 0.13,
+                                       np.array([0.2]), np.array([0.77]))
             assert counts[0] == len(update_times(0.13, 0.77, 8, prob.T))
-            assert st.cursors[0] == 1 + counts[0] * prob.d
 
     def test_constant_coefficients_match_direct_formula_bitwise(self):
         # nontrivial constant drift and diagonal diffusion, d = 2
@@ -190,13 +171,13 @@ class TestSimulate:
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
         N = 8
-        states, counts = simulate_batch(prob, N, _path_stream(9, (3, 3)), t, x,
+        states, counts = simulate_batch(prob, N, stream_for(9, (3, 3)), t, x,
                                         np.array([s]))
 
         # step-by-step recurrence on the shared draws
         plan = update_times(t, s, 8, 1.0)
         dts = np.diff(np.asarray([t] + plan))
-        z = draw_gaussians(_path_stream(9, (3, 3)), len(plan) * 2).reshape(len(plan), 2)
+        z = draw_gaussians(stream_for(9, (3, 3)), len(plan) * 2).reshape(len(plan), 2)
         expected = x
         for dt, inc in zip(dts, np.sqrt(dts)[:, None] * z):
             expected = expected + (mu0 * dt + sig0 * inc)
@@ -210,8 +191,8 @@ class TestSimulate:
         N = 16
         x = np.array([0.1, -0.2, 0.3])
         end = np.array([1.0])
-        fast, fast_steps = simulate_batch(prob, N, _path_stream(5, (2,)), 0.0, x, end)
-        slow, slow_steps = simulate_batch(stripped, N, _path_stream(5, (2,)), 0.0, x, end)
+        fast, fast_steps = simulate_batch(prob, N, stream_for(5, (2,)), 0.0, x, end)
+        slow, slow_steps = simulate_batch(stripped, N, stream_for(5, (2,)), 0.0, x, end)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast_steps, slow_steps)
 
@@ -227,7 +208,7 @@ class TestSimulate:
 
         probed = dataclasses.replace(base, drift=recording_drift)
         t, s = 0.1, 0.65
-        _, counts = simulate_batch(probed, 4, _path_stream(21, (8,)), t,
+        _, counts = simulate_batch(probed, 4, stream_for(21, (8,)), t,
                                    np.array([0.4]), np.array([s]))
         plan = update_times(t, s, 4, 1.0)
         assert plan == [0.25, 0.5, 0.65]
@@ -235,7 +216,7 @@ class TestSimulate:
 
         # the last frozen state equals the path value at max{t, n T/N} = 0.5,
         # reproduced by an identically seeded shorter simulation
-        partial, _ = simulate_batch(base, 4, _path_stream(21, (8,)), t,
+        partial, _ = simulate_batch(base, 4, stream_for(21, (8,)), t,
                                     np.array([0.4]), np.array([0.5]))
         assert np.array_equal(seen[-1][0], partial[0])
         assert counts[0] == 3
@@ -244,10 +225,10 @@ class TestSimulate:
         prob = instantiate("scaled-bs")
         N = 8
         ends = np.array([0.3, 0.7, 1.0])
-        streams = stacked([_path_stream(6, (1, i)) for i in range(3)])
-        states, counts = simulate_batch(prob, N, streams, 0.1, np.array([1.0]), ends)
+        keys = np.concatenate([stream_for(6, (1, i)) for i in range(3)])
+        states, counts = simulate_batch(prob, N, keys, 0.1, np.array([1.0]), ends)
         for i in range(len(ends)):
-            single, single_count = simulate_batch(prob, N, _path_stream(6, (1, i)), 0.1,
+            single, single_count = simulate_batch(prob, N, stream_for(6, (1, i)), 0.1,
                                                   np.array([1.0]), ends[i:i + 1])
             assert np.array_equal(states[i], single[0])
             assert counts[i] == single_count[0]
@@ -258,9 +239,7 @@ class TestSimulate:
         t, x, ends = _mixed_paths(prob, P, 5)
 
         def run():
-            streams = _path_batch(P, 3)
-            states, counts = simulate_batch(prob, N, streams, t, x, ends)
-            return states, counts, streams.cursors
+            return simulate_batch(prob, N, _path_batch(P, 3), t, x, ends)
 
         want = run()  # the default
         # one row per chunk, and 51 rows per full-length chunk
@@ -275,11 +254,9 @@ class TestSimulate:
         t = np.array([0.0, 0.4, 1.0])
         first, counts = _plan(t, t, 8, prob.T)
         assert _step_sizes(first, counts, t, t, 0, 8, prob.T).shape == (3, 0)
-        streams = _path_batch(3, 4)
         x = np.arange(9.0).reshape(3, 3)
-        states, counts = simulate_batch(prob, 8, streams, t, x, t)
+        states, counts = simulate_batch(prob, 8, _path_batch(3, 4), t, x, t)
         assert np.array_equal(states, x) and not counts.any()
-        assert np.array_equal(streams.cursors, _path_batch(3, 4).cursors)
 
     def test_coefficients_returning_their_argument(self, monkeypatch):
         # drift and diffusion hand back the states being stepped, so an
@@ -324,13 +301,12 @@ class TestPipeline:
         chunks = []
         draw = euler.draw_uniforms
         monkeypatch.setattr(euler, "draw_uniforms",
-                            lambda streams, *a: chunks.append(len(streams)) or draw(streams, *a))
+                            lambda keys, *a: chunks.append(len(keys)) or draw(keys, *a))
         P, N = 320, 64
         t, x, ends = _mixed_paths(prob, P, 7)
         # about 40 full-length rows per chunk
         monkeypatch.setattr(euler, "_CHUNK_SCALARS", 40 * (N + 1) * (d + 2))
-        streams = _path_batch(P, 11)
-        states, counts = simulate_batch(probed, N, streams, t, x, ends)
+        states, counts = simulate_batch(probed, N, _path_batch(P, 11), t, x, ends)
         assert len(chunks) >= 3 and sum(chunks) == P
         assert seen == {threading.get_ident()}
 
@@ -340,7 +316,6 @@ class TestPipeline:
             one, one_count = simulate_batch(prob, N, singles[row], t[row], x[row], ends[row])
             assert np.array_equal(one[0], states[i])
             assert one_count[0] == counts[i]
-        assert np.array_equal(singles.cursors, streams.cursors)
 
     def test_helper_is_joined_on_return_and_on_raise(self, monkeypatch):
         prob = instantiate("scaled-bs", d=8)
@@ -379,16 +354,15 @@ class TestPipeline:
 class TestStrongRate:
     def test_halforder_strong_convergence_on_gbm(self):
         # paired with the exact lognormal solution on shared increments;
-        # path i draws from stream (100 + n_steps, (i,)) past its skipped uniform
+        # path i draws the Gaussians of stream (100 + n_steps, (i,))
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
         mu_bar, sigma_bar = 0.06, 0.4
         T, x0, n_paths = 1.0, 1.0, 2000
         errors = []
         steps_grid = [4, 16, 64, 256]
         for n_steps in steps_grid:
-            streams = _path_batch(n_paths, 100 + n_steps, drawn=False)
             z = np.zeros((n_paths, n_steps))
-            fill_gaussians(streams, np.full(n_paths, n_steps), z)
+            fill_gaussians(_path_batch(n_paths, 100 + n_steps), np.full(n_paths, n_steps), z)
             dt = T / n_steps
             increments = math.sqrt(dt) * z
             # Euler on the same increments, all paths at once
@@ -408,10 +382,9 @@ class TestStrongRate:
         # the flat loop above is also the reference for the engine itself
         prob = instantiate("scaled-bs", mu_bar=0.06, sigma_bar=0.4)
         N = 16
-        states, _ = simulate_batch(prob, N, _path_stream(55, (3,)), 0.0, np.array([1.0]),
+        states, _ = simulate_batch(prob, N, stream_for(55, (3,)), 0.0, np.array([1.0]),
                                    np.array([1.0]))
-        st = _path_stream(55, (3,))
-        z = draw_gaussians(st, 16)
+        z = draw_gaussians(stream_for(55, (3,)), 16)
         y, dt = 1.0, 1.0 / 16
         for k in range(16):
             y = y + (0.06 * y * dt + 0.4 * y * (math.sqrt(dt) * z[k]))
@@ -450,14 +423,11 @@ class TestLyapunovCheck:
         ("scaled-bs", {"d": 3}, [1.0, 0.8, 1.2]),
     ])
     def test_equals_replay_of_one_stream_per_path(self, name, overrides, x, paths):
-        # path i draws from stream (seed, (i,)) past its skipped uniform
+        # path i draws the Gaussians of stream (seed, (i,))
         prob = instantiate(name, **overrides)
         res = lyapunov_check(prob, 8, 0.1, np.array(x), 0.9, paths=paths, seed=31)
-        streams = [stream_for(31, (i,)) for i in range(paths)]
-        for st in streams:
-            skip_uniform(st)
-        streams = stacked(streams)
-        states, _ = simulate_batch(prob, 8, streams, 0.1, np.array(x), np.full(paths, 0.9))
+        keys = np.concatenate([stream_for(31, (i,)) for i in range(paths)])
+        states, _ = simulate_batch(prob, 8, keys, 0.1, np.array(x), np.full(paths, 0.9))
         phis = lyapunov_phi_batch(states, prob.lyapunov_a)
         assert res.empirical_mean == float(phis.mean())
         assert res.std_error == float(phis.std(ddof=1) / math.sqrt(paths))

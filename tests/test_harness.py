@@ -144,6 +144,30 @@ class TestParseConfig:
             parse_config(MINIMAL + f"workers = {workers}\n")
         assert err.value.violations == [f"workers must be >= 1, got {workers}"]
 
+    @pytest.mark.parametrize("extra, violations", [
+        ("euler_steps = 0\n", ["euler_steps must be >= 1, got 0"]),
+        ("euler_steps = -3\ndepths = 9\n", ["euler_steps must be >= 1, got -3"]),
+        ("d = 0\n", ["problem: override d must be a positive integer"]),
+        ("d = -1\neuler_steps = 0\n", ["euler_steps must be >= 1, got 0",
+                                        "problem: override d must be a positive integer"]),
+        ("d = 0\nreference = mc-baseline\nreference_n = 1\nreference_m = 1\n"
+         "reference_steps = 1\nreference_replications = 2\n",
+         ["problem: override d must be a positive integer"]),
+    ])
+    def test_sizes_below_one_reported_not_raised(self, extra, violations):
+        # the cost-ceiling checks are skipped: the cost recursion bound raises
+        # a bare ValueError on d < 1 or N < 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + extra)
+        assert err.value.violations == violations
+
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_max_depth_below_one_rejected(self, max_depth):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"max_depth = {max_depth}\n")
+        assert err.value.violations == [f"max_depth must be >= 1, got {max_depth}"]
+        assert parse_config(MINIMAL + "max_depth = 1\n").max_depth == 1
+
     @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
     def test_non_finite_x0_rejected(self, x0):
         with pytest.raises(ConfigError) as err:

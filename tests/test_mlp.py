@@ -43,9 +43,7 @@ def _flat_estimate(seed, theta, n, M, steps, T, t, x0):
         return 0.0
     acc = 0.0
     for i in range(1, M**n + 1):
-        st = stream_for(seed, theta + (0, -i))
-        draw_uniform(st)  # discarded
-        y = _flat_gbm_path(st, t, T, steps, T, x0)
+        y = _flat_gbm_path(stream_for(seed, theta + (0, -i)), t, T, steps, T, x0)
         acc += max(y - STRIKE, 0.0)
     value = acc / M**n
     if t >= T:
@@ -133,9 +131,7 @@ class TestFlatReference:
                 return 0.0
             acc = 0.0
             for i in range(1, 2**n + 1):
-                st = stream_for(13, theta + (0, -i))
-                draw_uniform(st)
-                y = path_from(st, t, 1.0, x)
+                y = path_from(stream_for(13, theta + (0, -i)), t, 1.0, x)
                 acc += float(np.sum(y * y))
             value = acc / 2**n
             for level in range(n):

@@ -77,6 +77,46 @@ class TestClosedForm:
             closed_form(instantiate("nonlinear-coeff-sine"), 0.0, [0.0])
 
 
+# (t, x, error, message) of query points at d = 2 that no oracle may answer
+BAD_QUERIES_D2 = [
+    (0.0, [1.0], ValueError, "x must have shape"),
+    (0.0, [1.0, 2.0, 3.0], ValueError, "x must have shape"),
+    (0.0, [math.nan, 0.0], ValueError, "x must be finite"),
+    (True, [0.0, 0.0], TypeError, "t must be a number"),
+    (1.5, [0.0, 0.0], ValueError, "t must lie in"),
+]
+
+
+@pytest.mark.parametrize("t, x, error, message", BAD_QUERIES_D2)
+def test_closed_form_checks_the_query_point(t, x, error, message):
+    # it used to answer 3.0, 16.0 and nan for the first three
+    with pytest.raises(error, match=message):
+        closed_form(instantiate("heat-quadratic", d=2), t, x)
+
+
+@pytest.mark.parametrize("t, x, error, message", [
+    (0.0, [1.0, 5.0], ValueError, "x must have shape"),
+    (0.0, [math.nan], ValueError, "x must be finite"),
+    (np.True_, [0.0], TypeError, "t must be a number"),
+    (-0.5, [0.0], ValueError, "t must lie in"),
+])
+def test_picard_quadrature_checks_the_query_point(t, x, error, message, recwarn):
+    # it used to read x[0] of the first and warn from np.linspace on the second
+    with pytest.raises(error, match=message):
+        picard_quadrature_1d(instantiate("heat-quadratic"), t, x)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("t, x, error, message", BAD_QUERIES_D2)
+def test_mc_baseline_checks_the_query_point_before_the_cache(t, x, error, message,
+                                                             tmp_path, monkeypatch):
+    monkeypatch.setattr(oracle, "_read_cache", None)  # any cache lookup would fail here
+    with pytest.raises(error, match=message):
+        mc_baseline(instantiate("heat-quadratic", d=2), t, x, BUDGET, seed=1,
+                    cache_path=str(tmp_path))
+    assert not any(tmp_path.iterdir())
+
+
 class TestPicardQuadrature:
     def test_zero_reaction_converges_in_one_iterate(self):
         prob = instantiate("heat-quadratic", d=1)

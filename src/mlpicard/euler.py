@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import lyapunov_phi_batch
-from .problems import Problem, is_integer
+from .problems import Problem, check_query, is_integer
 from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
 
 # Upper bound on the scalars in one chunk's live buffers, W * (d + 2) for a row
@@ -126,7 +126,7 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
     ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``keys`` is
     ``(P, 2)``, as :func:`~mlpicard.rng.keys_at` gives them; path ``i`` reads
     the Gaussians of its stream, words 1, 2, ..., and never its uniform.
-    ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``.
+    ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``, finite.
     Returns the terminal states ``(P, d)`` and per-path step counts ``(P,)``.
     """
     _check_steps(steps)
@@ -134,6 +134,10 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
     P = len(keys)
     t = np.broadcast_to(np.asarray(t, dtype=float), (P,))
     x = np.broadcast_to(np.asarray(x, dtype=float), (P, d))
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"x must be finite, got row {i}: {x[i].tolist()}")
     ends = np.asarray(end_times, dtype=float).reshape(P)
     first, counts = _plan(t, ends, N, T)
     states = np.array(x)
@@ -200,15 +204,15 @@ class LyapunovCheck:
 def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
                    paths: int, seed: int) -> LyapunovCheck:
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
-    ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``."""
+    ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``.
+    Both ``(t, x)`` and ``(s, x)`` must pass :func:`~mlpicard.problems.check_query`."""
     _check_steps(steps)
     if not is_integer(paths):
         raise TypeError(f"paths must be an integer, got {paths!r}")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite with shape ({problem.d},), got {x.tolist()}")
+    x = check_query(problem, t, x)
+    check_query(problem, s, x)
     keys = keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8)
     states, _ = simulate_batch(problem, steps, keys, t, x, np.full(paths, s))
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)

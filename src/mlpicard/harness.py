@@ -16,12 +16,13 @@ task evaluates every configured depth of one block, each depth as one
 ``mlp.estimate_many`` forest.  The calling process is one of the workers: it
 forks one child per block 2, 3, ... (the platform's default start method
 where ``fork`` is not offered), evaluates block 1 itself, receives each
-child's outcome over a one-way pipe, and reassembles each depth's results
-in seed order; ``workers = 1`` starts no child.  :func:`run_experiment` joins
-its children after writing the CSVs, so their exit overlaps the reports, and
-terminates them first on an error; :func:`find_depth_for_epsilon` runs each
-depth the same way, at ``cfg.workers``, and joins after each depth run.  No
-child outlives the call.
+child's ``Estimate``s over a one-way pipe, and joins each depth's estimates
+in seed order into one record, which the report and raw rows read;
+``workers = 1`` starts no child.  The children are joined when the ``with``
+body of :func:`_depth_runs` ends, and terminated first if it raised:
+:func:`run_experiment` writes the CSVs inside it, so the children's exit
+overlaps the reports, and :func:`find_depth_for_epsilon` runs each depth
+the same way, at ``cfg.workers``.  No child outlives the call.
 Outputs are byte-identical for identical configs regardless of the worker
 count: every realization is a pure function of its seed.  Wall-clock
 timings (a depth's time is its slowest block's) are reported on stdout only;
@@ -37,13 +38,13 @@ import re
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .bounds import error_bound, total_cost_bound
-from .mlp import CostTally, MlpParams, cost_recursion_bound, estimate_many
+from .mlp import MlpParams, cost_recursion_bound, estimate_many
 from .oracle import (
     BaselineBudget,
     OracleError,
@@ -127,7 +128,7 @@ class ReportRow:
     rmse_vs_reference: float
     rmse_se: float
     reference_value: float
-    reference_ci: float
+    reference_ci_halfwidth: float
     theoretical_error_bound: float
     tallied_cost: float
     cost_recursion_bound: float
@@ -136,7 +137,8 @@ class ReportRow:
     @property
     def reference_ci_flag(self) -> str:
         # flag rows where the reference uncertainty is non-negligible
-        if self.rmse_vs_reference > 0 and self.reference_ci > 0.1 * self.rmse_vs_reference:
+        if (self.rmse_vs_reference > 0
+                and self.reference_ci_halfwidth > 0.1 * self.rmse_vs_reference):
             return "wide-reference-ci"
         return "ok"
 
@@ -282,6 +284,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 cfg.reference_budget = BaselineBudget(**budget)
             except ValueError as exc:
                 errors.append(str(exc))
+    elif cfg.reference == "mc-baseline":
+        errors.append("reference = mc-baseline requires the reference_* budget keys")
 
     # environment override for the output directory
     cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
@@ -309,8 +313,6 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
             errors.append(f"depth ({n},{M}) violates n >= 0, M >= 1")
     if cfg.reference not in ("auto", "closed-form", "picard", "mc-baseline"):
         errors.append(f"unknown reference {cfg.reference!r}")
-    if cfg.reference == "mc-baseline" and cfg.reference_budget is None:
-        errors.append("reference = mc-baseline requires the reference_* budget keys")
     if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
     if cfg.x0 is not None and not np.all(np.isfinite(cfg.x0)):
@@ -384,7 +386,7 @@ def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
 
 def _evaluate_block(task) -> list:
     """Every depth of one seed block, in the given order, as
-    ``(wall_seconds, [(value, cost dict) per seed])`` per depth."""
+    ``(wall_seconds, [Estimate per seed])`` per depth."""
     problem_name, overrides, depths, seeds, t0, x0 = task
     problem = instantiate(problem_name, **overrides)
     outcomes = []
@@ -392,8 +394,7 @@ def _evaluate_block(task) -> list:
         start = time.perf_counter()
         results = estimate_many(problem, MlpParams(n=n, M=M, euler_steps=steps), seeds, (0,),
                                 t0, np.asarray(x0))
-        outcomes.append((time.perf_counter() - start,
-                         [(result.value, result.cost.as_dict()) for result in results]))
+        outcomes.append((time.perf_counter() - start, results))
     return outcomes
 
 
@@ -438,14 +439,40 @@ def _receive(child, receive, first_seed) -> list:
     return outcome
 
 
+@dataclass(frozen=True)
+class _DepthRun:
+    """The replications of one depth: the ``Estimate`` of each seed, in seed
+    order, and the slowest seed block's wall time."""
+
+    n: int
+    M: int
+    N: int
+    seeds: list
+    estimates: list
+    wall: float
+
+
 @contextmanager
-def _joined_children():
-    """A list for the children that :func:`_run_depths` starts.  On leaving
-    the ``with`` body every child is joined, and terminated first if the body
-    raised."""
+def _depth_runs(cfg: ExperimentConfig, depths: list):
+    """Yields one :class:`_DepthRun` per depth.  The replications are cut
+    into ``min(workers, replications)`` seed blocks: one child per block 2..
+    while this process evaluates block 1.  On leaving the ``with`` body every
+    child is joined, and terminated first if the body raised."""
+    seeds = [cfg.seed + r for r in range(cfg.replications)]
+    blocks = min(cfg.workers, len(seeds))
+    cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
+    plan = [(n, M, cfg.resolved_steps(M)) for n, M in depths]
+    tasks = [(cfg.problem, cfg.overrides, plan, seeds[lo:hi], cfg.t0, tuple(cfg.query_point()))
+             for lo, hi in zip(cuts, cuts[1:])]
     children = []
     try:
-        yield children
+        for task in tasks[1:]:
+            children.append(_start_child(task))
+        outcomes = [_evaluate_block(tasks[0])] + [_receive(*child) for child in children]
+        yield [_DepthRun(n, M, steps, seeds,
+                         [estimate for block in outcomes for estimate in block[i][1]],
+                         max(block[i][0] for block in outcomes))
+               for i, (n, M, steps) in enumerate(plan)]
     except BaseException:
         for child, _, _ in children:
             child.terminate()
@@ -456,36 +483,10 @@ def _joined_children():
             receive.close()
 
 
-def _run_depths(cfg: ExperimentConfig, depths: list, children: list) -> list:
-    """The replications of every depth, cut into ``min(workers, replications)``
-    seed blocks: one child per block 2.. (appended to ``children``, an empty
-    list from :func:`_joined_children`) while this process evaluates block 1.
-    Returns one record per depth, its seeds in order."""
-    seeds = [cfg.seed + r for r in range(cfg.replications)]
-    blocks = min(cfg.workers, len(seeds))
-    cuts = [len(seeds) * b // blocks for b in range(blocks + 1)]
-    plan = [(n, M, cfg.resolved_steps(M)) for n, M in depths]
-    tasks = [(cfg.problem, cfg.overrides, plan, seeds[lo:hi], cfg.t0, tuple(cfg.query_point()))
-             for lo, hi in zip(cuts, cuts[1:])]
-    for task in tasks[1:]:
-        children.append(_start_child(task))
-    outcomes = [_evaluate_block(tasks[0])] + [_receive(*child) for child in children]
-    records = []
-    for i, (n, M, steps) in enumerate(plan):
-        items = [item for block in outcomes for item in block[i][1]]
-        tallies = [CostTally(**raw) for _, raw in items]
-        records.append({
-            "n": n, "M": M, "N": steps, "values": np.array([value for value, _ in items]),
-            "tallies": tallies,
-            "weighted_costs": np.array([tl.weighted(*cfg.cost_weights) for tl in tallies]),
-            "wall": max(block[i][0] for block in outcomes), "seeds": seeds,
-        })
-    return records
-
-
-def _report_row(cfg: ExperimentConfig, problem: Problem, depth_data: dict,
+def _report_row(cfg: ExperimentConfig, problem: Problem, run: _DepthRun,
                 reference: Reference) -> ReportRow:
-    values = depth_data["values"]
+    values = np.array([estimate.value for estimate in run.estimates])
+    costs = np.array([estimate.cost.weighted(*cfg.cost_weights) for estimate in run.estimates])
     reps = len(values)
     sq_err = (values - reference.value) ** 2
     mse = float(sq_err.mean())
@@ -496,18 +497,18 @@ def _report_row(cfg: ExperimentConfig, problem: Problem, depth_data: dict,
         rmse_se = 0.0
     bp = problem.bound_params(cfg.query_point())
     return ReportRow(
-        n=depth_data["n"], M=depth_data["M"], N=depth_data["N"],
+        n=run.n, M=run.M, N=run.N,
         value_mean=float(values.mean()),
         value_se=float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
         rmse_vs_reference=rmse,
         rmse_se=rmse_se,
         reference_value=reference.value,
-        reference_ci=reference.ci_halfwidth,
-        theoretical_error_bound=error_bound(depth_data["n"], depth_data["M"], bp),
-        tallied_cost=float(depth_data["weighted_costs"].mean()),
+        reference_ci_halfwidth=reference.ci_halfwidth,
+        theoretical_error_bound=error_bound(run.n, run.M, bp),
+        tallied_cost=float(costs.mean()),
         cost_recursion_bound=cost_recursion_bound(
-            depth_data["n"], depth_data["M"], problem.d, depth_data["N"], cfg.cost_weights),
-        wall_time_seconds=depth_data["wall"],
+            run.n, run.M, problem.d, run.N, cfg.cost_weights),
+        wall_time_seconds=run.wall,
     )
 
 
@@ -547,40 +548,21 @@ def run_experiment(cfg: ExperimentConfig):
     """
     problem = cfg.build_problem()
     reference = resolve_reference(cfg, problem)
-    rows = []
-    raw_rows = []
-    bound_rows = []
     # the children are joined after the reports, which their exit overlaps
-    with _joined_children() as children:
-        depth_records = _run_depths(cfg, cfg.depths, children)
-        for depth_data in depth_records:
-            n, M, N = depth_data["n"], depth_data["M"], depth_data["N"]
-            row = _report_row(cfg, problem, depth_data, reference)
-            rows.append(row)
-            for seed, value, tally, cost in zip(
-                    depth_data["seeds"], depth_data["values"], depth_data["tallies"],
-                    depth_data["weighted_costs"]):
-                raw_rows.append([
-                    n, M, N, seed, float(value), tally.uniforms, tally.gaussians,
-                    tally.euler_steps, tally.g_evals, tally.f_evals, float(cost),
-                ])
-            bound_rows.append([n, M, N, row.theoretical_error_bound, row.cost_recursion_bound])
-
-        out = cfg.output_dir
-        os.makedirs(out, exist_ok=True)
-        paths = {
-            "results": os.path.join(out, "results.csv"),
-            "raw": os.path.join(out, "raw.csv"),
-            "bounds": os.path.join(out, "bounds.csv"),
-        }
-        emit_csv(RESULTS_HEADER, [
-            [r.n, r.M, r.N, r.value_mean, r.value_se, r.rmse_vs_reference,
-             r.reference_value, r.reference_ci, r.reference_ci_flag,
-             r.theoretical_error_bound, r.tallied_cost, r.cost_recursion_bound]
-            for r in rows
-        ], paths["results"])
-        emit_csv(RAW_HEADER, raw_rows, paths["raw"])
-        emit_csv(BOUNDS_HEADER, bound_rows, paths["bounds"])
+    with _depth_runs(cfg, cfg.depths) as runs:
+        rows = [_report_row(cfg, problem, run, reference) for run in runs]
+        paths = {name: os.path.join(cfg.output_dir, f"{name}.csv")
+                 for name in ("results", "raw", "bounds")}
+        emit_csv(RESULTS_HEADER, [[getattr(r, h) for h in RESULTS_HEADER] for r in rows],
+                 paths["results"])
+        emit_csv(RAW_HEADER, [
+            [run.n, run.M, run.N, seed, estimate.value, *astuple(estimate.cost),
+             estimate.cost.weighted(*cfg.cost_weights)]
+            for run in runs for seed, estimate in zip(run.seeds, run.estimates)
+        ], paths["raw"])
+        emit_csv(BOUNDS_HEADER, [
+            [r.n, r.M, r.N, r.theoretical_error_bound, r.cost_recursion_bound] for r in rows
+        ], paths["bounds"])
     return rows, reference, paths
 
 
@@ -588,13 +570,13 @@ def run_experiment(cfg: ExperimentConfig):
 class SweepRow:
     epsilon: float
     status: str  # ok | cost-ceiling | max-depth
-    n_star: int
-    rmse: float
-    rmse_plus_2se: float
-    cost_sum: float
-    total_cost_bound: float
-    cost_times_eps_power: float
-    tripped_bound: float
+    n_star: int = -1
+    rmse: float = math.nan
+    rmse_plus_2se: float = math.nan
+    cost_sum: float = math.nan
+    total_cost_bound: float = math.nan
+    cost_times_eps_power: float = math.nan
+    tripped_bound: float = 0.0
     depth_rows: list = field(default_factory=list)
 
 
@@ -629,23 +611,16 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
         while True:
             n += 1
             if n > cfg.max_depth:
-                row = SweepRow(epsilon=eps, status="max-depth", n_star=-1, rmse=math.nan,
-                               rmse_plus_2se=math.nan, cost_sum=math.nan,
-                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                               tripped_bound=float(cfg.max_depth))
+                row = SweepRow(eps, "max-depth", tripped_bound=float(cfg.max_depth))
                 break
             bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n),
                                          cfg.cost_weights)
             if bound > cfg.cost_ceiling:
-                row = SweepRow(epsilon=eps, status="cost-ceiling", n_star=-1, rmse=math.nan,
-                               rmse_plus_2se=math.nan, cost_sum=math.nan,
-                               total_cost_bound=math.nan, cost_times_eps_power=math.nan,
-                               tripped_bound=bound)
+                row = SweepRow(eps, "cost-ceiling", tripped_bound=bound)
                 break
             if n not in depth_cache:
-                with _joined_children() as children:
-                    depth_data, = _run_depths(cfg, [(n, n)], children)
-                depth_cache[n] = _report_row(cfg, problem, depth_data, reference)
+                with _depth_runs(cfg, [(n, n)]) as (run,):
+                    depth_cache[n] = _report_row(cfg, problem, run, reference)
             report = depth_cache[n]
             margin = report.rmse_vs_reference + 2.0 * report.rmse_se
             if margin < eps:
@@ -656,7 +631,6 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
                     cost_sum=cost_sum,
                     total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
                     cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
-                    tripped_bound=0.0,
                 )
                 break
         row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]
@@ -665,8 +639,4 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
 
 
 def write_sweep_csv(sweep_rows, path: str) -> None:
-    emit_csv(SWEEP_HEADER, [
-        [r.epsilon, r.status, r.n_star, r.rmse, r.rmse_plus_2se, r.cost_sum,
-         r.total_cost_bound, r.cost_times_eps_power, r.tripped_bound]
-        for r in sweep_rows
-    ], path)
+    emit_csv(SWEEP_HEADER, [[getattr(r, h) for h in SWEEP_HEADER] for r in sweep_rows], path)

@@ -12,18 +12,19 @@ sources and the result is independent of evaluation order.
 That independence lets the tree be evaluated level-synchronously, and a
 block of root seeds together as one forest.  The full tree of ``(n, M)`` is
 planned once and cached as index arrays, one set per recursion depth (a
-"wave"): each path's node, whether it is a terminal or a level path, the
-path row of the previous wave its node starts from, and its packed label
-suffix below the root label.  Top-down, the paths of a wave are simulated
-for every seed of the block in one ``simulate_batch`` call, each child node
-starting from its parent's sampled ``(R_i, X_i)``.  The plan is only an upper
-bound on the shape: a node at ``t >= T`` draws no level samples and has no
-subtree (every level term carries the factor ``T - t = 0``), and evaluation
-times can land exactly at ``T``, so each seed masks the subtrees it skips
-and never simulates them.  Bottom-up, the nodes of one depth in one wave are
-reduced together as 2-D arrays, in the fixed order: the ascending sum of a
-node's terminal values, then per level the nonlinearity at the minuend and
-at the subtrahend values.  Every float operation is the one a depth-first
+"wave"): each path's node, the path row of the previous wave its node
+starts from, the tally it adds when simulated (which marks it a terminal or
+a level path), and its packed label suffix below the root label.  Top-down,
+the paths of a wave are simulated for every seed of the block in one
+``simulate_batch`` call, each child node starting from its parent's sampled
+``(R_i, X_i)``.  The plan is only an upper bound on the shape: a node at
+``t >= T`` draws no level samples and has no subtree (every level term
+carries the factor ``T - t = 0``), and evaluation times can land exactly
+at ``T``, so each seed masks the subtrees it skips and never simulates
+them.  Bottom-up, the nodes of one depth in one wave are reduced together as
+2-D arrays, in the fixed order: the ascending sum of a node's terminal
+values, then per level the nonlinearity at the minuend and at the
+subtrahend values.  Every float operation is the one a depth-first
 recursion would perform, so the result does not depend on the evaluation
 order or on which seeds share a block.
 
@@ -35,9 +36,12 @@ Stream label conventions for a node with base label ``theta``:
   at the same time the base label of the level-``l`` sub-estimate;
 * ``theta + (-l, i)``: base label of the level-``(l-1)`` sub-estimate.
 
-The tally counts work actually performed, so it can undershoot the cost
-recursion bound (which charges full-length paths and two nonlinearity
-evaluations per sample); the soundness invariant is one-sided.
+The tally is counted off the paths each seed actually simulated: their
+Euler steps and Gaussians, one uniform and one or two nonlinearity
+evaluations per level path, one terminal evaluation per terminal path.  So
+it can undershoot the cost recursion bound (which charges full-length paths
+and two nonlinearity evaluations per sample); the soundness invariant is
+one-sided.
 """
 
 from __future__ import annotations
@@ -187,19 +191,18 @@ class _Wave:
     """The nodes and paths of one recursion depth of the full tree.
 
     A node starts from path row ``node_parent`` of the previous wave (wave 0
-    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per node,
-    the tally columns ``(uniforms, g_evals, f_evals)`` it adds when it exists
-    (``exists_work``) and, on top, when it lies before ``T`` (``live_work``).
-    Per path: its node, whether it is a level path, and its label suffix
-    below the root label, packed as stream labels are, in row ``suffix``.
+    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per path:
+    its node, the tally columns ``(uniforms, g_evals, f_evals)`` it adds when
+    it is simulated (``work``: ``(0, 1, 0)`` for a terminal path, ``(1, 0, 1)``
+    for a level-0 and ``(1, 0, 2)`` for a deeper level path, so column 0 marks
+    the level paths), and its label suffix below the root label, packed as
+    stream labels are, in row ``suffix``.
     """
 
     node_parent: np.ndarray
-    exists_work: np.ndarray
-    live_work: np.ndarray
     path_node: np.ndarray
     path_parent: np.ndarray
-    is_level: np.ndarray
+    work: np.ndarray
     suffix: np.ndarray
     groups: tuple
 
@@ -207,24 +210,21 @@ class _Wave:
 @functools.lru_cache(maxsize=8)
 def _tree_plan(n: int, M: int) -> tuple:
     """The waves of the full depth-``n`` tree with base ``M``, as read-only arrays."""
-    # per node depth k: (uniforms, g_evals, f_evals) of its level samples
-    live_work = [(sum(M ** (k - level) for level in range(k)), 0,
-                  sum(M ** (k - level) * (1 + (level > 0)) for level in range(k)))
-                 for k in range(n + 1)]
     waves = []
     nodes = [((), n, 0)]  # (label suffix, depth, parent path row)
     while nodes:
-        paths, children, groups = [], [], {}  # paths: (label suffix, node, is level path)
+        paths, children, groups = [], [], {}  # paths: (label suffix, node, work)
         for j, (label, k, _) in enumerate(nodes):
             members, terminal, levels = groups.setdefault(
                 k, ([], [], [([], [], []) for _ in range(k)]))
             members.append(j)
             terminal.append(range(len(paths), len(paths) + M**k))
-            paths += [(label + (0, -i), j, False) for i in range(1, M**k + 1)]
+            paths += [(label + (0, -i), j, (0, 1, 0)) for i in range(1, M**k + 1)]
             for level, (rows, minuends, subtrahends) in enumerate(levels):
                 first, count = len(paths), M ** (k - level)
                 rows.append(range(first, first + count))
-                paths += [(label + (level, i), j, True) for i in range(1, count + 1)]
+                paths += [(label + (level, i), j, (1, 0, 1 + (level > 0)))
+                          for i in range(1, count + 1)]
                 # sample i's sub-estimates start from its path, row first + i - 1
                 if level > 0:
                     minuends.append(range(len(children), len(children) + count))
@@ -234,17 +234,14 @@ def _tree_plan(n: int, M: int) -> tuple:
                     subtrahends.append(range(len(children), len(children) + count))
                     children += [(label + (-level, i), level - 1, first + i - 1)
                                  for i in range(1, count + 1)]
-        labels, path_node, is_level = zip(*paths)
-        depths = [k for _, k, _ in nodes]
+        labels, path_node, work = zip(*paths)
         node_parent = _frozen([parent for _, _, parent in nodes])
         path_node = _frozen(path_node)
         waves.append(_Wave(
             node_parent=node_parent,
-            exists_work=_frozen([(0, M**k, 0) for k in depths]),
-            live_work=_frozen([live_work[k] for k in depths]),
             path_node=path_node,
             path_parent=_frozen(node_parent[path_node]),
-            is_level=_frozen(is_level, bool),
+            work=_frozen(work),
             suffix=_frozen(np.array(labels, dtype="<i8").view(np.uint8), np.uint8),
             groups=tuple(
                 _Group(_frozen(members), _frozen(terminal),
@@ -276,14 +273,15 @@ def _forest(problem, N, waves, seeds, theta, t, x) -> list:
         exists = sim[:, wave.node_parent]
         node_t = ends[:, wave.node_parent]
         live = exists & (node_t < T)
-        sim = np.where(wave.is_level, live[:, wave.path_node], exists[:, wave.path_node])
+        is_level = wave.work[:, 0] == 1
+        sim = np.where(is_level, live[:, wave.path_node], exists[:, wave.path_node])
         rows, paths = np.nonzero(sim)
         starts = np.searchsorted(rows, np.arange(S + 1))
         width = wave.suffix.shape[1]
         keys = np.concatenate([
             keys_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(), width)
             for seed, lo, hi in zip(seeds, starts, starts[1:])])
-        level = wave.is_level[paths]
+        level = is_level[paths]
         r = uniforms(keys[level])  # terminal paths never read theirs
         t0 = ends[rows, wave.path_parent[paths]]
         path_ends = np.full(len(paths), T)
@@ -295,7 +293,7 @@ def _forest(problem, N, waves, seeds, theta, t, x) -> list:
         states = np.zeros(sim.shape + (d,))
         states[rows, paths] = path_states
         np.add.at(steps, rows, counts)
-        work += exists @ wave.exists_work + live @ wave.live_work
+        work += sim @ wave.work
         done.append((exists, live, node_t, ends, states))
 
     values = None

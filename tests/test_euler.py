@@ -140,6 +140,14 @@ class TestSimulate:
         with pytest.raises(TypeError, match=message):
             lyapunov_check(prob, steps, 0.0, np.zeros(1), 1.0, paths=4, seed=0)
 
+    @pytest.mark.parametrize("x, row", [([math.nan], "row 0: [nan]"),
+                                        ([[0.5], [math.inf]], "row 1: [inf]")])
+    def test_non_finite_start_rejected_before_drawing(self, x, row, monkeypatch):
+        monkeypatch.setattr(euler, "draw_uniforms", None)  # any draw would fail here
+        with pytest.raises(ValueError, match=re.escape(f"x must be finite, got {row}")):
+            simulate_batch(instantiate("heat-quadratic"), 4, _path_batch(2, 0), 0.0,
+                           np.array(x), np.ones(2))
+
     def test_identity_at_zero_elapsed(self):
         prob = instantiate("scaled-bs")
         states, counts = simulate_batch(prob, 16, stream_for(0, (1,)), 0.4,
@@ -416,6 +424,16 @@ class TestLyapunovCheck:
         monkeypatch.setattr(euler, "keys_at", None)  # any draw would fail here
         with pytest.raises(ValueError, match="x must"):
             lyapunov_check(prob, 4, 0.0, np.array(x), 1.0, paths=8, seed=0)
+
+    @pytest.mark.parametrize("t, s, error", [
+        (True, 1.0, TypeError), (np.True_, 1.0, TypeError), (0.0, True, TypeError),
+        (-0.1, 1.0, ValueError), (0.0, 1.5, ValueError), (math.nan, 1.0, ValueError),
+    ])
+    def test_rejects_bool_or_out_of_range_times_before_keying(self, t, s, error, monkeypatch):
+        prob = instantiate("heat-quadratic")
+        monkeypatch.setattr(euler, "keys_at", None)  # any keying would fail here
+        with pytest.raises(error, match="^t must"):
+            lyapunov_check(prob, 4, t, np.zeros(1), s, paths=4, seed=0)
 
     @pytest.mark.parametrize("paths", [5, 300])
     @pytest.mark.parametrize("name,overrides,x", [

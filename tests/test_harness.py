@@ -12,16 +12,22 @@ import pytest
 
 from mlpicard import harness
 from mlpicard.harness import (
+    BOUNDS_HEADER,
     ConfigError,
     OUTPUT_DIR_ENV,
+    RAW_HEADER,
+    RESULTS_HEADER,
+    SWEEP_HEADER,
     emit_csv,
     find_depth_for_epsilon,
     parse_config,
     read_csv,
+    resolve_reference,
     run_experiment,
     write_sweep_csv,
 )
 from mlpicard.mlp import cost_recursion_bound
+from mlpicard.oracle import OracleError
 from mlpicard.problems import instantiate
 
 MINIMAL = "problem = heat-quadratic\n"
@@ -122,6 +128,17 @@ class TestParseConfig:
             parse_config(MINIMAL + "reference = mc-baseline\n")
         assert "reference_*" in str(err.value)
 
+    @pytest.mark.parametrize("budget, violation", [
+        ("reference_n = 3\n", "mc-baseline budget needs all of reference_n, reference_m, "
+                               "reference_steps, reference_replications"),
+        ("reference_n = 3\nreference_m = 0\nreference_steps = 32\nreference_replications = 4\n",
+         "baseline budget requires n, M, steps >= 1 and replications >= 2"),
+    ])
+    def test_mc_baseline_budget_fault_reported_once(self, budget, violation):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "reference = mc-baseline\n" + budget)
+        assert err.value.violations == [violation]
+
     def test_mc_baseline_budget_rejected_above_ceiling(self):
         baseline = (MINIMAL + "depths = 1\nreference = mc-baseline\nreference_n = 3\n"
                     "reference_m = 3\nreference_steps = 32\nreference_replications = 4\n")
@@ -188,6 +205,45 @@ class TestParseConfig:
         monkeypatch.setenv(OUTPUT_DIR_ENV, "/tmp/forced-out")
         cfg = parse_config(MINIMAL + "output_dir = ignored\n")
         assert cfg.output_dir == "/tmp/forced-out"
+
+
+class TestResolveReference:
+    def test_auto_picks_closed_form_then_picard(self, monkeypatch):
+        cfg = parse_config(MINIMAL)
+        assert resolve_reference(cfg, cfg.build_problem()).method == "closed_form"
+        calls = []
+        monkeypatch.setattr(harness, "picard_quadrature_1d",
+                            lambda problem, t, x: calls.append((problem.name, t, list(x))))
+        cfg = parse_config("problem = nonlinear-coeff-sine\nkappa = 0\nx0 = 0.5\n")
+        resolve_reference(cfg, cfg.build_problem())
+        assert calls == [("nonlinear-coeff-sine", 0.0, [0.5])]
+
+    @pytest.mark.parametrize("text", ["problem = nonlinear-coeff-sine\nkappa = 0.5\n",
+                                      "problem = scaled-bs\n"])
+    def test_auto_without_a_deterministic_oracle_names_mc_baseline(self, text):
+        cfg = parse_config(text)
+        with pytest.raises(OracleError, match="configure mc-baseline"):
+            resolve_reference(cfg, cfg.build_problem())
+
+    @pytest.mark.parametrize("depths, dominated", [("2", False), ("3", True), ("2:3", True)])
+    def test_mc_baseline_budget_must_strictly_dominate(self, monkeypatch, depths, dominated):
+        # budget (n, M, steps) = (3, 3, 32) against depth 3 (steps 27) and (2, 3)
+        monkeypatch.setattr(harness, "mc_baseline", lambda *args: "baseline")
+        cfg = parse_config(MINIMAL + f"depths = {depths}\nreference = mc-baseline\n"
+                           "reference_n = 3\nreference_m = 3\nreference_steps = 32\n"
+                           "reference_replications = 4\n")
+        if not dominated:
+            assert resolve_reference(cfg, cfg.build_problem()) == "baseline"
+            return
+        with pytest.raises(OracleError, match="must strictly dominate"):
+            resolve_reference(cfg, cfg.build_problem())
+
+
+@pytest.mark.parametrize("header", [RESULTS_HEADER, RAW_HEADER, BOUNDS_HEADER, SWEEP_HEADER])
+def test_readme_outputs_quote_each_csv_header(header):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    outputs = readme.split("### Outputs", 1)[1].split("\n## ", 1)[0]
+    assert f"`{','.join(header)}`" in outputs
 
 
 class TestEmitCsv:

@@ -47,14 +47,20 @@ def error_bound(n: int, M: int, bp: BoundParams) -> float:
     """A priori bound on the RMS error of the depth-``n``, base-``M`` estimator.
 
     Evaluates
-    ``[exp(2ncT + M/2) M^(-n/2) + M^(-M/2)] * 12 b c^2 phi^((beta+1)/p) exp(9 c^3 T)``.
+    ``[exp(2ncT + M/2) M^(-n/2) + M^(-M/2)] * 12 b c^2 phi^((beta+1)/p) exp(9 c^3 T)``,
+    or ``math.inf`` where that leaves the float range (``exp(9 c^3 T)`` alone
+    does once ``c^3 T > 78.9``, that is ``T > 1.2323`` at ``c = 4``).
     """
     if n < 0 or M < 1:
         raise ValueError("error_bound requires n >= 0 and M >= 1")
-    decay = math.exp(2.0 * n * bp.c * bp.T + M / 2.0) * M ** (-n / 2.0) + M ** (-M / 2.0)
-    prefactor = (
-        12.0 * bp.b * bp.c**2 * bp.phi_x ** ((bp.beta + 1.0) / bp.p) * math.exp(9.0 * bp.c**3 * bp.T)
-    )
+    try:
+        decay = math.exp(2.0 * n * bp.c * bp.T + M / 2.0) * M ** (-n / 2.0) + M ** (-M / 2.0)
+        prefactor = (
+            12.0 * bp.b * bp.c**2 * bp.phi_x ** ((bp.beta + 1.0) / bp.p)
+            * math.exp(9.0 * bp.c**3 * bp.T)
+        )
+    except OverflowError:
+        return math.inf
     return decay * prefactor
 
 

@@ -212,7 +212,7 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     if paths < 1:
         raise ValueError("paths must be >= 1")
     x = check_query(problem, t, x)
-    check_query(problem, s, x)
+    check_query(problem, s, x, time_name="s")
     keys = keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8)
     states, _ = simulate_batch(problem, steps, keys, t, x, np.full(paths, s))
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)

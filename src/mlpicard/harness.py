@@ -1,8 +1,10 @@
 """Configuration-driven experiment harness.
 
-Reads a flat ``key = value`` config (documented in the README; one canonical
-example ships under ``configs/``), runs repeated estimator realizations per
-depth against a reference oracle, and writes three CSV files:
+Reads a flat ``key = value`` config (documented in the README; the shipped
+examples are under ``configs/``), runs repeated estimator realizations per
+depth against a deterministic reference (the closed form where the problem
+has one, else the d = 1 Picard quadrature of :mod:`mlpicard.oracle`), and
+writes three CSV files:
 
 * ``results.csv``: one row per (n, M) with mean/SE, RMSE against the
   reference, the a priori error bound, and the tallied cost next to its
@@ -45,15 +47,7 @@ import numpy as np
 
 from .bounds import error_bound, total_cost_bound
 from .mlp import MlpParams, cost_recursion_bound, estimate_many
-from .oracle import (
-    BaselineBudget,
-    OracleError,
-    Reference,
-    closed_form,
-    has_closed_form,
-    mc_baseline,
-    picard_quadrature_1d,
-)
+from .oracle import Reference, closed_form, has_closed_form, picard_quadrature_1d
 from .problems import PARAMETERS, Problem, instantiate
 
 RESULTS_HEADER = [
@@ -92,12 +86,9 @@ class ExperimentConfig:
     euler_override: Optional[int] = None
     replications: int = 32
     seed: int = 0
-    reference: str = "auto"  # auto | closed-form | picard | mc-baseline
-    reference_budget: Optional[BaselineBudget] = None
-    reference_seed: int = 777
+    reference: str = "auto"  # auto | closed-form | picard
     cost_weights: tuple = (1.0, 1.0, 1.0, 1.0)
     cost_ceiling: float = 1.0e12
-    cache_dir: str = "cache"
     output_dir: str = "out"
     workers: int = 1
     max_depth: int = 8
@@ -190,9 +181,8 @@ def _parse_weights(value: str) -> tuple:
 
 
 # Every config key: key -> (caster, target).  A target is an ExperimentConfig
-# attribute, or "overrides.<name>" / "budget.<field>" for a problem override
-# or an mc-baseline budget field.  Keys are converted in this order, which
-# fixes the order of the reported errors.
+# attribute, or "overrides.<name>" for a problem override.  Keys are converted
+# in this order, which fixes the order of the reported errors.
 _KEYS = {
     "problem": (str, "problem"),
     **{key: (int if key == "d" else float, f"overrides.{key}") for key in PARAMETERS},
@@ -205,15 +195,9 @@ _KEYS = {
     "cost_ceiling": (float, "cost_ceiling"),
     "workers": (int, "workers"),
     "max_depth": (int, "max_depth"),
-    "reference_seed": (int, "reference_seed"),
     "reference": (str, "reference"),
-    "cache_dir": (str, "cache_dir"),
     "output_dir": (str, "output_dir"),
     "cost_weights": (_parse_weights, "cost_weights"),
-    "reference_n": (int, "budget.n"),
-    "reference_m": (int, "budget.M"),
-    "reference_steps": (int, "budget.euler_steps"),
-    "reference_replications": (int, "budget.replications"),
 }
 
 # a '#' at the start of a line or after whitespace opens a comment
@@ -252,7 +236,6 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("missing required key 'problem'")
 
     cfg = ExperimentConfig(problem="")
-    collections = {"overrides": cfg.overrides, "budget": {}}
     for key, (caster, target) in _KEYS.items():
         if key not in entries:
             continue
@@ -267,25 +250,10 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if parsed is None:
             continue
-        collection, _, name = target.rpartition(".")
-        if collection:
-            collections[collection][name] = parsed
+        if target.startswith("overrides."):
+            cfg.overrides[key] = parsed
         else:
-            setattr(cfg, name, parsed)
-
-    budget_given = [key for key in entries if _KEYS[key][1].startswith("budget.")]
-    if budget_given:
-        budget = collections["budget"]
-        if len(budget_given) < 4:
-            errors.append("mc-baseline budget needs all of reference_n, reference_m, "
-                          "reference_steps, reference_replications")
-        elif len(budget) == 4:
-            try:
-                cfg.reference_budget = BaselineBudget(**budget)
-            except ValueError as exc:
-                errors.append(str(exc))
-    elif cfg.reference == "mc-baseline":
-        errors.append("reference = mc-baseline requires the reference_* budget keys")
+            setattr(cfg, target, parsed)
 
     # environment override for the output directory
     cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
@@ -311,7 +279,9 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     for n, M in cfg.depths:
         if n < 0 or M < 1:
             errors.append(f"depth ({n},{M}) violates n >= 0, M >= 1")
-    if cfg.reference not in ("auto", "closed-form", "picard", "mc-baseline"):
+    if cfg.reference == "mc-baseline":
+        errors.append("reference = mc-baseline was removed: at d = 1 use picard")
+    elif cfg.reference not in ("auto", "closed-form", "picard"):
         errors.append(f"unknown reference {cfg.reference!r}")
     if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
@@ -344,44 +314,16 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
             errors.append(
                 f"depth ({n},{M}) exceeds the cost ceiling: "
                 f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}")
-    # so must the mc-baseline run, which a reference cache miss starts
-    budget = cfg.reference_budget
-    if cfg.reference == "mc-baseline" and budget is not None and bound_ok:
-        bound = budget.replications * cost_recursion_bound(
-            budget.n, budget.M, cfg.dimension, budget.euler_steps, cfg.cost_weights)
-        if bound > cfg.cost_ceiling:
-            errors.append(
-                f"reference budget ({budget.n},{budget.M}) x {budget.replications} exceeds "
-                f"the cost ceiling: replications * cost_recursion_bound = {bound:.6g} "
-                f"> {cfg.cost_ceiling:.6g}")
 
 
 def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
-    """Pick and evaluate the reference oracle for the configured query point."""
-    x0 = cfg.query_point()
+    """Evaluate the reference oracle for the configured query point.  ``auto``
+    is the closed form where the problem has one, else the Picard quadrature,
+    which raises :class:`~mlpicard.oracle.OracleError` unless d = 1."""
     kind = cfg.reference
-    if kind == "auto":
-        if has_closed_form(problem):
-            kind = "closed-form"
-        elif problem.d == 1 and problem.constant_coefficients is not None:
-            kind = "picard"
-        else:
-            raise OracleError(
-                f"no automatic reference for {problem.name!r}; configure mc-baseline")
-    if kind == "closed-form":
-        return closed_form(problem, cfg.t0, x0)
-    if kind == "picard":
-        return picard_quadrature_1d(problem, cfg.t0, x0)
-    budget = cfg.reference_budget
-    max_n = max(n for n, _ in cfg.depths)
-    max_m = max(M for _, M in cfg.depths)
-    max_steps = max(cfg.resolved_steps(M) for _, M in cfg.depths)
-    if not (budget.n > max_n and budget.M > max_m and budget.euler_steps > max_steps):
-        raise OracleError(
-            "mc-baseline budget must strictly dominate every refereed configuration: "
-            f"need n > {max_n}, M > {max_m}, steps > {max_steps}, got "
-            f"({budget.n}, {budget.M}, {budget.euler_steps})")
-    return mc_baseline(problem, cfg.t0, x0, budget, cfg.reference_seed, cfg.cache_dir)
+    if kind == "closed-form" or (kind == "auto" and has_closed_form(problem)):
+        return closed_form(problem, cfg.t0, cfg.query_point())
+    return picard_quadrature_1d(problem, cfg.t0, cfg.query_point())
 
 
 def _evaluate_block(task) -> list:

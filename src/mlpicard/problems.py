@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -45,14 +45,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_query(problem: Problem, t, x) -> np.ndarray:
+def check_query(problem: Problem, t, x, time_name: str = "t") -> np.ndarray:
     """``x`` as a float array, once the query point ``(t, x)`` is checked:
     ``t`` a number, not a ``bool``, in ``[0, T]``, and ``x`` finite with
-    shape ``(d,)``."""
+    shape ``(d,)``.  The messages call the time ``time_name``."""
     if isinstance(t, (bool, np.bool_)):
-        raise TypeError(f"t must be a number, got {t!r}")
+        raise TypeError(f"{time_name} must be a number, got {t!r}")
     if not (0.0 <= t <= problem.T):
-        raise ValueError(f"t must lie in [0, {problem.T}], got {t}")
+        raise ValueError(f"{time_name} must lie in [0, {problem.T}], got {t}")
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d,):
         raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
@@ -76,9 +76,6 @@ class Problem:
     growth_beta: float   # beta
     growth_p: float      # p
     lyapunov_a: float    # a in phi(x) = 2a + 2||x||^2
-    # (mu0, sigma0 diagonal) when the coefficients are state-independent;
-    # selects the reference oracle and feeds the Picard quadrature
-    constant_coefficients: Optional[tuple] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -131,8 +128,7 @@ def _brownian(lip_f: float, nonlinearity):
     """Builder for ``mu = 0``, ``sigma = I`` with the given reaction term."""
     def build(d, T, a):
         return dict(drift=np.zeros_like, diffusion=np.ones_like, nonlinearity=nonlinearity,
-                    lip_f=lip_f, growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH),
-                    constant_coefficients=(np.zeros(d), np.ones(d)))
+                    lip_f=lip_f, growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH))
     return build
 
 
@@ -153,7 +149,6 @@ def _nonlinear_coeff_sine(d, T, a, kappa, lip_f, source):
         lip_f=lip_f,
         growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH, extra_sup=T * abs(source)),
         lyapunov_a=max(a, d * (1.0 + abs(kappa)) ** 2 / 16.0),
-        constant_coefficients=(np.zeros(d), np.ones(d)) if kappa == 0.0 else None,
     )
 
 

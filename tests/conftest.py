@@ -1,14 +1,6 @@
 import os
 import sys
 
-import pytest
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_CACHE = os.path.join(REPO_ROOT, "data", "baselines")
 
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-
-
-@pytest.fixture(scope="session")
-def baseline_cache_dir():
-    return BASELINE_CACHE

@@ -2,9 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  The heavy experiment runs are shared through session
-fixtures; the nonlinear-coefficient baseline loads from the cache shipped
-under ``data/baselines`` (recomputing it from scratch takes ~10 minutes and
-would trip the runtime criterion).
+fixtures; both legs of the nonlinear-coefficient criterion are refereed by
+the deterministic d = 1 Picard quadrature (about a second per reference).
 """
 
 import math
@@ -58,7 +57,7 @@ def closed_form_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def nonlinear_runs(tmp_path_factory, baseline_cache_dir):
+def nonlinear_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept-sine")
     base = ("problem = nonlinear-coeff-sine\nd = 1\nT = 1.0\nlip_f = 0.5\n"
             "depths = 1, 2, 3, 4\nreplications = 32\nseed = 3000\n")
@@ -69,10 +68,7 @@ def nonlinear_runs(tmp_path_factory, baseline_cache_dir):
         f"output_dir = {out / 'control'}\n")
     runs["control"] = run_experiment(cfg_control)
     cfg_nonlinear = parse_config(
-        base + "kappa = 0.5\nreference = mc-baseline\n"
-        "reference_n = 5\nreference_m = 5\nreference_steps = 512\n"
-        "reference_replications = 24\nreference_seed = 777\n"
-        f"cache_dir = {baseline_cache_dir}\n"
+        base + "kappa = 0.5\nreference = picard\n"
         f"output_dir = {out / 'nonlinear'}\n")
     runs["nonlinear"] = run_experiment(cfg_nonlinear)
     runs["elapsed"] = time.perf_counter() - start

@@ -54,6 +54,28 @@ class TestErrorBound:
         assert all(diag[i + 1] < diag[i] for i in range(len(diag) - 1))
         assert diag[-1] < diag[0] / 10.0
 
+    def test_nondecreasing_in_horizon_up_to_inf(self):
+        # at c = 4, exp(9 c^3 T) leaves the float range once T > 1.2323
+        values = [error_bound(3, 3, _bp(c=4.0, T=T)) for T in np.linspace(0.05, 3.0, 60)]
+        assert all(values[i + 1] >= values[i] for i in range(len(values) - 1))
+        assert math.isfinite(values[0]) and values[-1] == math.inf
+        assert error_bound(3, 3, _bp(c=4.0, T=1.0)) < math.inf
+        assert error_bound(3, 3, _bp(c=4.0, T=1.24)) == math.inf
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 1.2])
+    def test_finite_values_keep_the_unguarded_formula(self, T):
+        bp = _bp(c=4.0, T=T, b=2.0, beta=1.5, p=3.0, phi_x=2.5)
+        decay = math.exp(2.0 * 3 * bp.c * bp.T + 3 / 2.0) * 3 ** (-3 / 2.0) + 3 ** (-3 / 2.0)
+        prefactor = (12.0 * bp.b * bp.c**2 * bp.phi_x ** ((bp.beta + 1.0) / bp.p)
+                     * math.exp(9.0 * bp.c**3 * bp.T))
+        assert error_bound(3, 3, bp) == decay * prefactor
+
+    @pytest.mark.parametrize("n, T", [(3, 1.25), (3, 3.0), (200, 1.0)])
+    def test_overflow_returns_inf_without_warning(self, n, T, recwarn):
+        # T > 1.2323 overflows exp(9 c^3 T); n = 200 overflows exp(2 n c T)
+        assert error_bound(n, 3, _bp(c=4.0, T=T)) == math.inf
+        assert not recwarn.list
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             _bp(b=0.5)

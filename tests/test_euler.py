@@ -174,7 +174,7 @@ class TestSimulate:
             terminal=lambda x: np.sum(x, axis=-1),
             nonlinearity=lambda t, x, v: np.zeros_like(v),
             lip_f=0.0, coeff_lip=4.0, growth_b=2.0, growth_beta=1.0,
-            growth_p=2.0, lyapunov_a=1.0, constant_coefficients=(mu0, sig0),
+            growth_p=2.0, lyapunov_a=1.0,
         )
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
@@ -191,18 +191,6 @@ class TestSimulate:
             expected = expected + (mu0 * dt + sig0 * inc)
         assert np.array_equal(states[0], expected)
         assert counts[0] == len(plan)
-
-    def test_constant_fastpath_agrees_with_general_stepper(self):
-        # constant_coefficients selects no separate update: same paths bit for bit
-        prob = instantiate("heat-quadratic", d=3)
-        stripped = Problem(**{**prob.__dict__, "constant_coefficients": None})
-        N = 16
-        x = np.array([0.1, -0.2, 0.3])
-        end = np.array([1.0])
-        fast, fast_steps = simulate_batch(prob, N, stream_for(5, (2,)), 0.0, x, end)
-        slow, slow_steps = simulate_batch(stripped, N, stream_for(5, (2,)), 0.0, x, end)
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(fast_steps, slow_steps)
 
     def test_frozen_coefficient_argument_is_last_grid_state(self):
         # instrumented trace on N=4: drift must be evaluated at the states
@@ -432,8 +420,15 @@ class TestLyapunovCheck:
     def test_rejects_bool_or_out_of_range_times_before_keying(self, t, s, error, monkeypatch):
         prob = instantiate("heat-quadratic")
         monkeypatch.setattr(euler, "keys_at", None)  # any keying would fail here
-        with pytest.raises(error, match="^t must"):
+        bad = "s" if t == 0.0 else "t"  # t = 0.0 is the one valid t in the table
+        with pytest.raises(error, match=f"^{bad} must"):
             lyapunov_check(prob, 4, t, np.zeros(1), s, paths=4, seed=0)
+
+    @pytest.mark.parametrize("s", [1.5, -0.5])
+    def test_bad_s_is_named_in_its_own_message(self, s):
+        # it used to read "t must lie in [0, 1.0]" for a bad s
+        with pytest.raises(ValueError, match="^" + re.escape(f"s must lie in [0, 1.0], got {s}")):
+            lyapunov_check(instantiate("heat-quadratic"), 4, 0.0, np.zeros(1), s, paths=4, seed=0)
 
     @pytest.mark.parametrize("paths", [5, 300])
     @pytest.mark.parametrize("name,overrides,x", [

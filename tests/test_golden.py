@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from mlpicard import oracle
 from mlpicard.harness import find_depth_for_epsilon, parse_config, run_experiment, write_sweep_csv
 from mlpicard.mlp import MlpParams, estimate
 from mlpicard.problems import instantiate
@@ -83,22 +82,11 @@ def test_estimate_matches_pinned_value(name, overrides, x, seed, value, tally):
     assert result.cost.as_dict() == tally
 
 
-BASELINE_CONFIG = os.path.join(REPO_ROOT, "configs", "sine_nonlinear_baseline.cfg")
-
-
 def test_shipped_baseline_rep0_recomputes():
-    """Replication 0 of the shipped depth-5 mc-baseline, recomputed from
-    scratch, equals its cached value to all 17 digits, so a change to the
-    estimator cannot leave the cached reference stale without notice."""
-    with open(BASELINE_CONFIG, encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    prob = cfg.build_problem()
-    x0 = cfg.query_point()
-    budget = cfg.reference_budget
-    key = oracle._cache_key(prob, cfg.t0, x0, budget, cfg.reference_seed)
-    entry = oracle._read_cache(oracle._cache_file(os.path.join(REPO_ROOT, cfg.cache_dir), key))
-    assert entry is not None and entry["key"] == key
-    params = MlpParams(n=budget.n, M=budget.M, euler_steps=budget.euler_steps,
-                       root_seed=cfg.reference_seed)
-    result = estimate(prob, params, (0,), cfg.t0, x0)
-    assert format(result.value, ".17g") == entry["rep_0000"]
+    """The deepest pin: the sine estimate at (n, M, N) = (5, 5, 512), seed
+    777 and (t, x) = (0, 0), to all 17 digits.  It is replication 0 of the
+    depth-5 reference the sine config used to ship."""
+    prob = instantiate("nonlinear-coeff-sine", d=1, kappa=0.5, lip_f=0.5)
+    params = MlpParams(n=5, M=5, euler_steps=512, root_seed=777)
+    result = estimate(prob, params, (0,), 0.0, np.zeros(1))
+    assert format(result.value, ".17g") == "3.3671698897795719"

@@ -123,32 +123,26 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "depths = 1, 2:3, 4\n")
         assert cfg.depths == [(1, 1), (2, 3), (4, 4)]
 
-    def test_mc_baseline_requires_budget(self):
+    def test_removed_reference_route_is_named(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "reference = mc-baseline\n")
-        assert "reference_*" in str(err.value)
+            parse_config(MINIMAL + "reference = mc-baseline\nreference_n = 5\ncache_dir = c\n")
+        assert err.value.violations == ["line 3: unknown key 'reference_n'",
+                                        "line 4: unknown key 'cache_dir'",
+                                        "reference = mc-baseline was removed: at d = 1 use picard"]
 
-    @pytest.mark.parametrize("budget, violation", [
-        ("reference_n = 3\n", "mc-baseline budget needs all of reference_n, reference_m, "
-                               "reference_steps, reference_replications"),
-        ("reference_n = 3\nreference_m = 0\nreference_steps = 32\nreference_replications = 4\n",
-         "baseline budget requires n, M, steps >= 1 and replications >= 2"),
-    ])
-    def test_mc_baseline_budget_fault_reported_once(self, budget, violation):
+    @pytest.mark.parametrize("key", ["reference_n", "reference_m", "reference_steps",
+                                     "reference_replications", "reference_seed", "cache_dir"])
+    def test_removed_reference_budget_key_is_unknown(self, key):
+        # the six keys of the removed mc-baseline route
         with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "reference = mc-baseline\n" + budget)
-        assert err.value.violations == [violation]
+            parse_config(MINIMAL + f"{key} = 1\n")
+        assert err.value.violations == [f"line 2: unknown key {key!r}"]
 
-    def test_mc_baseline_budget_rejected_above_ceiling(self):
-        baseline = (MINIMAL + "depths = 1\nreference = mc-baseline\nreference_n = 3\n"
-                    "reference_m = 3\nreference_steps = 32\nreference_replications = 4\n")
-        bound = 4 * cost_recursion_bound(3, 3, 1, 32, (1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(ConfigError) as err:
-            parse_config(baseline + f"cost_ceiling = {bound / 2}\n")
-        message = str(err.value)
-        assert "reference budget (3,3) x 4 exceeds the cost ceiling" in message
-        assert f"{bound:.6g}" in message
-        assert parse_config(baseline + f"cost_ceiling = {bound}\n").reference_budget.n == 3
+    @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                            .glob("*.cfg")), ids=lambda path: path.name)
+    def test_every_shipped_config_parses(self, path):
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert cfg.build_problem().name == cfg.problem
 
     def test_problem_override_errors_surface(self):
         with pytest.raises(ConfigError) as err:
@@ -167,12 +161,9 @@ class TestParseConfig:
         ("d = 0\n", ["problem: override d must be a positive integer"]),
         ("d = -1\neuler_steps = 0\n", ["euler_steps must be >= 1, got 0",
                                         "problem: override d must be a positive integer"]),
-        ("d = 0\nreference = mc-baseline\nreference_n = 1\nreference_m = 1\n"
-         "reference_steps = 1\nreference_replications = 2\n",
-         ["problem: override d must be a positive integer"]),
     ])
     def test_sizes_below_one_reported_not_raised(self, extra, violations):
-        # the cost-ceiling checks are skipped: the cost recursion bound raises
+        # the cost-ceiling check is skipped: the cost recursion bound raises
         # a bare ValueError on d < 1 or N < 1
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + extra)
@@ -214,28 +205,19 @@ class TestResolveReference:
         calls = []
         monkeypatch.setattr(harness, "picard_quadrature_1d",
                             lambda problem, t, x: calls.append((problem.name, t, list(x))))
-        cfg = parse_config("problem = nonlinear-coeff-sine\nkappa = 0\nx0 = 0.5\n")
-        resolve_reference(cfg, cfg.build_problem())
-        assert calls == [("nonlinear-coeff-sine", 0.0, [0.5])]
-
-    @pytest.mark.parametrize("text", ["problem = nonlinear-coeff-sine\nkappa = 0.5\n",
-                                      "problem = scaled-bs\n"])
-    def test_auto_without_a_deterministic_oracle_names_mc_baseline(self, text):
-        cfg = parse_config(text)
-        with pytest.raises(OracleError, match="configure mc-baseline"):
+        for text in ("problem = nonlinear-coeff-sine\nkappa = 0\nx0 = 0.5\n",
+                     "problem = nonlinear-coeff-sine\nkappa = 0.5\nx0 = 0.5\n",
+                     "problem = scaled-bs\nx0 = 0.5\n"):
+            cfg = parse_config(text)
             resolve_reference(cfg, cfg.build_problem())
+        assert calls == [("nonlinear-coeff-sine", 0.0, [0.5]), ("nonlinear-coeff-sine", 0.0, [0.5]),
+                         ("scaled-bs", 0.0, [0.5])]
 
-    @pytest.mark.parametrize("depths, dominated", [("2", False), ("3", True), ("2:3", True)])
-    def test_mc_baseline_budget_must_strictly_dominate(self, monkeypatch, depths, dominated):
-        # budget (n, M, steps) = (3, 3, 32) against depth 3 (steps 27) and (2, 3)
-        monkeypatch.setattr(harness, "mc_baseline", lambda *args: "baseline")
-        cfg = parse_config(MINIMAL + f"depths = {depths}\nreference = mc-baseline\n"
-                           "reference_n = 3\nreference_m = 3\nreference_steps = 32\n"
-                           "reference_replications = 4\n")
-        if not dominated:
-            assert resolve_reference(cfg, cfg.build_problem()) == "baseline"
-            return
-        with pytest.raises(OracleError, match="must strictly dominate"):
+    @pytest.mark.parametrize("text", ["problem = nonlinear-coeff-sine\nd = 2\nkappa = 0.5\n",
+                                      "problem = scaled-bs\nd = 2\n"])
+    def test_auto_without_a_closed_form_needs_d_1(self, text):
+        cfg = parse_config(text)
+        with pytest.raises(OracleError, match="supports d = 1 only, got d = 2"):
             resolve_reference(cfg, cfg.build_problem())
 
 
@@ -298,6 +280,17 @@ class TestRunExperiment:
             assert row.rmse_vs_reference <= row.theoretical_error_bound
         header, body = read_csv(paths["results"])
         assert len(body) == 2 and header[0] == "n"
+
+    @pytest.mark.parametrize("T", [1.25, 3.0])
+    def test_horizon_past_the_float_range_of_the_bound(self, tmp_path, T):
+        # exp(9 c^3 T) overflows once T > 1.2323 at c = 4: the bound reads inf
+        cfg = parse_config(MINIMAL + f"T = {T}\ndepths = 1, 2\nreplications = 4\n"
+                           f"output_dir = {tmp_path}\n")
+        rows, _, paths = run_experiment(cfg)
+        assert [row.theoretical_error_bound for row in rows] == [math.inf, math.inf]
+        for key, column in (("results", "theoretical_error_bound"), ("bounds", "error_bound")):
+            header, body = read_csv(paths[key])
+            assert [line[header.index(column)] for line in body] == ["inf", "inf"]
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         blobs = {}

@@ -1,28 +1,27 @@
-"""Reference oracles: closed forms, quadrature fixed point, cached baselines."""
+"""Reference oracles: closed forms and the quadrature fixed point."""
 
-import dataclasses
+import ast
 import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlpicard import ESTIMATOR_VERSION, RNG_ALGORITHM, mlp, oracle
+from mlpicard import oracle
+from mlpicard.mlp import MlpParams, estimate_many
 from mlpicard.oracle import (
-    BaselineBudget,
     OracleError,
+    _picard_solve,
     closed_form,
-    mc_baseline,
     picard_quadrature_1d,
     problem_fingerprint,
 )
 from mlpicard.problems import CATALOGUE, instantiate
 
 # Each catalogue problem's fingerprint at its defaults and (t, x) = (0, 0).
-# The shipped baseline's cache key and every provenance string depend on it.
+# Every provenance string depends on it.
 FINGERPRINTS = {
     "heat-quadratic": "heat-quadratic|T=1|a=1|d=1|t=0|x=0",
     "linear-reaction": "linear-reaction|T=1|a=1|d=1|t=0|x=0",
@@ -36,6 +35,15 @@ FINGERPRINTS = {
 @pytest.mark.parametrize("name", CATALOGUE)
 def test_catalogue_fingerprint_is_pinned(name):
     assert problem_fingerprint(instantiate(name), 0.0, np.zeros(1)) == FINGERPRINTS[name]
+
+
+def test_oracle_imports_nothing_from_the_estimator():
+    # a referee that shares the estimator's code would share its faults
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert package == {"problems"}
 
 
 class TestClosedForm:
@@ -99,22 +107,14 @@ def test_closed_form_checks_the_query_point(t, x, error, message):
     (0.0, [math.nan], ValueError, "x must be finite"),
     (np.True_, [0.0], TypeError, "t must be a number"),
     (-0.5, [0.0], ValueError, "t must lie in"),
+    (True, [0.0], TypeError, "t must be a number"),
+    (1.5, [0.0], ValueError, "t must lie in"),
 ])
 def test_picard_quadrature_checks_the_query_point(t, x, error, message, recwarn):
     # it used to read x[0] of the first and warn from np.linspace on the second
     with pytest.raises(error, match=message):
         picard_quadrature_1d(instantiate("heat-quadratic"), t, x)
     assert not recwarn.list
-
-
-@pytest.mark.parametrize("t, x, error, message", BAD_QUERIES_D2)
-def test_mc_baseline_checks_the_query_point_before_the_cache(t, x, error, message,
-                                                             tmp_path, monkeypatch):
-    monkeypatch.setattr(oracle, "_read_cache", None)  # any cache lookup would fail here
-    with pytest.raises(error, match=message):
-        mc_baseline(instantiate("heat-quadratic", d=2), t, x, BUDGET, seed=1,
-                    cache_path=str(tmp_path))
-    assert not any(tmp_path.iterdir())
 
 
 class TestPicardQuadrature:
@@ -178,11 +178,32 @@ class TestPicardQuadrature:
         ref = picard_quadrature_1d(prob, 0.37, [0.83])
         assert abs(ref.value - exact.value) <= 1e-5
 
+    @pytest.mark.parametrize("cells", [8, 16, 64])
+    def test_constant_coefficients_are_exact_at_any_cell_count(self, cells):
+        # the frozen-coefficient step is the exact Gaussian transition, and
+        # the splines are exact on heat-quadratic's quadratic profile, so
+        # stepping back cell by cell adds no time-discretization error
+        prob = instantiate("heat-quadratic", d=1)
+        exact = closed_form(prob, 0.0, [0.3])
+        ref = picard_quadrature_1d(prob, 0.0, [0.3], depth=2, time_cells=cells)
+        assert abs(ref.value - exact.value) <= 1e-9
+        assert ref.ci_halfwidth <= 1e-9
+
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_terminal_time_returns_the_terminal_condition(self, name):
+        # every catalogue problem has a d = 1 reference, and at t = T it is g(x)
+        prob = instantiate(name, d=1)
+        ref = picard_quadrature_1d(prob, prob.T, [0.7], depth=2, nodes=8, time_cells=8,
+                                   space_points=17)
+        g = float(prob.terminal(np.array([[0.7]]))[0])
+        assert ref.value == pytest.approx(g, rel=1e-12, abs=1e-12)
+        assert math.isfinite(ref.ci_halfwidth) and ref.ci_halfwidth >= 0.0
+
     def test_preconditions(self):
         with pytest.raises(OracleError):
             picard_quadrature_1d(instantiate("heat-quadratic", d=2), 0.0, [0.0, 0.0])
-        with pytest.raises(OracleError):
-            picard_quadrature_1d(instantiate("scaled-bs"), 0.0, [1.0])
+        with pytest.raises(OracleError, match="d = 1 only, got d = 2 for 'scaled-bs'"):
+            picard_quadrature_1d(instantiate("scaled-bs", d=2), 0.0, [1.0, 1.0])
         with pytest.raises(ValueError):
             picard_quadrature_1d(instantiate("heat-quadratic"), 0.0, [0.0], nodes=4)
 
@@ -196,111 +217,21 @@ class TestCrossOracleConsistency:
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth + 1e-6
 
 
-BUDGET = BaselineBudget(n=3, M=3, euler_steps=27, replications=16)
+class TestStateDependentCoefficients:
+    def test_halfwidth_covers_a_finer_richardson_value(self):
+        # the cell error is first order: 2 v(256 cells) - v(128 cells) removes it;
+        # both sides use 32 nodes and 65 points to keep the test short
+        prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
+        ref = picard_quadrature_1d(prob, 0.0, [0.0], nodes=32, space_points=65)
+        v128, _ = _picard_solve(prob, 0.0, 0.0, 12, 32, 128, 65)
+        v256, _ = _picard_solve(prob, 0.0, 0.0, 12, 32, 256, 65)
+        assert abs(ref.value - (2.0 * v256 - v128)) <= ref.ci_halfwidth
 
-
-class TestMcBaseline:
-    def test_agrees_with_closed_form_within_ci(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=500, cache_path=str(tmp_path))
-        exact = closed_form(prob, 0.0, [0.0])
-        assert abs(ref.value - exact.value) <= ref.ci_halfwidth + 1e-6
-
-    def test_progress_per_seed_block_and_per_seed_values(self, tmp_path, monkeypatch):
-        # blocks of two seeds: (3, 3) has 255 tree paths per seed
-        monkeypatch.setattr(mlp, "_BLOCK_PATHS", 600)
-        prob = instantiate("linear-reaction", d=1)  # f(v) = v: every level path counts
-        calls = []
-        ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=503, cache_path=str(tmp_path),
-                          progress=lambda done, total: calls.append((done, total)))
-        reps = BUDGET.replications
-        assert calls == [(done, reps) for done in range(2, reps + 1, 2)]
-        with open(ref.diagnostics["path"], encoding="utf-8") as fh:
-            entry = dict(line.split(" = ") for line in fh.read().splitlines())
-        params = mlp.MlpParams(n=BUDGET.n, M=BUDGET.M, euler_steps=BUDGET.euler_steps)
-        for r in range(reps):
-            want = mlp.estimate(prob, dataclasses.replace(params, root_seed=503 + r), (0,), 0.0,
-                                np.zeros(1))
-            assert entry[f"rep_{r:04d}"] == f"{want.value:.17g}"
-
-    def test_cache_reload_is_bit_identical(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=501, cache_path=str(tmp_path))
-        assert first.diagnostics["cache_hit"] is False
-        second = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=501, cache_path=str(tmp_path))
-        assert second.diagnostics["cache_hit"] is True
-        assert second.value == first.value
-        assert second.ci_halfwidth == first.ci_halfwidth
-
-    def test_distinct_queries_get_distinct_entries(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        a = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=501, cache_path=str(tmp_path))
-        b = mc_baseline(prob, 0.0, [0.5], BUDGET, seed=501, cache_path=str(tmp_path))
-        assert a.diagnostics["path"] != b.diagnostics["path"]
-        assert "x=0.5" in problem_fingerprint(prob, 0.0, [0.5])
-
-    def test_corrupted_cache_triggers_recompute(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=502, cache_path=str(tmp_path))
-        path = first.diagnostics["path"]
-        blob = Path(path).read_bytes()
-        with open(path, "wb") as fh:
-            fh.write(blob.replace(b"value = ", b"value =  ", 1))
-        again = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=502, cache_path=str(tmp_path))
-        assert again.diagnostics["cache_hit"] is False
-        assert again.value == first.value  # deterministic recompute
-
-    @pytest.mark.parametrize("edit", [
-        lambda ln: "estimator_version = older" if ln.startswith("estimator_version = ") else ln,
-        lambda ln: None if ln.startswith("rng_algorithm = ") else ln,
-    ], ids=["estimator-version-changed", "rng-algorithm-missing"])
-    def test_version_mismatch_triggers_recompute(self, tmp_path, edit):
-        # a checksum-clean entry from another estimator or RNG version is a miss
-        prob = instantiate("heat-quadratic", d=1)
-        first = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=505, cache_path=str(tmp_path))
-        path = first.diagnostics["path"]
-        lines = Path(path).read_text().rstrip("\n").split("\n")[:-1]
-        assert f"estimator_version = {ESTIMATOR_VERSION}" in lines
-        assert f"rng_algorithm = {RNG_ALGORITHM}" in lines
-        oracle._write_cache(path, [ln for ln in map(edit, lines) if ln is not None])
-        again = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=505, cache_path=str(tmp_path))
-        assert again.diagnostics["cache_hit"] is False
-        assert again.value == first.value
-        entry = oracle._read_cache(path)
-        assert entry["estimator_version"] == ESTIMATOR_VERSION
-        assert entry["rng_algorithm"] == RNG_ALGORITHM
-
-    def test_doubling_replications_tightens_interval(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        small = mc_baseline(prob, 0.0, [0.0],
-                            BaselineBudget(n=2, M=2, euler_steps=4, replications=64),
-                            seed=503, cache_path=str(tmp_path))
-        large = mc_baseline(prob, 0.0, [0.0],
-                            BaselineBudget(n=2, M=2, euler_steps=4, replications=128),
-                            seed=503, cache_path=str(tmp_path))
-        ratio = large.ci_halfwidth / small.ci_halfwidth
-        assert 1.0 / math.sqrt(2.0) * 0.8 <= ratio <= 1.0 / math.sqrt(2.0) * 1.2
-
-    def test_cache_file_is_flat_key_value_with_checksum(self, tmp_path):
-        prob = instantiate("heat-quadratic", d=1)
-        ref = mc_baseline(prob, 0.0, [0.0], BUDGET, seed=504, cache_path=str(tmp_path))
-        lines = Path(ref.diagnostics["path"]).read_text().rstrip("\n").split("\n")
-        assert lines[0] == "format = mlp-baseline-v1"
-        assert lines[-1].startswith("checksum = ")
-        assert any(ln.startswith("value = ") for ln in lines)
-        assert sum(ln.startswith("rep_") for ln in lines) == BUDGET.replications
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            BaselineBudget(n=1, M=1, euler_steps=1, replications=1)
-
-
-def test_shipped_baseline_entry_loads(baseline_cache_dir):
-    # the repository ships the heavy nonlinear-coefficient baseline so the
-    # acceptance run does not have to recompute it
-    prob = instantiate("nonlinear-coeff-sine", d=1, kappa=0.5, lip_f=0.5)
-    budget = BaselineBudget(n=5, M=5, euler_steps=512, replications=24)
-    ref = mc_baseline(prob, 0.0, [0.0], budget, seed=777, cache_path=baseline_cache_dir)
-    assert ref.diagnostics["cache_hit"] is True
-    assert ref.ci_halfwidth < 0.1
-    assert 2.0 < ref.value < 5.0
+    def test_scaled_bs_agrees_with_the_estimator(self):
+        # 64 realizations at (n, M) = (4, 4), N = 256
+        prob = instantiate("scaled-bs")
+        ref = picard_quadrature_1d(prob, 0.0, [1.0])
+        values = np.array([result.value for result in estimate_many(
+            prob, MlpParams(n=4, M=4), range(64), (0,), 0.0, np.ones(1))])
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(ref.value - values.mean()) <= 3.0 * se

@@ -27,7 +27,6 @@ def test_heat_quadratic_has_no_reaction_term():
 
 def test_sine_with_zero_kappa_degenerates_to_constant_coefficients():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.0)
-    assert prob.constant_coefficients is not None
     x = np.array([[0.3], [-1.2]])
     assert np.array_equal(prob.drift(x), np.zeros_like(x))
     np.testing.assert_array_equal(prob.diffusion(x), np.ones_like(x))
@@ -35,7 +34,6 @@ def test_sine_with_zero_kappa_degenerates_to_constant_coefficients():
 
 def test_sine_with_nonzero_kappa_is_genuinely_state_dependent():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
-    assert prob.constant_coefficients is None
     x = np.array([[0.3, -0.4]]) if prob.d == 2 else np.array([[0.3]])
     assert prob.drift(x)[0, 0] == pytest.approx(0.5 * np.sin(0.3))
     assert prob.diffusion(x)[0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))

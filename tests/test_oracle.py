@@ -217,6 +217,18 @@ class TestCrossOracleConsistency:
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth + 1e-6
 
 
+@pytest.mark.parametrize("name, x, value, halfwidth", [
+    ("nonlinear-coeff-sine", 0.0, 3.4479559423164137, 0.0010685111888947309),
+    ("scaled-bs", 1.0, 0.32317458019856055, 0.0009681894966622508),
+])
+def test_default_quadrature_is_pinned(name, x, value, halfwidth):
+    # the referee of the state-dependent problems at its defaults; a change
+    # to the solve that moves these is a change to every criterion it judges
+    ref = picard_quadrature_1d(instantiate(name), 0.0, [x])
+    assert ref.value == pytest.approx(value, rel=1e-12)
+    assert ref.ci_halfwidth == pytest.approx(halfwidth, rel=1e-8)
+
+
 class TestStateDependentCoefficients:
     def test_halfwidth_covers_a_finer_richardson_value(self):
         # the cell error is first order: 2 v(256 cells) - v(128 cells) removes it;

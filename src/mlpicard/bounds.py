@@ -138,14 +138,18 @@ def perturbation_bound(
     """Stability bound between two fixed-point solutions driven by nearby flows.
 
     Evaluates
-    ``4 (1+LT) T^(-1/2) exp((L + rho/p + eta^(1/q) L)(T-t)) phi^(1/p) psi^(1/q) delta``.
+    ``4 (1+LT) T^(-1/2) exp((L + rho/p + eta^(1/q) L)(T-t)) phi^(1/p) psi^(1/q) delta``,
+    or ``math.inf`` once the exponent passes the float range (about 709.78).
     """
     if T <= 0 or not (0 <= t <= T):
         raise ValueError("perturbation_bound requires T > 0 and 0 <= t <= T")
     if 1.0 / p + 1.0 / q > 1.0 + 1e-15:
         raise ValueError("perturbation_bound requires 1/p + 1/q <= 1")
-    rate = (L + rho / p + eta ** (1.0 / q) * L) * (T - t)
-    return 4.0 * (1.0 + L * T) * T**-0.5 * math.exp(rate) * phi_x ** (1.0 / p) * psi_tx ** (1.0 / q) * delta
+    try:
+        growth = math.exp((L + rho / p + eta ** (1.0 / q) * L) * (T - t))
+    except OverflowError:
+        return math.inf
+    return 4.0 * (1.0 + L * T) * T**-0.5 * growth * phi_x ** (1.0 / p) * psi_tx ** (1.0 / q) * delta
 
 
 def lyapunov_phi(x, a: float) -> float:

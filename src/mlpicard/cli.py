@@ -15,6 +15,7 @@ from .harness import (
     run_experiment,
     write_sweep_csv,
 )
+from .oracle import OracleError
 from .problems import CATALOGUE, ProblemError, instantiate, validate
 from .selftest import run_selftest
 
@@ -40,7 +41,11 @@ def _cmd_run(args) -> int:
             print(ConfigError([f"workers must be >= 1, got {args.workers}"]), file=sys.stderr)
             return 2
         cfg.workers = args.workers
-    rows, reference, paths = run_experiment(cfg)
+    try:
+        rows, reference, paths = run_experiment(cfg)
+    except OracleError as exc:
+        print(f"no reference: {exc}", file=sys.stderr)
+        return 2
     print(f"reference ({reference.method}): {reference.value:.10g} "
           f"+- {reference.ci_halfwidth:.3g}")
     print(f"{'n':>3} {'M':>3} {'N':>6} {'mean':>12} {'se':>10} {'rmse':>10} "
@@ -79,7 +84,11 @@ def _cmd_sweep(args) -> int:
     if not epsilons:
         print(f"invalid --eps: {args.eps!r} names no target", file=sys.stderr)
         return 2
-    sweep_rows, reference = find_depth_for_epsilon(cfg, epsilons)
+    try:
+        sweep_rows, reference = find_depth_for_epsilon(cfg, epsilons)
+    except OracleError as exc:
+        print(f"no reference: {exc}", file=sys.stderr)
+        return 2
     print(f"reference ({reference.method}): {reference.value:.10g} "
           f"+- {reference.ci_halfwidth:.3g}")
     print(f"{'epsilon':>9} {'status':>12} {'n*':>4} {'rmse':>10} {'cost_sum':>12} "

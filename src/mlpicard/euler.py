@@ -204,8 +204,9 @@ class LyapunovCheck:
 def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
                    paths: int, seed: int) -> LyapunovCheck:
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
-    ``exp(2 c^3 (s-t)) phi(x)``; path ``i`` draws from stream ``(seed, (i,))``.
-    Both ``(t, x)`` and ``(s, x)`` must pass :func:`~mlpicard.problems.check_query`."""
+    ``exp(2 c^3 (s-t)) phi(x)``, ``math.inf`` past the float range; path ``i``
+    draws from stream ``(seed, (i,))``.  Both ``(t, x)`` and ``(s, x)`` must
+    pass :func:`~mlpicard.problems.check_query`."""
     _check_steps(steps)
     if not is_integer(paths):
         raise TypeError(f"paths must be an integer, got {paths!r}")
@@ -218,5 +219,8 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())
     se = float(phis.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    bound = math.exp(2.0 * problem.coeff_lip**3 * (s - t)) * problem.phi(x)
+    try:
+        bound = math.exp(2.0 * problem.coeff_lip**3 * (s - t)) * problem.phi(x)
+    except OverflowError:
+        bound = math.inf
     return LyapunovCheck(empirical_mean=mean, bound=bound, std_error=se)

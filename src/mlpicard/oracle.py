@@ -9,8 +9,8 @@ random streams; they read only the problem's own data:
   space-time grid for every one-dimensional problem.  Its transition over
   one time cell is the Euler step with the coefficients frozen at the grid
   point, exact for constant coefficients; Gauss-Hermite quadrature takes
-  the Gaussian expectations, and a contraction/refinement estimate gives
-  its error half-width.
+  the Gaussian expectations as fixed matrices, one backward sweep per
+  iterate, and a contraction/refinement estimate gives its half-width.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import Problem, check_query
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 class OracleError(ValueError):
@@ -81,11 +79,6 @@ def closed_form(problem: Problem, t: float, x) -> Reference:
                      provenance=f"closed-form:{problem_hash(problem, t, x)[:16]}")
 
 
-def _gh_expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # E[h(Z)] with h tabulated at the Gauss-Hermite nodes on the last axis
-    return values @ weights / _SQRT_PI
-
-
 def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
                          nodes: int = 64, time_cells: int = 64,
                          space_points: int = 129) -> Reference:
@@ -98,11 +91,12 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
     with its coefficients frozen, the exact Gaussian transition when they
     are constant; Gauss-Hermite quadrature in ``z`` takes the expectations,
     and not-a-knot cubic splines (exact on quadratic profiles) interpolate
-    between grid points and times.  The reported half-width is the
-    contraction-extrapolated iteration remainder plus the difference to a
-    solve with half the nodes, cells and points; for state-dependent
-    coefficients that difference carries the first-order error in the cell
-    width.
+    between grid points and times.  Both are linear in the table, so each
+    iterate is one backward sweep of a fixed matrix over the cells.  The
+    reported half-width is the contraction-extrapolated iteration remainder
+    plus the difference to a solve with half the nodes, cells and points;
+    for state-dependent coefficients that difference carries the
+    first-order error in the cell width.
     """
     if problem.d != 1:
         raise OracleError(
@@ -115,11 +109,8 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
     coarse, _ = _picard_solve(problem, t, x, depth, max(8, nodes // 2),
                               max(8, time_cells // 2), max(17, (space_points + 1) // 2))
 
-    if len(deltas) >= 2 and deltas[-2] > 0:
-        ratio = min(0.95, deltas[-1] / deltas[-2])
-    else:
-        ratio = 0.5
-    remainder = deltas[-1] * ratio / (1.0 - ratio) if deltas else 0.0
+    ratio = min(0.95, deltas[-1] / deltas[-2]) if len(deltas) >= 2 and deltas[-2] > 0 else 0.5
+    remainder = deltas[-1] * ratio / (1.0 - ratio)
     ci = remainder + abs(value - coarse)
     return Reference(
         value=value,
@@ -138,6 +129,7 @@ def _picard_solve(problem, t, x, depth, nodes, time_cells, space_points):
 
     T = problem.T
     z, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / math.sqrt(math.pi)  # E[h(Z)] = w @ h(Gauss-Hermite abscissae)
     query = np.array([[x]])
     halfwidth = (6.0 * abs(float(problem.diffusion(query)[0, 0])) * math.sqrt(T)
                  + abs(float(problem.drift(query)[0, 0])) * T + 1.0)
@@ -151,40 +143,38 @@ def _picard_solve(problem, t, x, depth, nodes, time_cells, space_points):
         # Gauss-Hermite abscissae of the frozen-coefficient step from every grid point
         return xgrid[:, None] + mu * elapsed + sigma * math.sqrt(2.0 * elapsed) * z[None, :]
 
-    # 2-point Gauss-Legendre rule on each time cell
+    # splines are linear in their data: one cell's expectation of a tabulated
+    # profile is the matrix `carry`, and `to_gl` maps the table to every cell's
+    # 2 Gauss-Legendre times (weights 1/2)
+    carry = w @ CubicSpline(xgrid, np.eye(space_points))(transition(h))
     gl_offsets = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
-    gl_weights = np.array([0.5, 0.5])
-    # every cell has the same transitions: to each Gauss-Legendre time, and across
+    gl_times = times[:-1, None] + gl_offsets * h
+    to_gl = CubicSpline(times, np.eye(time_cells + 1))(gl_times)
     gl_points = [transition(off * h) for off in gl_offsets]
-    cell_points = transition(h)
-
-    # terminal expectations E[g(X_{tau_j -> T})], stepped back one cell at a time
-    terminal_table = np.empty((time_cells + 1, space_points))
-    terminal_table[-1] = problem.terminal(xgrid[:, None])
-    for j in range(time_cells - 1, -1, -1):
-        terminal_table[j] = _gh_expect(CubicSpline(xgrid, terminal_table[j + 1])(cell_points), w)
 
     # iteration-progress metric on the inner half window: near the edges the
     # spline extrapolation used by wide transitions is not contraction-true
     inner = np.abs(xgrid - x) <= 0.5 * halfwidth
 
     table = np.zeros((time_cells + 1, space_points))
-    deltas = []
+    cell, deltas = 0.0, []
     for _ in range(depth):
-        time_spline = CubicSpline(times, table, axis=0)
-        running = np.zeros((time_cells + 1, space_points))
+        at_gl = to_gl @ table
+        previous, cell = cell, 0.0
+        for o, pts in enumerate(gl_points):
+            vals = CubicSpline(xgrid, at_gl[:, o].T)(pts)  # (points, nodes, cells)
+            f_vals = problem.nonlinearity(gl_times[:, o], pts[..., None, None], vals)
+            cell = cell + 0.5 * h * (w @ f_vals)
+        # new[-1] = g, new[j] = cell[j] + carry @ new[j + 1]; by linearity the step
+        # new - table is that sweep from g - table[-1] on the change in cell, so
+        # the rounding of carry's large edge entries scales with the step
+        step = np.empty_like(table)
+        step[-1] = problem.terminal(xgrid[:, None]) - table[-1]
+        change = cell - previous
         for j in range(time_cells - 1, -1, -1):
-            cell = np.zeros(space_points)
-            for off, gw, pts in zip(gl_offsets, gl_weights, gl_points):
-                s_q = times[j] + off * h
-                vals = CubicSpline(xgrid, time_spline(s_q))(pts)
-                f_vals = problem.nonlinearity(s_q, pts[..., None], vals)
-                cell += gw * h * _gh_expect(f_vals, w)
-            carry = CubicSpline(xgrid, running[j + 1])
-            running[j] = cell + _gh_expect(carry(cell_points), w)
-        new_table = terminal_table + running
-        deltas.append(float(np.max(np.abs(new_table[:, inner] - table[:, inner]))))
-        table = new_table
+            step[j] = change[:, j] + carry @ step[j + 1]
+        deltas.append(float(np.max(np.abs(step[:, inner]))))
+        table += step
 
     value = float(CubicSpline(xgrid, CubicSpline(times, table, axis=0)(t))(x))
     return value, deltas

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  The heavy experiment runs are shared through session
 fixtures; both legs of the nonlinear-coefficient criterion are refereed by
-the deterministic d = 1 Picard quadrature (about a second per reference).
+the deterministic d = 1 Picard quadrature (under a second per reference).
 """
 
 import math

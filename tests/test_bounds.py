@@ -188,6 +188,24 @@ class TestPerturbationBound:
                                  T=1.0, t=0.0, phi_x=1.0, psi_tx=1.0, delta=1.0)
         assert got == pytest.approx(4.0 * math.exp(1.0), rel=1e-14)
 
+    def test_nondecreasing_in_remaining_time_up_to_inf(self, recwarn):
+        # rate = (L + rho/p + eta^(1/q) L)(T - t) = 2 (T - t) leaves the float
+        # range once T - t > 354.9; it used to raise OverflowError there
+        values = [perturbation_bound(1.0, 0.0, 2.0, 2.0, 1.0, 400.0, t, 1.0, 1.0, 1.0)
+                  for t in np.linspace(400.0, 0.0, 41)]
+        assert all(values[i + 1] >= values[i] for i in range(len(values) - 1))
+        assert math.isfinite(values[0]) and values[-1] == math.inf
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("t", [45.2, 100.0, 400.0])
+    def test_finite_values_keep_the_unguarded_formula(self, t):
+        # rate = 2 (400 - t): 709.6 at t = 45.2, just inside the float range
+        L, rho, p, q, eta, T, phi_x, psi_tx, delta = 1.0, 0.0, 2.0, 2.0, 1.0, 400.0, 3.0, 5.0, 0.25
+        rate = (L + rho / p + eta ** (1.0 / q) * L) * (T - t)
+        expected = (4.0 * (1.0 + L * T) * T**-0.5 * math.exp(rate) * phi_x ** (1.0 / p)
+                    * psi_tx ** (1.0 / q) * delta)
+        assert perturbation_bound(L, rho, p, q, eta, T, t, phi_x, psi_tx, delta) == expected
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             perturbation_bound(1, 1, 1.5, 2.0, 1, 1.0, 0.0, 1.0, 1.0, 1.0)

@@ -446,6 +446,17 @@ class TestLyapunovCheck:
         assert res.std_error == float(phis.std(ddof=1) / math.sqrt(paths))
         assert res.bound == math.exp(2.0 * prob.coeff_lip**3 * (0.9 - 0.1)) * prob.phi(x)
 
+    @pytest.mark.parametrize("s", [5.5, 5.54, 5.55, 6.0])
+    def test_bound_is_inf_past_the_float_range(self, s, recwarn):
+        # exp(2 c^3 (s - t)) at c = 4 leaves the float range once s - t > 5.545;
+        # it used to raise OverflowError there, after simulating the paths
+        prob = instantiate("heat-quadratic", T=6.0)
+        res = lyapunov_check(prob, 4, 0.0, [0.0], s, 4, 0)
+        rate = 2.0 * prob.coeff_lip**3 * s
+        assert res.bound == (math.exp(rate) * prob.phi([0.0]) if rate < 709.78 else math.inf)
+        assert math.isfinite(res.empirical_mean)
+        assert not recwarn.list
+
     @pytest.mark.parametrize("name,overrides", [
         ("heat-quadratic", {"d": 2}),
         ("nonlinear-coeff-sine", {"kappa": 0.5}),

@@ -229,6 +229,27 @@ def test_default_quadrature_is_pinned(name, x, value, halfwidth):
     assert ref.ci_halfwidth == pytest.approx(halfwidth, rel=1e-8)
 
 
+def test_spline_count_per_iterate_does_not_grow_with_the_cells(monkeypatch):
+    # two batched space splines per iterate; it used to build three per cell
+    import scipy.interpolate
+
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(None)
+        return real(*args, **kwargs)
+
+    real = scipy.interpolate.CubicSpline
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+    counts = {}
+    for depth, cells in [(3, 8), (3, 32), (4, 32)]:
+        made.clear()
+        _picard_solve(instantiate("nonlinear-coeff-sine"), 0.0, 0.0, depth, 8, cells, 17)
+        counts[depth, cells] = len(made)
+    assert counts[3, 8] == counts[3, 32]
+    assert counts[4, 32] - counts[3, 32] == 2
+
+
 class TestStateDependentCoefficients:
     def test_halfwidth_covers_a_finer_richardson_value(self):
         # the cell error is first order: 2 v(256 cells) - v(128 cells) removes it;

@@ -13,21 +13,29 @@ floating-point equality against ``s``.  One vectorized planner states this
 for a whole batch.
 
 A batch may mix start points, so one call can simulate every path of one
-depth of the MLP tree.  Its rows are stepped in chunks, longest path first;
-a chunk holds only its ``(rows, steps, d)`` increments and ``(rows, steps)``
-step sizes (a window over the grid's gaps, with each path's first and last
-step set from its own ``t`` and ``s``), at most ``_CHUNK_SCALARS`` scalars.
-The caller reads a chunk's draws into its increments as uniforms; one pass
-plans the step sizes and maps the uniforms to Brownian increments in place.
-In a call of more than one chunk, a helper thread runs that pass on chunk k
-while the caller steps chunk k - 1 and then draws chunk k + 1, so two chunks
-may be live at once.  The pass is whole-buffer numpy, mostly without the
-GIL; the draws, the ``Problem`` callables and the stepping loop (in place,
-through two scratch arrays, in the operation order of ``y + (drift * dt +
-diffusion * inc)``) stay on the caller.  The helper is joined before the call
-returns or raises, so no thread is left when the harness forks a child; a
-call of one chunk maps inline.  Every path draws from its own stream and the
-pass works element by element, so neither chunks nor helper change a value.
+depth of the MLP tree.  Its rows are stepped in chunks, longest path first,
+and a chunk's ``(rows, steps, d)`` increments are the only chunk-sized array
+alive from its draw to the end of its stepping.  A call allocates its
+increment buffers once, zero-filled (two if it has more than one chunk), and
+chunk k lives in buffer ``k % 2``.  The caller reads a chunk's draws into its
+increments as uniforms; the map pass then turns them into Brownian
+increments in place, one block of about ``_MAP_SLOTS`` step slots (rows
+times steps) at a time: the block's inverse CDF, then its scaling by the
+square roots of its step sizes.  Step sizes are a window over the grid's
+gaps, with each path's first and last step set from its own ``t`` and
+``s``; the map windows the gaps' square roots, and stepping builds its own
+chunk's ``(rows, steps)`` step sizes just before its loop.  So a call holds
+two chunks' increments, the stepping chunk's step sizes and one map block's
+temporaries.  In a call of more than one chunk, a helper thread runs the map
+pass on chunk k while the caller steps chunk k - 1 and then draws chunk
+k + 1 into chunk k - 1's buffer.  The pass is numpy over whole blocks,
+mostly without the GIL; the draws, the ``Problem`` callables and the
+stepping loop (in place, through two scratch arrays, in the operation order
+of ``y + (drift * dt + diffusion * inc)``) stay on the caller.  The helper
+is joined before the call returns or raises, so no thread is left when the
+harness forks a child; a call of one chunk maps inline.  Every path draws
+from its own stream and the pass works element by element, so neither
+chunks, blocks nor helper change a value.
 """
 
 from __future__ import annotations
@@ -43,9 +51,10 @@ from .bounds import lyapunov_phi_batch
 from .problems import Problem, check_query, is_integer
 from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
 
-# Upper bound on the scalars in one chunk's live buffers, W * (d + 2) for a row
-# of W steps (increments, step sizes, their transient square roots; the table
-# was measured when a target-time grid held the third share): 2^19, 4 MiB.
+# Upper bound on a chunk's scalars, W * (d + 2) for a row of W steps: 2^19, 4
+# MiB.  The share d / (d + 2) is its increments, 1 / (d + 2) its step sizes
+# while it is stepped; the table below was measured when the chunk also held
+# the square roots of its step sizes (and, before that, a target-time grid).
 # Larger chunks take fewer trips through the stepping loop; each doubling adds
 # a few MiB of peak RSS.  Measured (2-vCPU VM, numpy 2.4) on one estimate of
 # scaled-bs d=8 at (n, M, N) = (2, 32, 256) and of nonlinear-coeff-sine d=1 at
@@ -58,6 +67,21 @@ from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
 # heat-quadratic d=10 at (4, 4) took 376, 338, 308 and 339 ms.  Quartiles
 # spread about +-10% on that host; 2^20 was faster on none of the three.
 _CHUNK_SCALARS = 1 << 19
+# Step slots (rows * W) in one block of the map pass: 2^15, so a block's mask
+# and the square roots of its step sizes take (d + 8) * 32 KiB.  Sized by
+# slots, not rows (heat-run's chunks of ~6 000 short rows would need ~100 map
+# calls at 64 rows a block) nor scalars (bs-wide-d8 would map 16 rows a
+# block).  Measured (2-vCPU VM, numpy 2.4) on sine-deep, bs-wide-d8 and
+# heat-run (the perfbench workloads, in one process): median ms per operation
+# over 60 interleaved rounds, and tracemalloc's peak per estimate:
+#   2^13: sine 79 ms, 4.5 MiB; bs-d8 208 ms, 7.9 MiB; heat 80 ms
+#   2^14: sine 76 ms, 4.5 MiB; bs-d8 199 ms, 7.9 MiB; heat 81 ms
+#   2^15: sine 72 ms, 4.5 MiB; bs-d8 192 ms, 8.0 MiB; heat 77 ms
+#   2^16: sine 68 ms, 4.8 MiB; bs-d8 195 ms, 8.2 MiB; heat 77 ms
+#   2^17: sine 78 ms, 5.2 MiB; bs-d8 188 ms, 8.2 MiB; heat 76 ms
+# Quartiles spread about +-15%, wider than any of these gaps; a whole chunk
+# per block (the earlier design) peaked at 6.9 and 11.3 MiB.
+_MAP_SLOTS = _CHUNK_SCALARS >> 4
 
 
 class DomainError(ValueError):
@@ -92,17 +116,20 @@ def _plan(t: np.ndarray, s: np.ndarray, steps: int, T: float):
     return first, counts
 
 
-def _step_sizes(first, counts, t, ends, width: int, steps: int, T: float) -> np.ndarray:
+def _step_sizes(first, counts, t, ends, width: int, steps: int, T: float,
+                of=np.asarray) -> np.ndarray:
     """Step sizes of planned paths, ``(P, width)``: row i is a window of the gaps
-    of the grid from ``first[i] - 1``, the columns past its count never stepped."""
+    of the grid from ``first[i] - 1``, the columns past its count never stepped.
+    ``of``, an element-wise function such as ``np.sqrt``, maps each step size;
+    it maps the grid's gaps before they are windowed, so each gap only once."""
     grid = np.arange(steps + width + 1) * T / steps
-    gaps = grid[1:] - grid[:-1]
+    gaps = of(grid[1:] - grid[:-1])
     # window k is gaps[k:k + width]; sliding_window_view costs ~17 us a call
     dts = np.ndarray((steps + 1, width), float, gaps, strides=gaps.strides * 2)[first - 1]
     if width:  # the first step leaves t, the last reaches the path's end
         last = np.maximum(counts - 1, 0)
-        dts[:, 0] = grid[first] - t
-        dts[np.arange(len(dts)), last] = ends - np.where(counts > 1, grid[first + last - 1], t)
+        dts[:, 0] = of(grid[first] - t)
+        dts[np.arange(len(dts)), last] = of(ends - np.where(counts > 1, grid[first + last - 1], t))
     return dts
 
 
@@ -145,30 +172,43 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
         return states, counts
 
     order = np.argsort(-counts, kind="stable")
-    # chunk k is rows order[cuts[k]:cuts[k + 1]]; its live buffers (the
-    # increments, step sizes and square roots) hold at most _CHUNK_SCALARS scalars
+    # chunk k is rows order[cuts[k]:cuts[k + 1]], at most _CHUNK_SCALARS scalars
+    # counting W * (d + 2) per row
     cuts = [0]
     while cuts[-1] < P:
         W = max(int(counts[order[cuts[-1]]]), 1)
         cuts.append(min(P, cuts[-1] + max(1, _CHUNK_SCALARS // (W * (d + 2)))))
+    spans = list(zip(cuts, cuts[1:]))
+    # chunk k's increments live in buffer k % 2, zero-filled once, so the
+    # padding past a path's count only ever holds finite values
+    size = max((hi - lo) * int(counts[order[lo]]) for lo, hi in spans) * d
+    buffers = [np.zeros(size) for _ in spans[:2]]
 
-    def drawn(lo: int, hi: int):
-        """Chunk ``order[lo:hi]`` with its draws as uniforms."""
-        rows = order[lo:hi]
+    def step_sizes(rows, c, width: int, of=np.asarray):
+        return _step_sizes(first[rows], c, t[rows], ends[rows], width, N, T, of)
+
+    def drawn(k: int):
+        """Chunk ``k`` with its draws as uniforms."""
+        rows = order[slice(*spans[k])]
         c = counts[rows]
-        incs = np.zeros((len(rows), int(c[0]), d))
+        incs = buffers[k % 2][:len(rows) * int(c[0]) * d].reshape(len(rows), int(c[0]), d)
         draw_uniforms(keys[rows], c * d, incs.reshape(len(rows), -1))
         return rows, c, incs
 
     def mapped(rows, c, incs):
-        """The chunk's step sizes, and its uniforms as Brownian increments in place.
-        Whole-buffer numpy, mostly without the GIL, so the helper runs it."""
-        dts = _step_sizes(first[rows], c, t[rows], ends[rows], incs.shape[1], N, T)
-        uniforms_to_gaussians(c * d, incs.reshape(len(rows), -1))
-        incs *= np.sqrt(dts)[:, :, None]
-        return rows, c, dts, incs
+        """The chunk's uniforms as Brownian increments in place, in blocks of
+        about _MAP_SLOTS step slots.  numpy over whole blocks, mostly without
+        the GIL, so the helper runs it."""
+        width = incs.shape[1]
+        block = max(1, _MAP_SLOTS // max(width, 1))
+        for lo in range(0, len(rows), block):
+            r, cb, z = rows[lo:lo + block], c[lo:lo + block], incs[lo:lo + block]
+            uniforms_to_gaussians(cb * d, z.reshape(len(r), -1))
+            z *= step_sizes(r, cb, width, np.sqrt)[:, :, None]
+        return rows, c, incs
 
-    def step(rows, c, dts, incs):
+    def step(rows, c, incs):
+        dts = step_sizes(rows, c, incs.shape[1])
         y = states[rows]
         drift_dt, noise = np.empty_like(y), np.empty_like(y)
         # rows are longest first, so the paths still moving at step k are a prefix
@@ -182,14 +222,14 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
         states[rows] = y
 
     # The caller draws chunk k + 1 while the helper maps chunk k, and steps
-    # chunk k while the helper maps chunk k + 1: two chunks are live at once.
-    spans = list(zip(cuts, cuts[1:]))
+    # chunk k while the helper maps chunk k + 1; it draws chunk k + 2 into
+    # chunk k's buffer only once chunk k is stepped.
     with ThreadPoolExecutor(max_workers=1) if len(spans) > 1 else nullcontext() as helper:
         submit = helper.submit if helper else _done
-        queued = [submit(mapped, *drawn(*spans[0]))]
-        for span in spans[1:] + [None]:
-            if span:
-                queued.append(submit(mapped, *drawn(*span)))
+        queued = [submit(mapped, *drawn(0))]
+        for k in range(1, len(spans) + 1):
+            if k < len(spans):
+                queued.append(submit(mapped, *drawn(k)))
             step(*queued.pop(0).result())
     return states, counts
 

@@ -131,6 +131,14 @@ def _picard_solve(problem, t, x, depth, nodes, time_cells, space_points):
     z, w = np.polynomial.hermite.hermgauss(nodes)
     w = w / math.sqrt(math.pi)  # E[h(Z)] = w @ h(Gauss-Hermite abscissae)
     query = np.array([[x]])
+    # The window's edge transitions land outside the grid where sigma grows
+    # with |x| (scaled-bs at x = 1 reaches [-4.29, 7.78] against [-2.46, 4.46])
+    # and the splines extrapolate there, but that does not reach the value:
+    # 1.5 or 2 times this window at the same spacing (193 or 257 points) moves
+    # scaled-bs at x = 1 by -9e-15 or -1.4e-14 and sine kappa=0.5 at x = 0 by
+    # 0.  9 or 12 sigma with 193 or 257 points (spacing 10% or 15% finer) move
+    # them by +7.4e-5 or +1.1e-4 (8% or 11% of the 9.7e-4 half-width) and by
+    # -2.0e-6 or -2.9e-6, as does 6 sigma with 143 points (+7.2e-5): spacing.
     halfwidth = (6.0 * abs(float(problem.diffusion(query)[0, 0])) * math.sqrt(T)
                  + abs(float(problem.drift(query)[0, 0])) * T + 1.0)
     xgrid = np.linspace(x - halfwidth, x + halfwidth, space_points)

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import re
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +247,43 @@ class TestSimulate:
                 assert np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize("map_slots", [1, 3 * 256, 1 << 30])  # 1, 3, all rows of a chunk
+    def test_map_block_size_changes_no_value(self, map_slots, monkeypatch):
+        prob = instantiate("scaled-bs", d=8)
+        N = 256
+        t, x, ends = _mixed_paths(prob, 320, 5)
+        # full-horizon paths, then as many of zero length: a chunk of W = 0
+        zt = np.repeat([0.0, 0.5], 40)
+        zx, zends = np.ones((80, prob.d)), np.repeat([prob.T, 0.5], 40)
+        calls = [  # (chunk scalars, t, x, ends, chunks)
+            (euler._CHUNK_SCALARS, t, x, ends, 2),  # helper
+            (euler._CHUNK_SCALARS, t[:100], x[:100], ends[:100], 1),  # inline
+            (10 * N * (prob.d + 2), zt, zx, zends, 5),
+        ]
+        chunks = []
+        draw = euler.draw_uniforms
+        monkeypatch.setattr(euler, "draw_uniforms",
+                            lambda keys, *a: chunks.append(len(keys)) or draw(keys, *a))
+
+        def run(chunk_scalars, t, x, ends, _):
+            monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
+            return simulate_batch(prob, N, _path_batch(len(t), 3), t, x, ends)
+
+        want = [run(*call) for call in calls]  # the default block
+        monkeypatch.setattr(euler, "_MAP_SLOTS", map_slots)
+        # frequent thread switches, so a chunk drawn into a buffer still being
+        # mapped or stepped would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for call, w in zip(calls, want):
+                chunks.clear()
+                for a, b in zip(run(*call), w):
+                    assert np.array_equal(a, b)
+                assert len(chunks) == call[-1]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_every_path_of_zero_length(self):
         prob = instantiate("scaled-bs", d=3)
         t = np.array([0.0, 0.4, 1.0])
@@ -346,6 +385,25 @@ class TestPipeline:
         assert len(calls) == fail_after + 1
         assert threading.active_count() == before
 
+
+class TestMemory:
+
+    def test_call_holds_two_chunks_of_increments_and_one_map_block(self):
+        prob = instantiate("nonlinear-coeff-sine", d=1, kappa=0.5)
+        d, P, N = prob.d, 2000, 256  # a full-horizon chunk holds 682 rows
+        ends = prob.T - np.random.default_rng(4).uniform(0.0, prob.T, P)
+        keys = _path_batch(P, 17)
+        simulate_batch(prob, N, keys, 0.0, np.zeros(d), ends)  # warm
+        tracemalloc.start()
+        try:
+            simulate_batch(prob, N, keys, 0.0, np.zeros(d), ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        increments = 2 * (euler._CHUNK_SCALARS * d // (d + 2))
+        step_sizes = euler._CHUNK_SCALARS // (d + 2)
+        block = euler._MAP_SLOTS * (d + 2 * 8)  # bytes: its mask, step sizes, roots
+        assert peak < 8 * (increments + step_sizes) + block + (1 << 19)
 
 class TestStrongRate:
     def test_halforder_strong_convergence_on_gbm(self):

@@ -47,7 +47,7 @@ import numpy as np
 
 from .bounds import error_bound, total_cost_bound
 from .mlp import MlpParams, cost_recursion_bound, estimate_many
-from .oracle import Reference, closed_form, has_closed_form, picard_quadrature_1d
+from .oracle import Reference, closed_form, picard_quadrature_1d
 from .problems import PARAMETERS, Problem, instantiate
 
 RESULTS_HEADER = [
@@ -86,7 +86,6 @@ class ExperimentConfig:
     euler_override: Optional[int] = None
     replications: int = 32
     seed: int = 0
-    reference: str = "auto"  # auto | closed-form | picard
     cost_weights: tuple = (1.0, 1.0, 1.0, 1.0)
     cost_ceiling: float = 1.0e12
     output_dir: str = "out"
@@ -195,7 +194,6 @@ _KEYS = {
     "cost_ceiling": (float, "cost_ceiling"),
     "workers": (int, "workers"),
     "max_depth": (int, "max_depth"),
-    "reference": (str, "reference"),
     "output_dir": (str, "output_dir"),
     "cost_weights": (_parse_weights, "cost_weights"),
 }
@@ -279,10 +277,6 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     for n, M in cfg.depths:
         if n < 0 or M < 1:
             errors.append(f"depth ({n},{M}) violates n >= 0, M >= 1")
-    if cfg.reference == "mc-baseline":
-        errors.append("reference = mc-baseline was removed: at d = 1 use picard")
-    elif cfg.reference not in ("auto", "closed-form", "picard"):
-        errors.append(f"unknown reference {cfg.reference!r}")
     if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
     if cfg.x0 is not None and not np.all(np.isfinite(cfg.x0)):
@@ -317,11 +311,10 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
 
 
 def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
-    """Evaluate the reference oracle for the configured query point.  ``auto``
-    is the closed form where the problem has one, else the Picard quadrature,
-    which raises :class:`~mlpicard.oracle.OracleError` unless d = 1."""
-    kind = cfg.reference
-    if kind == "closed-form" or (kind == "auto" and has_closed_form(problem)):
+    """Evaluate the reference oracle for the configured query point: the
+    problem's own solution where it has one, else the Picard quadrature, which
+    raises :class:`~mlpicard.oracle.OracleError` unless d = 1."""
+    if problem.solution is not None:
         return closed_form(problem, cfg.t0, cfg.query_point())
     return picard_quadrature_1d(problem, cfg.t0, cfg.query_point())
 

@@ -58,8 +58,9 @@ from .rng import check_label, keys_at, uniforms
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
-``estimate``'s output bits change for the same draws; cached results record
-it next to ``RNG_ALGORITHM``."""
+``estimate``'s output bits change for the same draws: a pinned estimate,
+such as a golden test's, holds only for the tag and ``RNG_ALGORITHM`` it was
+made with."""
 
 
 # upper bound on the tree paths of one seed block, summed over its seeds

@@ -3,8 +3,8 @@
 Two deterministic reference routes.  Neither imports the estimator or the
 random streams; they read only the problem's own data:
 
-* :func:`closed_form` for the two catalogue problems with elementary
-  solutions (``ci_halfwidth = 0``);
+* :func:`closed_form`, the problem's own ``solution`` where it has one
+  (``ci_halfwidth = 0``);
 * :func:`picard_quadrature_1d`, a deterministic fixed-point iteration on a
   space-time grid for every one-dimensional problem.  Its transition over
   one time cell is the Euler step with the coefficients frozen at the grid
@@ -52,30 +52,12 @@ def problem_hash(problem: Problem, t: float, x) -> str:
     return hashlib.sha256(problem_fingerprint(problem, t, x).encode()).hexdigest()
 
 
-# name -> u(t, x) from ||x||^2, d and T - t, for the problems with elementary solutions
-_CLOSED_FORMS = {
-    "heat-quadratic": lambda sq, d, remaining: sq + d * remaining,
-    "linear-reaction": lambda sq, d, remaining: math.exp(remaining) * (sq + d * remaining),
-}
-
-
-def has_closed_form(problem: Problem) -> bool:
-    return problem.name in _CLOSED_FORMS
-
-
 def closed_form(problem: Problem, t: float, x) -> Reference:
-    """Exact solution for the heat-quadratic and linear-reaction problems.
-
-    heat-quadratic: ``u(t, x) = ||x||^2 + d (T - t)``.
-    linear-reaction: the quadratic-profile substitution reduces the
-    fixed-point equation to two scalar equations with solution
-    ``u(t, x) = e^(T-t) ||x||^2 + d (T-t) e^(T-t)``.
-    """
+    """The problem's own exact solution, ``problem.solution(t, x)``."""
     x = check_query(problem, t, x)
-    if not has_closed_form(problem):
+    if problem.solution is None:
         raise OracleError(f"no closed form for problem {problem.name!r}")
-    value = _CLOSED_FORMS[problem.name](float(np.dot(x, x)), problem.d, problem.T - t)
-    return Reference(value=value, ci_halfwidth=0.0, method="closed_form",
+    return Reference(value=float(problem.solution(t, x)), ci_halfwidth=0.0, method="closed_form",
                      provenance=f"closed-form:{problem_hash(problem, t, x)[:16]}")
 
 
@@ -96,18 +78,21 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
     reported half-width is the contraction-extrapolated iteration remainder
     plus the difference to a solve with half the nodes, cells and points;
     for state-dependent coefficients that difference carries the
-    first-order error in the cell width.
+    first-order error in the cell width.  ``space_points`` must be odd, so
+    that the query point is the middle node of both space grids.
     """
     if problem.d != 1:
         raise OracleError(
             f"picard_quadrature_1d supports d = 1 only, got d = {problem.d} for {problem.name!r}")
-    if depth < 1 or nodes < 8:
-        raise ValueError("require depth >= 1 and nodes >= 8")
+    if depth < 1 or nodes < 8 or time_cells < 1:
+        raise ValueError("require depth >= 1, nodes >= 8 and time_cells >= 1")
+    if space_points % 2 == 0:
+        raise ValueError(f"space_points must be odd, got {space_points}")
     x = float(check_query(problem, t, x)[0])
 
     value, deltas = _picard_solve(problem, t, x, depth, nodes, time_cells, space_points)
     coarse, _ = _picard_solve(problem, t, x, depth, max(8, nodes // 2),
-                              max(8, time_cells // 2), max(17, (space_points + 1) // 2))
+                              max(8, time_cells // 2), max(17, 2 * (space_points // 4) + 1))
 
     ratio = min(0.95, deltas[-1] / deltas[-2]) if len(deltas) >= 2 and deltas[-2] > 0 else 0.5
     remainder = deltas[-1] * ratio / (1.0 - ratio)

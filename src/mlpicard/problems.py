@@ -13,7 +13,9 @@ vectorized over leading axes: ``drift(x)`` maps ``(..., d) -> (..., d)``,
 ``diffusion(x)`` maps ``(..., d) -> (..., d)``, the diagonal of ``sigma``
 (every catalogue problem has diagonal ``sigma``), ``terminal(x)`` maps
 ``(..., d) -> (...)`` and ``nonlinearity(t, x, v)`` broadcasts over ``t``,
-``x``, ``v``.
+``x``, ``v``.  A problem with an elementary solution carries it as
+``solution(t, x) -> float`` at a checked ``(d,)`` point; the others have
+``None``.
 
 The constants are documented choices that make the sampled hypothesis checks
 (:func:`validate`) pass on the default sampling box ``[-2, 2]^d``; no claim
@@ -25,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,6 +79,7 @@ class Problem:
     growth_p: float      # p
     lyapunov_a: float    # a in phi(x) = 2a + 2||x||^2
     params: dict = field(default_factory=dict)
+    solution: Optional[Callable[[float, np.ndarray], float]] = None  # exact u(t, x)
 
     def __post_init__(self):
         for name in ("T", "lip_f", "coeff_lip", "growth_b", "growth_beta", "growth_p",
@@ -125,10 +128,15 @@ def _growth_b_quadratic(d: int, T: float, a: float, box: float, extra_sup: float
 
 
 def _brownian(lip_f: float, nonlinearity):
-    """Builder for ``mu = 0``, ``sigma = I`` with the given reaction term."""
+    """Builder for ``mu = 0``, ``sigma = I`` and the reaction term
+    ``f = lip_f v`` (``nonlinearity``).  With ``g = ||x||^2`` the solution is
+    ``u(t, x) = e^(lip_f (T-t)) (||x||^2 + d (T-t))``; at ``lip_f = 0`` the
+    factor is exactly 1."""
     def build(d, T, a):
         return dict(drift=np.zeros_like, diffusion=np.ones_like, nonlinearity=nonlinearity,
-                    lip_f=lip_f, growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH))
+                    lip_f=lip_f, growth_b=_growth_b_quadratic(d, T, a, DEFAULT_BOX_HALFWIDTH),
+                    solution=lambda t, x: (math.exp(lip_f * (T - t))
+                                           * (float(np.dot(x, x)) + d * (T - t))))
     return build
 
 

@@ -48,7 +48,6 @@ def closed_form_runs(tmp_path_factory):
             "problem = heat-quadratic\n"
             f"d = {d}\nT = 1.0\nt0 = 0.0\nx0 = {x0}\n"
             "depths = 1, 2, 3, 4\nreplications = 64\nseed = 1000\n"
-            "reference = closed-form\n"
             f"output_dir = {out / f'd{d}'}\n"
         )
         runs[d] = run_experiment(cfg)
@@ -64,11 +63,11 @@ def nonlinear_runs(tmp_path_factory):
     runs = {}
     start = time.perf_counter()
     cfg_control = parse_config(
-        base + "kappa = 0.0\nreference = picard\n"
+        base + "kappa = 0.0\n"
         f"output_dir = {out / 'control'}\n")
     runs["control"] = run_experiment(cfg_control)
     cfg_nonlinear = parse_config(
-        base + "kappa = 0.5\nreference = picard\n"
+        base + "kappa = 0.5\n"
         f"output_dir = {out / 'nonlinear'}\n")
     runs["nonlinear"] = run_experiment(cfg_nonlinear)
     runs["elapsed"] = time.perf_counter() - start

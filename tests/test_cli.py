@@ -73,14 +73,12 @@ def test_unreadable_config_exits_2(capsys, monkeypatch, tmp_path, argv, config):
 
 @pytest.mark.parametrize("argv", [["run"], ["sweep-epsilon", "--eps", "0.5"]])
 @pytest.mark.parametrize("body, message", [
-    pytest.param("problem = scaled-bs\nd = 2\nx0 = 1, 1\nreference = auto\n",
+    pytest.param("problem = scaled-bs\nd = 2\nx0 = 1, 1\n",
                  "picard_quadrature_1d supports d = 1 only, got d = 2 for 'scaled-bs'",
                  id="scaled-bs-d2-auto"),
-    pytest.param("problem = nonlinear-coeff-sine\nreference = closed-form\n",
-                 "no closed form for problem 'nonlinear-coeff-sine'", id="sine-closed-form"),
 ])
 def test_config_without_a_reference_exits_2(capsys, monkeypatch, tmp_path, argv, body, message):
-    # both used to end in an OracleError traceback with exit 1
+    # it used to end in an OracleError traceback with exit 1
     monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))
     config = tmp_path / "no_reference.cfg"
     config.write_text(body)

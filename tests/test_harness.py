@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 from pathlib import Path
@@ -123,17 +124,12 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "depths = 1, 2:3, 4\n")
         assert cfg.depths == [(1, 1), (2, 3), (4, 4)]
 
-    def test_removed_reference_route_is_named(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "reference = mc-baseline\nreference_n = 5\ncache_dir = c\n")
-        assert err.value.violations == ["line 3: unknown key 'reference_n'",
-                                        "line 4: unknown key 'cache_dir'",
-                                        "reference = mc-baseline was removed: at d = 1 use picard"]
-
     @pytest.mark.parametrize("key", ["reference_n", "reference_m", "reference_steps",
-                                     "reference_replications", "reference_seed", "cache_dir"])
+                                     "reference_replications", "reference_seed", "cache_dir",
+                                     "reference"])
     def test_removed_reference_budget_key_is_unknown(self, key):
-        # the six keys of the removed mc-baseline route
+        # the six keys of the removed mc-baseline route, and the route choice
+        # itself: the reference is the problem's solution, else the quadrature
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + f"{key} = 1\n")
         assert err.value.violations == [f"line 2: unknown key {key!r}"]
@@ -226,6 +222,14 @@ def test_readme_outputs_quote_each_csv_header(header):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     outputs = readme.split("### Outputs", 1)[1].split("\n## ", 1)[0]
     assert f"`{','.join(header)}`" in outputs
+
+
+def test_readme_config_table_names_exactly_the_parsed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    names = [name for line in table.splitlines() if line.startswith("| `")
+             for name in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert sorted(names) == sorted(harness._KEYS)
 
 
 class TestEmitCsv:

@@ -199,6 +199,19 @@ class TestPicardQuadrature:
         assert ref.value == pytest.approx(g, rel=1e-12, abs=1e-12)
         assert math.isfinite(ref.ci_halfwidth) and ref.ci_halfwidth >= 0.0
 
+    def test_odd_points_keep_the_coarse_query_on_a_node(self):
+        # 131 points used to give the coarse solve 66, which put the query
+        # point between its nodes: 1.38e-3 against 9.7e-4 at the default 129
+        ref = picard_quadrature_1d(instantiate("scaled-bs"), 0.0, [1.0], space_points=131)
+        assert ref.ci_halfwidth < 1.1e-3
+
+    @pytest.mark.parametrize("option", [{"space_points": 128}, {"time_cells": 0}])
+    def test_even_points_and_no_cells_are_rejected(self, option):
+        # 128 points put the query point off a node (+6.0e-4 on this value);
+        # no cells used to raise ZeroDivisionError
+        with pytest.raises(ValueError):
+            picard_quadrature_1d(instantiate("scaled-bs"), 0.0, [1.0], **option)
+
     def test_preconditions(self):
         with pytest.raises(OracleError):
             picard_quadrature_1d(instantiate("heat-quadratic", d=2), 0.0, [0.0, 0.0])

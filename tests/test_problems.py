@@ -180,3 +180,22 @@ def test_readme_lists_the_catalogue_and_its_parameters():
     assert re.findall(r"`(\w+)`", override_row.split("|")[1]) == list(PARAMETERS)
     table = readme.split("## Problem catalogue", 1)[1].split("\n\n")[1].splitlines()
     assert [re.match(r"\| `([\w-]+)` \|", row).group(1) for row in table[2:]] == list(CATALOGUE)
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOGUE
+                                  if instantiate(name).solution is not None])
+def test_solution_solves_the_pde(name):
+    # central differences of u_t + mu . grad u + 1/2 sum_i sigma_i^2 u_ii + f(t, x, u)
+    prob = instantiate(name, d=3)
+    u, h = prob.solution, 1e-4
+    steps = np.eye(3) * h
+    rng = np.random.default_rng(11)
+    for t, x in zip(rng.uniform(0.1, 0.9, 20), rng.uniform(-2.0, 2.0, (20, 3))):
+        value = u(t, x)
+        forward = np.array([u(t, x + step) for step in steps])
+        backward = np.array([u(t, x - step) for step in steps])
+        residual = ((u(t + h, x) - u(t - h, x)) / (2 * h)
+                    + prob.drift(x) @ (forward - backward) / (2 * h)
+                    + 0.5 * prob.diffusion(x) ** 2 @ (forward - 2 * value + backward) / h**2
+                    + float(prob.nonlinearity(t, x, value)))
+        assert abs(residual) <= 1e-5 * max(1.0, abs(value)), (t, x, residual)

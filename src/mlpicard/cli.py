@@ -1,5 +1,5 @@
-"""Command-line interface: run experiments, sweep accuracy targets, validate
-problems, and run the invariant selftest."""
+"""Command-line interface: run experiments, sweep accuracy targets and
+validate problems."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .harness import (
 )
 from .oracle import OracleError
 from .problems import CATALOGUE, ProblemError, instantiate, validate
-from .selftest import run_selftest
 
 
 def _load_config(path: str):
@@ -100,7 +99,6 @@ def _cmd_sweep(args) -> int:
               f"{row.cost_sum:>12.6g} {row.cost_times_eps_power:>12.6g} "
               f"{row.total_cost_bound:>12.6g}")
     out_path = os.path.join(cfg.output_dir, "sweep.csv")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     write_sweep_csv(sweep_rows, out_path)
     print(f"wrote sweep: {out_path}")
     return 0 if ok else 1
@@ -128,10 +126,6 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_selftest(_args) -> int:
-    return 0 if run_selftest() else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mlpicard",
@@ -156,9 +150,6 @@ def main(argv=None) -> int:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--override", action="append", metavar="KEY=VALUE")
     p_val.set_defaults(func=_cmd_validate)
-
-    p_self = sub.add_parser("selftest", help="run the fast invariant suite")
-    p_self.set_defaults(func=_cmd_selftest)
 
     args = parser.parse_args(argv)
     return args.func(args)

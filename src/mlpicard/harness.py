@@ -465,16 +465,6 @@ def emit_csv(header: list, rows: list, path: str) -> None:
             fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
 
 
-def read_csv(path: str) -> tuple:
-    """Round-trip reader for files written by :func:`emit_csv`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    lines = [ln for ln in lines if ln]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Run every configured depth and write the three CSV reports.
 
@@ -515,7 +505,7 @@ class SweepRow:
     depth_rows: list = field(default_factory=list)
 
 
-def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
+def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons):
     """Empirical depth search: smallest n (with M = n) whose empirical RMSE
     plus a two-standard-error margin beats each target accuracy.
 
@@ -565,7 +555,7 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons, gamma: float = 1.0):
                     rmse=report.rmse_vs_reference, rmse_plus_2se=margin,
                     cost_sum=cost_sum,
                     total_cost_bound=total_cost_bound(n, folded_m, w_g, folded_f),
-                    cost_times_eps_power=cost_sum * eps ** (gamma + 4.0),
+                    cost_times_eps_power=cost_sum * eps ** 5.0,
                 )
                 break
         row.depth_rows = [depth_cache[k] for k in sorted(depth_cache)]

@@ -147,3 +147,13 @@ def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
         value += (T - t) * _sum_ascending(correction) / count
 
     return value
+
+
+def read_csv(path: str) -> tuple:
+    """Round-trip reader for files written by :func:`emit_csv`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    lines = [ln for ln in lines if ln]
+    header = lines[0].split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    return header, rows

@@ -1,11 +1,15 @@
 """Command-line exit codes and error reporting."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from mlpicard.cli import main
+from mlpicard.harness import parse_config, run_experiment
 
+SMALL_HEAT = "problem = heat-quadratic\ndepths = 1, 2\nreplications = 4\n"
 HEAT_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs", "heat_quadratic_d1.cfg")
 
@@ -88,3 +92,36 @@ def test_config_without_a_reference_exits_2(capsys, monkeypatch, tmp_path, argv,
     assert captured.err == f"no reference: {message}\n"
     assert captured.out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == ["no_reference.cfg"]
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["run", "CONFIG"], ["bounds.csv", "raw.csv", "results.csv"]),
+    (["sweep-epsilon", "CONFIG", "--eps", "1.0"], ["sweep.csv"]),
+    (["validate-problem", "heat-quadratic", "--samples", "200"], []),
+], ids=["run", "sweep-epsilon", "validate-problem"])
+def test_subcommand_succeeds_into_a_new_output_dir(capsys, monkeypatch, tmp_path, argv, written):
+    out_dir = tmp_path / "new" / "out"
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(out_dir))
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_HEAT)
+    assert main([str(config) if arg == "CONFIG" else arg for arg in argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(path.name for path in out_dir.glob("*")) == written
+    if argv[0] == "run":
+        cfg = parse_config(SMALL_HEAT)
+        cfg.output_dir = str(tmp_path / "library")
+        _, _, paths = run_experiment(cfg)
+        for path in paths.values():
+            assert (out_dir / os.path.basename(path)).read_bytes() == Path(path).read_bytes()
+
+
+def test_readme_cli_block_names_exactly_the_parsed_subcommands(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    choices = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    names = re.findall(r"^mlpicard (\S+)", block, flags=re.MULTILINE)
+    assert sorted(names) == sorted(choices)

@@ -22,7 +22,6 @@ from mlpicard.harness import (
     emit_csv,
     find_depth_for_epsilon,
     parse_config,
-    read_csv,
     resolve_reference,
     run_experiment,
     write_sweep_csv,
@@ -30,6 +29,8 @@ from mlpicard.harness import (
 from mlpicard.mlp import cost_recursion_bound
 from mlpicard.oracle import OracleError
 from mlpicard.problems import instantiate
+
+from helpers import read_csv
 
 MINIMAL = "problem = heat-quadratic\n"
 

@@ -30,12 +30,12 @@ temporaries.  In a call of more than one chunk, a helper thread runs the map
 pass on chunk k while the caller steps chunk k - 1 and then draws chunk
 k + 1 into chunk k - 1's buffer.  The pass is numpy over whole blocks,
 mostly without the GIL; the draws, the ``Problem`` callables and the
-stepping loop (in place, through two scratch arrays, in the operation order
-of ``y + (drift * dt + diffusion * inc)``) stay on the caller.  The helper
-is joined before the call returns or raises, so no thread is left when the
-harness forks a child; a call of one chunk maps inline.  Every path draws
-from its own stream and the pass works element by element, so neither
-chunks, blocks nor helper change a value.
+stepping loop (in place, through one scratch array, in the operation order
+of ``y + (drift(y) * dt + diffusion(y, inc))``) stay on the caller.  The
+helper is joined before the call returns or raises, so no thread is left
+when the harness forks a child; a call of one chunk maps inline.  Every
+path draws from its own stream and the pass works element by element, so
+neither chunks, blocks nor helper change a value.
 """
 
 from __future__ import annotations
@@ -210,14 +210,13 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
     def step(rows, c, incs):
         dts = step_sizes(rows, c, incs.shape[1])
         y = states[rows]
-        drift_dt, noise = np.empty_like(y), np.empty_like(y)
+        move = np.empty_like(y)
         # rows are longest first, so the paths still moving at step k are a prefix
         active = np.searchsorted(-c, -np.arange(dts.shape[1]), side="left")
         for k, a in enumerate(active.tolist()):
-            ya, fa, ga = y[:a], drift_dt[:a], noise[:a]
+            ya, fa = y[:a], move[:a]
             np.multiply(problem.drift(ya), dts[:a, k, None], out=fa)
-            np.multiply(problem.diffusion(ya), incs[:a, k], out=ga)
-            fa += ga
+            fa += problem.diffusion(ya, incs[:a, k])
             ya += fa
         states[rows] = y
 

@@ -68,7 +68,8 @@ def picard_quadrature_1d(problem: Problem, t: float, x, depth: int = 12,
 
     Works on a uniform time grid and a space grid covering a window of
     ``6 |sigma| sqrt(T) + |mu| T + 1`` around the query point, with ``mu``
-    and ``sigma`` taken at the query point.  Over each time cell a grid
+    and ``sigma`` taken at the query point; at d = 1 the scalar
+    ``sigma(x)`` is ``diffusion(x, 1)``.  Over each time cell a grid
     point moves by the Euler step ``x + mu(x) h + |sigma(x)| sqrt(2h) z``
     with its coefficients frozen, the exact Gaussian transition when they
     are constant; Gauss-Hermite quadrature in ``z`` takes the expectations,
@@ -124,13 +125,17 @@ def _picard_solve(problem, t, x, depth, nodes, time_cells, space_points):
     # 0.  9 or 12 sigma with 193 or 257 points (spacing 10% or 15% finer) move
     # them by +7.4e-5 or +1.1e-4 (8% or 11% of the 9.7e-4 half-width) and by
     # -2.0e-6 or -2.9e-6, as does 6 sigma with 143 points (+7.2e-5): spacing.
-    halfwidth = (6.0 * abs(float(problem.diffusion(query)[0, 0])) * math.sqrt(T)
-                 + abs(float(problem.drift(query)[0, 0])) * T + 1.0)
+    def coefficients(points):
+        # mu and |sigma| at (k, 1) points
+        return (np.broadcast_to(problem.drift(points), points.shape),
+                np.abs(problem.diffusion(points, np.ones_like(points))))
+
+    mu, sigma = coefficients(query)
+    halfwidth = 6.0 * float(sigma[0, 0]) * math.sqrt(T) + abs(float(mu[0, 0])) * T + 1.0
     xgrid = np.linspace(x - halfwidth, x + halfwidth, space_points)
     times = np.linspace(0.0, T, time_cells + 1)
     h = T / time_cells
-    mu = problem.drift(xgrid[:, None])
-    sigma = np.abs(problem.diffusion(xgrid[:, None]))
+    mu, sigma = coefficients(xgrid[:, None])
 
     def transition(elapsed):
         # Gauss-Hermite abscissae of the frozen-coefficient step from every grid point

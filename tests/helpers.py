@@ -1,10 +1,12 @@
 """Shared test oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 
 from mlpicard.euler import DomainError, _plan, simulate_batch
+from mlpicard.problems import instantiate
 from mlpicard.rng import (
     _generator_at,
     draw_uniforms,
@@ -157,3 +159,23 @@ def read_csv(path: str) -> tuple:
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+def rotated_sine(d: int, seed: int = 2718):
+    """``nonlinear-coeff-sine`` at ``d`` turned by a fixed orthogonal ``Q``, and ``Q``.
+
+    With ``m``, ``s`` and ``g`` the diagonal row's callables, the rotated
+    problem has ``drift(x) = m(xQ) Q^T``, ``diffusion(x, dw) = s(xQ, dwQ) Q^T``
+    and ``terminal(x) = g(xQ)``: ``sigma(x) = Q diag(1 + kappa cos(Q^T x)) Q^T``
+    is neither diagonal nor affine.  ``Q^T X`` is the diagonal row's Euler
+    chain driven by ``Q^T dW``, which has the law of ``dW``, so an estimate at
+    ``x`` has the law of the diagonal row's estimate at ``Q^T x``.
+    """
+    base = instantiate("nonlinear-coeff-sine", d=d)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    rotated = dataclasses.replace(
+        base, name="rotated-sine",
+        drift=lambda x: base.drift(x @ Q) @ Q.T,
+        diffusion=lambda x, dw: base.diffusion(x @ Q, dw @ Q) @ Q.T,
+        terminal=lambda x: base.terminal(x @ Q))
+    return rotated, Q

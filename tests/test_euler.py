@@ -172,7 +172,7 @@ class TestSimulate:
         prob = Problem(
             name="const-test", d=2, T=1.0,
             drift=lambda x: np.broadcast_to(mu0, x.shape),
-            diffusion=lambda x: np.broadcast_to(sig0, x.shape),
+            diffusion=lambda x, dw: sig0 * dw,
             terminal=lambda x: np.sum(x, axis=-1),
             nonlinearity=lambda t, x, v: np.zeros_like(v),
             lip_f=0.0, coeff_lip=4.0, growth_b=2.0, growth_beta=1.0,
@@ -294,10 +294,10 @@ class TestSimulate:
         assert np.array_equal(states, x) and not counts.any()
 
     def test_coefficients_returning_their_argument(self, monkeypatch):
-        # drift and diffusion hand back the states being stepped, so an
-        # update that wrote before it read would change the path
+        # drift hands back the states being stepped and diffusion reads them,
+        # so an update that wrote before it read would change the path
         prob = dataclasses.replace(instantiate("scaled-bs", d=2),
-                                   drift=lambda y: y, diffusion=lambda y: y)
+                                   drift=lambda y: y, diffusion=lambda y, dw: y * dw)
         P, N = 60, 16
         t, x, ends = _mixed_paths(prob, P, 9)
         monkeypatch.setattr(euler, "_CHUNK_SCALARS", 10 * (N + 1) * (prob.d + 2))

@@ -19,7 +19,7 @@ from mlpicard.mlp import (
 from mlpicard.problems import instantiate
 from mlpicard.rng import stream_for
 
-from helpers import draw_gaussians, draw_uniform, recursive_node, update_times
+from helpers import draw_gaussians, draw_uniform, recursive_node, rotated_sine, update_times
 
 MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 
@@ -301,6 +301,21 @@ class TestStatistics:
         ])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 1.0) <= 4 * se
+
+    def test_rotated_sigma_has_the_law_of_the_diagonal_row(self):
+        # a non-diagonal, non-affine sigma at x against the diagonal row at
+        # Q^T x, on disjoint seeds: the two estimators have the same law
+        rotated, Q = rotated_sine(10)
+        x = np.full(10, 0.3)
+        means, ses = [], []
+        for prob, seeds, start in [(rotated, range(64), x),
+                                   (instantiate("nonlinear-coeff-sine", d=10), range(64, 128),
+                                    x @ Q)]:
+            vals = np.array([est.value for est in estimate_many(
+                prob, MlpParams(n=3, M=3), seeds, (0,), 0.0, start)])
+            means.append(vals.mean())
+            ses.append(vals.std(ddof=1) / math.sqrt(len(vals)))
+        assert abs(means[0] - means[1]) <= 4 * math.hypot(*ses)
 
 
 class TestCostLedger:

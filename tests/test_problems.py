@@ -1,6 +1,7 @@
 """Catalogue construction, overrides, and hypothesis spot checks."""
 
 import dataclasses
+import importlib.util
 import re
 from pathlib import Path
 
@@ -10,10 +11,13 @@ import pytest
 from mlpicard.problems import (
     CATALOGUE,
     PARAMETERS,
+    Problem,
     ProblemError,
     instantiate,
     validate,
 )
+
+from helpers import rotated_sine
 
 
 def test_heat_quadratic_has_no_reaction_term():
@@ -29,14 +33,14 @@ def test_sine_with_zero_kappa_degenerates_to_constant_coefficients():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.0)
     x = np.array([[0.3], [-1.2]])
     assert np.array_equal(prob.drift(x), np.zeros_like(x))
-    np.testing.assert_array_equal(prob.diffusion(x), np.ones_like(x))
+    np.testing.assert_array_equal(prob.diffusion(x, np.ones_like(x)), np.ones_like(x))
 
 
 def test_sine_with_nonzero_kappa_is_genuinely_state_dependent():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     x = np.array([[0.3, -0.4]]) if prob.d == 2 else np.array([[0.3]])
     assert prob.drift(x)[0, 0] == pytest.approx(0.5 * np.sin(0.3))
-    assert prob.diffusion(x)[0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))
+    assert prob.diffusion(x, np.ones_like(x))[0, 0] == pytest.approx(1.0 + 0.5 * np.cos(0.3))
 
 
 def test_unknown_name_rejected():
@@ -142,6 +146,37 @@ def test_override_variants_pass_hypothesis_checks(name, overrides):
     assert report.passed, report.violations[:3]
 
 
+def test_rotated_sigma_passes_hypothesis_checks():
+    # sigma(x) = Q diag(1 + kappa cos(Q^T x)) Q^T, neither diagonal nor affine
+    report = validate(rotated_sine(10)[0], samples=10_000, seed=20240)
+    assert report.passed, report.violations[:3]
+
+
+def test_validate_reads_every_column_of_sigma():
+    # sigma = [[1 + a, -a], [0, 1]] with a = 5 sin x_0 has the constant row
+    # sums sigma 1 = (1, 1), so only a probe of each column sees that it is
+    # not 4-Lipschitz
+    heat = instantiate("heat-quadratic", d=2)
+    first = np.array([1.0, 0.0])
+    skewed = dataclasses.replace(heat, diffusion=lambda x, dw: (
+        dw + 5.0 * np.sin(x[..., :1]) * (dw[..., :1] - dw[..., 1:]) * first))
+    report = validate(skewed, samples=2000, seed=7)
+    assert report.violations
+    assert {v.inequality for v in report.violations} == {"diffusion-lipschitz"}
+    constant = dataclasses.replace(skewed, diffusion=lambda x, dw: dw)
+    assert validate(constant, samples=2000, seed=7).passed
+
+
+def test_benchmark_tracer_wraps_problem_fields():
+    # perfbench/tracer.py replaces these Problem fields by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    fields = {f.name for f in dataclasses.fields(Problem)}
+    assert set(tracer.PROBLEM_CALLABLES) <= fields
+
+
 def test_broken_constant_is_reported_not_raised():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
     broken = dataclasses.replace(prob, coeff_lip=1.0)  # too small for phi terms
@@ -185,7 +220,8 @@ def test_readme_lists_the_catalogue_and_its_parameters():
 @pytest.mark.parametrize("name", [name for name in CATALOGUE
                                   if instantiate(name).solution is not None])
 def test_solution_solves_the_pde(name):
-    # central differences of u_t + mu . grad u + 1/2 sum_i sigma_i^2 u_ii + f(t, x, u)
+    # central differences of u_t + mu . grad u + 1/2 tr(sigma sigma^T Hess u) + f(t, x, u);
+    # the trace is the sum of second differences along sigma's columns sigma e_j
     prob = instantiate(name, d=3)
     u, h = prob.solution, 1e-4
     steps = np.eye(3) * h
@@ -194,8 +230,10 @@ def test_solution_solves_the_pde(name):
         value = u(t, x)
         forward = np.array([u(t, x + step) for step in steps])
         backward = np.array([u(t, x - step) for step in steps])
+        columns = prob.diffusion(x, steps)
+        second = sum(u(t, x + col) - 2 * value + u(t, x - col) for col in columns)
         residual = ((u(t + h, x) - u(t - h, x)) / (2 * h)
-                    + prob.drift(x) @ (forward - backward) / (2 * h)
-                    + 0.5 * prob.diffusion(x) ** 2 @ (forward - 2 * value + backward) / h**2
+                    + np.broadcast_to(prob.drift(x), x.shape) @ (forward - backward) / (2 * h)
+                    + 0.5 * second / h**2
                     + float(prob.nonlinearity(t, x, value)))
         assert abs(residual) <= 1e-5 * max(1.0, abs(value)), (t, x, residual)

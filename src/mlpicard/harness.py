@@ -207,7 +207,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Raises :class:`ConfigError` carrying every violation found: unknown or
     duplicate keys (duplicates name both lines), type mismatches, and
-    invariant violations (replications, dimensions, cost ceiling).
+    invariant violations (replications, dimensions, a Lyapunov weight at
+    ``x0`` past the float range, cost ceiling).
     """
     errors: list = []
     seen: dict = {}
@@ -277,9 +278,11 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     for n, M in cfg.depths:
         if n < 0 or M < 1:
             errors.append(f"depth ({n},{M}) violates n >= 0, M >= 1")
-    if cfg.x0 is not None and cfg.x0.shape != (cfg.dimension,):
+    x0_shape_ok = cfg.x0 is None or cfg.x0.shape == (cfg.dimension,)
+    x0_finite = cfg.x0 is None or bool(np.all(np.isfinite(cfg.x0)))
+    if not x0_shape_ok:
         errors.append(f"x0 has dimension {cfg.x0.shape[0]}, problem has d = {cfg.dimension}")
-    if cfg.x0 is not None and not np.all(np.isfinite(cfg.x0)):
+    if not x0_finite:
         errors.append(f"x0 entries must be finite, got {cfg.x0.tolist()}")
     problem = None
     if cfg.problem:
@@ -287,6 +290,13 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
             problem = cfg.build_problem()
         except Exception as exc:
             errors.append(f"problem: {exc}")
+    if problem is not None and x0_shape_ok and x0_finite:
+        # every report row's error bound reads the Lyapunov weight at x0
+        try:
+            with np.errstate(over="ignore"):
+                problem.bound_params(cfg.query_point())
+        except ValueError as exc:
+            errors.append(f"x0: {exc}")
     T = problem.T if problem is not None else math.inf
     if not (math.isfinite(cfg.t0) and 0.0 <= cfg.t0 <= T):
         errors.append(f"t0 must be finite and lie in [0, T] with T = {T:g}, got {cfg.t0}")

@@ -10,11 +10,13 @@ the whole recursion history, so any two branches use disjoint random
 sources and the result is independent of evaluation order.
 
 That independence lets the tree be evaluated level-synchronously, and a
-block of root seeds together as one forest.  The full tree of ``(n, M)`` is
-planned once and cached as index arrays, one set per recursion depth (a
-"wave"): each path's node, the path row of the previous wave its node
-starts from, the tally it adds when simulated (which marks it a terminal or
-a level path), and its packed label suffix below the root label.  Top-down,
+block of root seeds together as one forest.  Each seed's tree starts from
+its own root ``(t, x)``, as every sub-estimate starts from its own sampled
+point.  The full tree of ``(n, M)`` is planned once and cached as index
+arrays, one set per recursion depth (a "wave"): each path's node, the path
+row of the previous wave its node starts from, the tally it adds when
+simulated (which marks it a terminal or a level path), and its packed label
+suffix below the root label.  Top-down,
 the paths of a wave are simulated for every seed of the block in one
 ``simulate_batch`` call, each child node starting from its parent's sampled
 ``(R_i, X_i)``.  The plan is only an upper bound on the shape: a node at
@@ -47,6 +49,7 @@ one-sided.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,24 +131,28 @@ def estimate(problem: Problem, params: MlpParams, theta, t: float, x) -> Estimat
 
     Pure function of ``(problem, params, theta, t, x)``: repeated calls are
     bit-identical.  Depth 0 returns value 0 with an all-zero tally.  The
-    one-seed view of :func:`estimate_many`.
+    one-seed view of :func:`estimate_many`, at one query point: ``t`` a number
+    and ``x`` of shape ``(d,)``.
     """
+    x = check_query(problem, t, x)
     return estimate_many(problem, params, [params.root_seed], theta, t, x)[0]
 
 
-def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x) -> list:
+def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t, x) -> list:
     """One :func:`estimate` per root seed in ``seeds``, in order.
 
     ``params.root_seed`` is ignored; realization ``i`` uses root seed
-    ``seeds[i]`` and is bit-identical to the single-seed call, with its own
-    exact tally.  The seeds are evaluated as forests over the cached tree
-    plan of ``(params.n, params.M)``, in blocks of bounded size
-    (:func:`seed_blocks`).
+    ``seeds[i]`` at the root ``(t[i], x[i])`` and is bit-identical to the
+    single-seed call there, with its own exact tally.  ``t`` is a number or
+    has shape ``(S,)`` and ``x`` has shape ``(d,)`` or ``(S, d)``, for
+    ``S = len(seeds)``; a number or a ``(d,)`` point is every seed's root.
+    The seeds are evaluated as forests over the cached tree plan of
+    ``(params.n, params.M)``, in blocks of bounded size (:func:`seed_blocks`).
     """
-    x = check_query(problem, t, x)
+    seeds = list(seeds)
+    t, x = check_query(problem, t, x, rows=len(seeds))
     theta = tuple(theta)
     check_label(theta)
-    seeds = list(seeds)
     for seed in seeds:
         if not is_integer(seed):
             raise TypeError(f"root seeds must be integers, got {seed!r}")
@@ -155,7 +162,8 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t: float, x
     waves = _tree_plan(int(params.n), int(params.M))
     results = []
     for block in seed_blocks(params, seeds):
-        results += _forest(problem, params.resolved_steps, waves, block, theta, float(t), x)
+        roots = slice(len(results), len(results) + len(block))
+        results += _forest(problem, params.resolved_steps, waves, block, theta, t[roots], x[roots])
     return results
 
 
@@ -192,12 +200,12 @@ class _Wave:
     """The nodes and paths of one recursion depth of the full tree.
 
     A node starts from path row ``node_parent`` of the previous wave (wave 0
-    has the root alone, with a pseudo-row 0 that holds ``(t, x)``).  Per path:
-    its node, the tally columns ``(uniforms, g_evals, f_evals)`` it adds when
-    it is simulated (``work``: ``(0, 1, 0)`` for a terminal path, ``(1, 0, 1)``
-    for a level-0 and ``(1, 0, 2)`` for a deeper level path, so column 0 marks
-    the level paths), and its label suffix below the root label, packed as
-    stream labels are, in row ``suffix``.
+    has the root alone, with a pseudo-row 0 that holds each seed's root
+    ``(t, x)``).  Per path: its node, the tally columns ``(uniforms, g_evals,
+    f_evals)`` it adds when it is simulated (``work``: ``(0, 1, 0)`` for a
+    terminal path, ``(1, 0, 1)`` for a level-0 and ``(1, 0, 2)`` for a deeper
+    level path, so column 0 marks the level paths), and its label suffix below
+    the root label, packed as stream labels are, in row ``suffix``.
     """
 
     node_parent: np.ndarray
@@ -263,12 +271,13 @@ def _frozen(values, dtype=np.int64) -> np.ndarray:
 
 
 def _forest(problem, N, waves, seeds, theta, t, x) -> list:
-    """Evaluate the trees of ``seeds`` at ``(t, x)`` with ``N`` grid steps, one batch per wave."""
+    """Evaluate the tree of ``seeds[i]`` at its root ``(t[i], x[i])`` with ``N``
+    grid steps, one batch per wave."""
     S, d, T = len(seeds), problem.d, problem.T
     work = np.zeros((S, 3), dtype=np.int64)  # uniforms, g_evals, f_evals
     steps = np.zeros(S, dtype=np.int64)
     # the previous wave's simulated paths and their end times and states
-    sim, ends, states = np.ones((S, 1), bool), np.full((S, 1), t), x[None, None].repeat(S, 0)
+    sim, ends, states = np.ones((S, 1), bool), t[:, None], x[:, None]
     done = []
     for wave in waves:
         exists = sim[:, wave.node_parent]
@@ -361,6 +370,7 @@ def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
     one path step (one drift plus one diffusion evaluation), one terminal
     evaluation, and one nonlinearity evaluation.  ``N`` replaces the
     default ``M**M`` path length where overridden.  Depth ``n <= 0`` costs 0.
+    Past the float range the bound is ``math.inf``.
     """
     if M < 1 or d < 1 or N < 1:
         raise ValueError("cost_recursion_bound requires M, d, N >= 1")
@@ -380,4 +390,7 @@ def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
         memo[k] = total
         return total
 
-    return rec(n)
+    try:
+        return rec(n)
+    except OverflowError:  # an int too large for a float: M**k or N * d
+        return math.inf

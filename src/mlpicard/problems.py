@@ -51,20 +51,42 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_query(problem: Problem, t, x, time_name: str = "t") -> np.ndarray:
+def check_query(problem: Problem, t, x, time_name: str = "t", rows: Optional[int] = None):
     """``x`` as a float array, once the query point ``(t, x)`` is checked:
     ``t`` a number, not a ``bool``, in ``[0, T]``, and ``x`` finite with
-    shape ``(d,)``.  The messages call the time ``time_name``."""
-    if isinstance(t, (bool, np.bool_)):
+    shape ``(d,)``.  The messages call the time ``time_name``.
+
+    With ``rows`` given, ``t`` may also have shape ``(rows,)`` and ``x``
+    shape ``(rows, d)``, one query point per row, and the result is the pair
+    ``(t, x)`` as float arrays broadcast to ``(rows,)`` and ``(rows, d)``.
+    A message about a per-row argument names its first bad row, ``t[i]`` or
+    ``x[i]``."""
+    times, x, d = np.asarray(t), np.asarray(x, dtype=float), problem.d
+    if times.dtype.kind not in "iuf" or (rows is None and times.ndim):  # bools included
         raise TypeError(f"{time_name} must be a number, got {t!r}")
-    if not (0.0 <= t <= problem.T):
-        raise ValueError(f"{time_name} must lie in [0, {problem.T}], got {t}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.d,):
-        raise ValueError(f"x must have shape ({problem.d},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be finite, got {x}")
-    return x
+    if times.shape not in ((), (rows,)):
+        raise ValueError(f"{time_name} must be a number or have shape ({rows},), "
+                         f"got shape {times.shape}")
+    _first_bad_row((0.0 <= times) & (times <= problem.T), time_name, times,
+                   f"must lie in [0, {problem.T}]")
+    if x.shape != (d,) and (rows is None or x.shape != (rows, d)):
+        shapes = f"({d},)" if rows is None else f"({d},) or ({rows}, {d})"
+        raise ValueError(f"x must have shape {shapes}, got {x.shape}")
+    _first_bad_row(np.isfinite(x).all(axis=-1), "x", x, "must be finite")
+    if rows is None:
+        return x
+    return np.full(rows, times, dtype=float), np.broadcast_to(x, (rows, d))
+
+
+def _first_bad_row(ok: np.ndarray, name: str, values: np.ndarray, rule: str) -> None:
+    """Raise ``ValueError`` unless ``ok`` holds everywhere; a per-row ``ok``
+    names the first row of ``values`` where it fails."""
+    if ok.all():
+        return
+    if ok.ndim:
+        row = int(np.argmin(ok))
+        name, values = f"{name}[{row}]", values[row]
+    raise ValueError(f"{name} {rule}, got {values}")
 
 
 @dataclass(frozen=True, eq=False)

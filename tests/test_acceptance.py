@@ -249,8 +249,9 @@ def test_criterion_08_mean_identity():
     lhs_se = lhs_vals.std(ddof=1) / math.sqrt(lhs_vals.size)
 
     # sample j draws its terminal path from stream (seed_j, (1,)), its level
-    # path from (seed_j, (2,)) and its inner estimate under (seed_j, (3,));
-    # each path depends only on its own stream, so both are batched over j
+    # path from (seed_j, (2,)) and its inner estimate under (seed_j, (3,)) at
+    # its own (R_j, X_j); each depends only on its own streams, so all three
+    # are batched over j
     rhs_samples = 20_000
     seeds = range(5_000_000, 5_000_000 + rhs_samples)
     term_keys = np.concatenate([stream_for(seed, (1,)) for seed in seeds])
@@ -263,9 +264,8 @@ def test_criterion_08_mean_identity():
     eval_times = np.minimum(horizon * r, horizon)
     states, _ = simulate_batch(prob, n_steps, level_keys, 0.0, np.zeros(1), eval_times)
     inner = np.array([
-        estimate(prob, MlpParams(n=1, M=2, euler_steps=n_steps, root_seed=seed),
-                 (3,), float(eval_time), state).value
-        for seed, eval_time, state in zip(seeds, eval_times, states)
+        est.value for est in estimate_many(prob, MlpParams(n=1, M=2, euler_steps=n_steps),
+                                           seeds, (3,), eval_times, states)
     ])
     rhs_vals = g_part + horizon * prob.nonlinearity(eval_times, states, inner)
     rhs_mean = rhs_vals.mean()

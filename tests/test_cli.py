@@ -52,6 +52,21 @@ def test_run_sizes_below_one_exit_2(capsys, monkeypatch, tmp_path, extra, messag
     assert sorted(path.name for path in tmp_path.iterdir()) == ["small.cfg"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("depths = 200", "cost_recursion_bound = inf > 1e+12"),
+    ("x0 = 1e200", "x0: bound parameter phi_x must be finite, got inf"),
+])
+def test_run_bound_past_the_float_range_exits_2(capsys, monkeypatch, tmp_path, extra, message):
+    # rejected at parse time, before any depth runs
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))
+    config = tmp_path / "far.cfg"
+    config.write_text(f"problem = heat-quadratic\n{extra}\n")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and message in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["far.cfg"]
+
+
 @pytest.mark.parametrize("eps", ["abc", "nan", "0", "-0.5", "2", "0.5,inf", "", " , "])
 def test_sweep_bad_eps_exits_2(capsys, monkeypatch, tmp_path, eps):
     monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path))

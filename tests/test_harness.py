@@ -100,6 +100,18 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL + "depths = 9\ncost_ceiling = 1e30\n")
         assert cfg.depths == [(9, 9)]
 
+    @pytest.mark.parametrize("extra,depth", [
+        ("depths = 200\n", "(200,200)"),                  # M**k past the float range
+        ("depths = 1:400\n", "(1,400)"),                  # N = M**M past it
+        (f"depths = 1\neuler_steps = {10**400}\n", "(1,1)"),
+    ], ids=["M**k", "N=M**M", "N*d"])
+    def test_bound_past_the_float_range_trips_the_ceiling(self, extra, depth):
+        # the bound is inf there, where it used to raise OverflowError
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + extra)
+        assert err.value.violations == [
+            f"depth {depth} exceeds the cost ceiling: cost_recursion_bound = inf > 1e+12"]
+
     @pytest.mark.parametrize("ceiling", ["nan", "inf"])
     def test_non_finite_cost_ceiling_rejected(self, ceiling):
         with pytest.raises(ConfigError) as err:
@@ -173,11 +185,16 @@ class TestParseConfig:
         assert err.value.violations == [f"max_depth must be >= 1, got {max_depth}"]
         assert parse_config(MINIMAL + "max_depth = 1\n").max_depth == 1
 
-    @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
-    def test_non_finite_x0_rejected(self, x0):
+    @pytest.mark.parametrize("x0,violation", [
+        *((x0, f"x0 entries must be finite, got [{float(x0)}]") for x0 in ["nan", "inf", "-inf"]),
+        # finite, but its Lyapunov weight 2a + 2 x0^2, read by every error bound, is not
+        ("1e200", "x0: bound parameter phi_x must be finite, got inf"),
+    ])
+    def test_non_finite_x0_rejected(self, x0, violation):
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + f"x0 = {x0}\n")
-        assert err.value.violations == [f"x0 entries must be finite, got [{float(x0)}]"]
+        assert err.value.violations == [violation]
+        assert parse_config(MINIMAL + "x0 = 1e150\n").x0.tolist() == [1e150]
 
     @pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-1,1", "1,1,1,-inf",
                                          "0,0,0,0"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,25 @@ class TestEstimateMany:
     # negative seeds and seeds >= 2**63 address streams modulo 2**64
     SEEDS = [11, -3, 2**63 + 5, 0, 2**64 - 1, 7]
 
+    @staticmethod
+    def _assert_per_seed(got, prob, params, seeds, theta, t, x):
+        """``got`` equals ``estimate`` at each seed's root, value bits and tally."""
+        assert len(got) == len(seeds)
+        roots = np.broadcast_to(t, (len(seeds),)), np.broadcast_to(x, (len(seeds), prob.d))
+        for seed, est, t_i, x_i in zip(seeds, got, *roots):
+            want = estimate(prob, dataclasses.replace(params, root_seed=seed), theta,
+                            float(t_i), x_i)
+            assert _bits(est.value) == _bits(want.value), seed
+            assert est.cost.as_dict() == want.cost.as_dict(), seed
+
+    @staticmethod
+    def _mixed_roots(prob, t, x, count):
+        """Per-seed roots: ``t``, ``T``, just below ``T`` and 0 in turn, and
+        ``x`` shifted by a different amount per seed."""
+        T = prob.T
+        times = [[t, T, float(np.nextafter(T, 0.0)), 0.0][i % 4] for i in range(count)]
+        return np.array(times), np.asarray(x) + 0.25 * np.arange(count)[:, None]
+
     @pytest.mark.parametrize("chunk_scalars", [None, 200])
     @pytest.mark.parametrize("name,overrides,n,M,N,t,x", WAVE_CASES + [
         ("heat-quadratic", {"d": 2}, 0, 3, None, 0.0, [0.1, 0.2]),  # n = 0
@@ -224,39 +244,35 @@ class TestEstimateMany:
         if chunk_scalars is not None:
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
         got = estimate_many(prob, params, self.SEEDS, (0,), t, x)
-        assert len(got) == len(self.SEEDS)
-        for seed, est in zip(self.SEEDS, got):
-            want = estimate(prob, dataclasses.replace(params, root_seed=seed), (0,), t, x)
-            assert _bits(est.value) == _bits(want.value), seed
-            assert est.cost.as_dict() == want.cost.as_dict(), seed
+        self._assert_per_seed(got, prob, params, self.SEEDS, (0,), t, x)
+        # one root per seed, with roots at T and just below T in the block
+        ts, xs = self._mixed_roots(prob, t, x, len(self.SEEDS))
+        got = estimate_many(prob, params, self.SEEDS, (0,), ts, xs)
+        self._assert_per_seed(got, prob, params, self.SEEDS, (0,), ts, xs)
 
     def test_root_label_and_empty_block(self):
         prob = instantiate("nonlinear-coeff-sine", d=2)
         params = MlpParams(n=2, M=3)
         got = estimate_many(prob, params, [4, 5], (5, -2), 0.3, np.zeros(2))
-        for seed, est in zip([4, 5], got):
-            want = estimate(prob, dataclasses.replace(params, root_seed=seed), (5, -2), 0.3,
-                            np.zeros(2))
-            assert _bits(est.value) == _bits(want.value)
-            assert est.cost.as_dict() == want.cost.as_dict()
+        self._assert_per_seed(got, prob, params, [4, 5], (5, -2), 0.3, np.zeros(2))
         assert estimate_many(prob, params, [], (0,), 0.3, np.zeros(2)) == []
+        assert estimate_many(prob, params, [], (0,), np.zeros(0), np.zeros((0, 2))) == []
         from_iterator = estimate_many(prob, params, iter([4, 5]), (5, -2), 0.3, np.zeros(2))
         assert [_bits(est.value) for est in from_iterator] == [_bits(est.value) for est in got]
 
     @pytest.mark.parametrize("block_paths", [1, 200])
     def test_seed_blocks_change_no_value(self, monkeypatch, block_paths):
-        # (3, 2) has 82 tree paths per seed: blocks of one seed, then of two
+        # (3, 2) has 82 tree paths per seed: blocks of one seed, then of two,
+        # and each block takes its own slice of the per-seed roots
         prob = instantiate("linear-reaction", d=1)
         params = MlpParams(n=3, M=2, euler_steps=8)
-        want = estimate_many(prob, params, self.SEEDS, (0,), 0.6, np.array([0.2]))
+        ts, xs = self._mixed_roots(prob, 0.6, [0.2], len(self.SEEDS))
         monkeypatch.setattr(mlp, "_BLOCK_PATHS", block_paths)
         blocks = seed_blocks(params, self.SEEDS)
         assert [seed for block in blocks for seed in block] == self.SEEDS
         assert max(len(block) for block in blocks) == max(1, block_paths // 82)
-        got = estimate_many(prob, params, self.SEEDS, (0,), 0.6, np.array([0.2]))
-        for a, b in zip(got, want):
-            assert _bits(a.value) == _bits(b.value)
-            assert a.cost.as_dict() == b.cost.as_dict()
+        got = estimate_many(prob, params, self.SEEDS, (0,), ts, xs)
+        self._assert_per_seed(got, prob, params, self.SEEDS, (0,), ts, xs)
 
 
 class TestDeterminism:
@@ -328,6 +344,12 @@ class TestCostLedger:
         # 1*(1+1+1) + 1*((1+1) + 1 + 2 + 0 + 0) = 8
         assert cost_recursion_bound(1, 1, 1, 1, (1, 1, 1, 1)) == 8.0
 
+    @pytest.mark.parametrize("n,M,N", [(200, 200, 1), (1, 400, 400**400), (2, 2, 10**400)],
+                             ids=["M**k", "N=M**M", "N*d"])
+    def test_recursion_bound_is_inf_past_the_float_range(self, n, M, N):
+        # M**k or N * d too large for a float: inf, where it used to raise
+        assert cost_recursion_bound(n, M, 1, N, (1, 1, 1, 1)) == math.inf
+
     def test_tallied_cost_below_recursion_bound(self):
         for prob in (instantiate("heat-quadratic", d=2),
                      instantiate("nonlinear-coeff-sine", kappa=0.5)):
@@ -361,22 +383,47 @@ class TestCostLedger:
         assert res.cost.f_evals == 0 and res.cost.uniforms == 0
 
 
-class TestValidation:
-    def test_time_out_of_range(self):
-        prob = instantiate("heat-quadratic")
-        with pytest.raises(ValueError):
-            estimate(prob, MlpParams(n=1, M=1), (0,), 1.5, np.zeros(1))
+def _exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return "^" + re.escape(message) + "$"
 
-    def test_state_shape_mismatch(self):
+
+class TestValidation:
+    @pytest.mark.parametrize("t,message", [
+        (1.5, "t must lie in [0, 1.0], got 1.5"),
+        ([0.0, 1.5, 2.0], "t[1] must lie in [0, 1.0], got 1.5"),
+        ([0.0, 1.0, math.nan], "t[2] must lie in [0, 1.0], got nan"),
+        ([0.5, 0.5], "t must be a number or have shape (3,), got shape (2,)"),
+        ([[0.5, 0.5, 0.5]], "t must be a number or have shape (3,), got shape (1, 3)"),
+    ])
+    def test_time_out_of_range(self, t, message):
+        prob = instantiate("heat-quadratic")
+        with pytest.raises(ValueError, match=_exactly("t must lie in [0, 1.0], got 1.5")):
+            estimate(prob, MlpParams(n=1, M=1), (0,), 1.5, np.zeros(1))
+        # per seed, the message names the first bad row
+        with pytest.raises(ValueError, match=_exactly(message)):
+            estimate_many(prob, MlpParams(n=1, M=1), [0, 1, 2], (0,), t, np.zeros(1))
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2)), np.zeros((3, 3)),
+                                   np.zeros((3, 2, 1))])
+    def test_state_shape_mismatch(self, x):
+        # estimate takes one (d,) point, estimate_many also one (d,) row per seed
         prob = instantiate("heat-quadratic", d=2)
-        with pytest.raises(ValueError):
-            estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.zeros(3))
+        with pytest.raises(ValueError, match=_exactly(f"x must have shape (2,), got {x.shape}")):
+            estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, x)
+        with pytest.raises(ValueError,
+                           match=_exactly(f"x must have shape (2,) or (3, 2), got {x.shape}")):
+            estimate_many(prob, MlpParams(n=1, M=1), [0, 1, 2], (0,), 0.0, x)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_state_rejected(self, bad):
         prob = instantiate("heat-quadratic", d=2)
         with pytest.raises(ValueError, match="finite"):
             estimate(prob, MlpParams(n=1, M=1), (0,), 0.0, np.array([0.0, bad]))
+        rows = np.zeros((3, 2))
+        rows[1, 1] = bad
+        with pytest.raises(ValueError, match=_exactly(f"x[1] must be finite, got {rows[1]}")):
+            estimate_many(prob, MlpParams(n=1, M=1), [0, 1, 2], (0,), 0.0, rows)
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("theta", [(2.7,), (0, 1.0), (True,)])
@@ -398,11 +445,11 @@ class TestValidation:
         with pytest.raises(TypeError, match="integers"):
             estimate_many(prob, MlpParams(n=1, M=2), [0, seed], (0,), 0.0, np.zeros(1))
 
-    @pytest.mark.parametrize("t", [True, np.False_])
+    @pytest.mark.parametrize("t", [True, np.False_, np.array([False, True])])
     def test_bool_time_rejected(self, t):
         prob = instantiate("heat-quadratic")
-        with pytest.raises(TypeError, match=f"t must be a number, got {t!r}"):
-            estimate_many(prob, MlpParams(n=1, M=2), [0], (0,), t, np.zeros(1))
+        with pytest.raises(TypeError, match=re.escape(f"t must be a number, got {t!r}")):
+            estimate_many(prob, MlpParams(n=1, M=2), [0, 1], (0,), t, np.zeros(1))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -47,26 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import lyapunov_phi_batch
-from .problems import Problem, check_query, is_integer
+from .bounds import lyapunov_bound, lyapunov_phi_batch
+from .problems import _CHUNK_SCALARS, Problem, check_query, is_integer
 from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
 
-# Upper bound on a chunk's scalars, W * (d + 2) for a row of W steps: 2^19, 4
-# MiB.  The share d / (d + 2) is its increments, 1 / (d + 2) its step sizes
-# while it is stepped; the table below was measured when the chunk also held
-# the square roots of its step sizes (and, before that, a target-time grid).
-# Larger chunks take fewer trips through the stepping loop; each doubling adds
-# a few MiB of peak RSS.  Measured (2-vCPU VM, numpy 2.4) on one estimate of
-# scaled-bs d=8 at (n, M, N) = (2, 32, 256) and of nonlinear-coeff-sine d=1 at
-# (4, 4, 256): median ms of interleaved in-process calls, loop trips, and the
-# max RSS of a fresh process:
-#   2^17: d=8 382 ms, 9456 trips, 59.2 MiB; d=1 122 ms, 2019 trips, 59.2 MiB
-#   2^18: d=8 341 ms, 4975 trips, 62.0 MiB; d=1 111 ms, 1352 trips, 60.9 MiB
-#   2^19: d=8 338 ms, 2699 trips, 67.6 MiB; d=1 113 ms,  983 trips, 63.5 MiB
-#   2^20: d=8 350 ms, 1547 trips, 73.2 MiB; d=1 119 ms,  877 trips, 65.7 MiB
-# heat-quadratic d=10 at (4, 4) took 376, 338, 308 and 339 ms.  Quartiles
-# spread about +-10% on that host; 2^20 was faster on none of the three.
-_CHUNK_SCALARS = 1 << 19
 # Step slots (rows * W) in one block of the map pass: 2^15, so a block's mask
 # and the square roots of its step sizes take (d + 8) * 32 KiB.  Sized by
 # slots, not rows (heat-run's chunks of ~6 000 short rows would need ~100 map
@@ -243,9 +227,9 @@ class LyapunovCheck:
 def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
                    paths: int, seed: int) -> LyapunovCheck:
     """Monte Carlo estimate of E[phi(Y_{t,s})] next to its analytic bound
-    ``exp(2 c^3 (s-t)) phi(x)``, ``math.inf`` past the float range; path ``i``
-    draws from stream ``(seed, (i,))``.  Both ``(t, x)`` and ``(s, x)`` must
-    pass :func:`~mlpicard.problems.check_query`."""
+    :func:`~mlpicard.bounds.lyapunov_bound`; path ``i`` draws from stream
+    ``(seed, (i,))``.  Both ``(t, x)`` and ``(s, x)`` must pass
+    :func:`~mlpicard.problems.check_query`."""
     _check_steps(steps)
     if not is_integer(paths):
         raise TypeError(f"paths must be an integer, got {paths!r}")
@@ -258,8 +242,5 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())
     se = float(phis.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    try:
-        bound = math.exp(2.0 * problem.coeff_lip**3 * (s - t)) * problem.phi(x)
-    except OverflowError:
-        bound = math.inf
+    bound = lyapunov_bound(problem.coeff_lip, t, s, problem.phi(x))
     return LyapunovCheck(empirical_mean=mean, bound=bound, std_error=se)

@@ -309,15 +309,19 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     if not weights_ok:
         errors.append(f"cost_weights must be finite, >= 0 and not all 0, got {weights}")
     # the bound needs d, N >= 1; a d below 1 is reported as a problem violation
-    bound_ok = weights_ok and steps_ok and cfg.dimension >= 1
-    for n, M in cfg.depths:
-        if n < 0 or M < 1 or not bound_ok:
-            continue
-        bound = cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M), cfg.cost_weights)
-        if bound > cfg.cost_ceiling:
-            errors.append(
-                f"depth ({n},{M}) exceeds the cost ceiling: "
-                f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}")
+    if weights_ok and steps_ok and cfg.dimension >= 1:
+        errors.extend(_cost_ceiling_violations(cfg))
+
+
+def _cost_ceiling_violations(cfg: ExperimentConfig) -> list:
+    """One message per configured depth ``n >= 0, M >= 1`` whose cost
+    recursion bound exceeds the cost ceiling."""
+    bounds = [(n, M, cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M),
+                                          cfg.cost_weights))
+              for n, M in cfg.depths if n >= 0 and M >= 1]
+    return [f"depth ({n},{M}) exceeds the cost ceiling: "
+            f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}"
+            for n, M, bound in bounds if bound > cfg.cost_ceiling]
 
 
 def resolve_reference(cfg: ExperimentConfig, problem: Problem) -> Reference:
@@ -479,9 +483,13 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every configured depth and write the three CSV reports.
 
     Returns ``(rows, reference, paths)`` with one :class:`ReportRow` per
-    configured (n, M), in config order.
+    configured (n, M), in config order.  A depth past the cost ceiling
+    raises :class:`ConfigError` before any depth runs.
     """
     problem = cfg.build_problem()
+    violations = _cost_ceiling_violations(cfg)
+    if violations:
+        raise ConfigError(violations)
     reference = resolve_reference(cfg, problem)
     # the children are joined after the reports, which their exit overlaps
     with _depth_runs(cfg, cfg.depths) as runs:

@@ -55,6 +55,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import inf_past_float_range
 from .euler import simulate_batch
 from .problems import Problem, check_query, is_integer
 from .rng import check_label, keys_at, uniforms
@@ -81,21 +82,8 @@ class CostTally:
     f_evals: int = 0
 
     def weighted(self, w_draw: float, w_step: float, w_g: float, w_f: float) -> float:
-        return (
-            w_draw * (self.uniforms + self.gaussians)
-            + w_step * self.euler_steps
-            + w_g * self.g_evals
-            + w_f * self.f_evals
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "uniforms": self.uniforms,
-            "gaussians": self.gaussians,
-            "euler_steps": self.euler_steps,
-            "g_evals": self.g_evals,
-            "f_evals": self.f_evals,
-        }
+        return (w_draw * (self.uniforms + self.gaussians) + w_step * self.euler_steps
+                + w_g * self.g_evals + w_f * self.f_evals)
 
 
 @dataclass(frozen=True)
@@ -363,34 +351,30 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=1)[:, -1]
 
 
+@inf_past_float_range  # an int too large for a float: M**k or N * d
 def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
-    """Evaluate the cost recursion upper bound by memoized recursion.
+    """Evaluate the cost recursion upper bound, depth by depth from 1 to ``n``.
 
     ``weights = (w_draw, w_step, w_g, w_f)`` price one scalar random draw,
     one path step (one drift plus one diffusion evaluation), one terminal
     evaluation, and one nonlinearity evaluation.  ``N`` replaces the
     default ``M**M`` path length where overridden.  Depth ``n <= 0`` costs 0.
-    Past the float range the bound is ``math.inf``.
+    With nonnegative weights the bound grows with depth, so it is ``inf``
+    from the first depth at which it is.
     """
     if M < 1 or d < 1 or N < 1:
         raise ValueError("cost_recursion_bound requires M, d, N >= 1")
     w_draw, w_step, w_g, w_f = (float(w) for w in weights)
-    memo = {}
-
-    def rec(k: int) -> float:
-        if k <= 0:
-            return 0.0
-        if k in memo:
-            return memo[k]
-        total = float(M**k) * (N * d * w_draw + N * w_step + w_g)
+    terminal = N * d * w_draw + N * w_step + w_g
+    level_sample = (N * d + 1) * w_draw + N * w_step + 2.0 * w_f
+    scale = [1.0]  # scale[j] = float(M**j)
+    bound = [0.0, 0.0]  # bound[k + 1] is the bound at depth k, from depth -1
+    for k in range(1, n + 1):
+        scale.append(float(M**k))
+        total = scale[k] * terminal
         for level in range(k):
-            total += float(M ** (k - level)) * (
-                (N * d + 1) * w_draw + N * w_step + 2.0 * w_f + rec(level) + rec(level - 1)
-            )
-        memo[k] = total
-        return total
-
-    try:
-        return rec(n)
-    except OverflowError:  # an int too large for a float: M**k or N * d
-        return math.inf
+            total += scale[k - level] * (level_sample + bound[level + 1] + bound[level])
+        if total == math.inf:
+            return math.inf
+        bound.append(total)
+    return bound[-1]

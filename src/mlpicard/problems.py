@@ -35,8 +35,22 @@ import numpy as np
 from .bounds import BoundParams, lyapunov_phi, lyapunov_phi_batch
 
 DEFAULT_BOX_HALFWIDTH = 2.0
-# validate reads sigma's columns in sample chunks of at most this many
-# scalars, 4 MiB, the cap of euler._CHUNK_SCALARS
+# Upper bound on a chunk's scalars, 2^19 (4 MiB), in validate and in
+# euler.simulate_batch, whose chunks hold W * (d + 2) for a row of W steps.
+# The share d / (d + 2) is its increments, 1 / (d + 2) its step sizes while
+# it is stepped; the table below was measured when the chunk also held
+# the square roots of its step sizes (and, before that, a target-time grid).
+# Larger chunks take fewer trips through the stepping loop; each doubling adds
+# a few MiB of peak RSS.  Measured (2-vCPU VM, numpy 2.4) on one estimate of
+# scaled-bs d=8 at (n, M, N) = (2, 32, 256) and of nonlinear-coeff-sine d=1 at
+# (4, 4, 256): median ms of interleaved in-process calls, loop trips, and the
+# max RSS of a fresh process:
+#   2^17: d=8 382 ms, 9456 trips, 59.2 MiB; d=1 122 ms, 2019 trips, 59.2 MiB
+#   2^18: d=8 341 ms, 4975 trips, 62.0 MiB; d=1 111 ms, 1352 trips, 60.9 MiB
+#   2^19: d=8 338 ms, 2699 trips, 67.6 MiB; d=1 113 ms,  983 trips, 63.5 MiB
+#   2^20: d=8 350 ms, 1547 trips, 73.2 MiB; d=1 119 ms,  877 trips, 65.7 MiB
+# heat-quadratic d=10 at (4, 4) took 376, 338, 308 and 339 ms.  Quartiles
+# spread about +-10% on that host; 2^20 was faster on none of the three.
 _CHUNK_SCALARS = 1 << 19
 # safety margin applied on top of the exact box supremum when sizing b
 _B_MARGIN = 1.1

@@ -10,6 +10,7 @@ from mlpicard.bounds import (
     error_bound,
     gronwall_discrete,
     gronwall_mlp,
+    lyapunov_bound,
     lyapunov_phi,
     perturbation_bound,
     total_cost_bound,
@@ -137,6 +138,26 @@ class TestGronwallDiscrete:
             # the closed form regroups the recursion, so allow last-ulp noise
             np.testing.assert_allclose(got, gammas, rtol=1e-12, atol=0.0)
 
+    def test_closed_form_in_ascending_order_exactly(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            alphas = rng.uniform(0.0, 3.0, size=int(rng.integers(1, 9)))
+            beta = float(rng.uniform(0.0, 2.0))
+            want = []
+            for n in range(len(alphas)):
+                acc = 0.0
+                for k in range(n):
+                    acc += (1.0 + beta) ** (n - k - 1) * alphas[k]
+                want.append(alphas[n] + beta * acc)
+            assert gronwall_discrete(alphas, beta).tolist() == want
+
+    def test_entries_past_the_float_range_are_inf(self, recwarn):
+        # gamma_2 = 1 + 1e300 (1e300 + 1) overflows a product; gamma_3 needs
+        # (1 + 1e300)^2, a power that used to raise OverflowError
+        got = gronwall_discrete([1.0] * 5, 1e300)
+        assert got.tolist() == [1.0, 1e300, math.inf, math.inf, math.inf]
+        assert not recwarn.list
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             gronwall_discrete([1.0, -0.1], 0.5)
@@ -211,6 +232,29 @@ class TestPerturbationBound:
             perturbation_bound(1, 1, 1.5, 2.0, 1, 1.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             perturbation_bound(1, 1, 2, 2, 1, 1.0, 2.0, 1.0, 1.0, 1.0)
+
+
+class TestFloatRange:
+    """Evaluators that used to raise ``OverflowError`` past the float range
+    are ``inf`` there, with no warning (``error_bound``, ``perturbation_bound``
+    and ``cost_recursion_bound`` are checked beside their other tests)."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: total_cost_bound(100, 1, 1, 1),                      # 100.0**200
+        lambda: gronwall_mlp(1, 1, 1.0, 0.0, 2.0, 2000, 2, 1.0),     # exp(1000)
+        lambda: gronwall_mlp(1, 1e200, 1.0, 0.0, 2.0, 2, 400, 1.0),  # (1 + 1e200)**399
+        lambda: lyapunov_bound(4.0, 0.0, 6.0, 2.0),                  # exp(768)
+    ], ids=["total_cost_bound", "gronwall_mlp-exp", "gronwall_mlp-power", "lyapunov_bound"])
+    def test_overflow_is_inf(self, evaluate, recwarn):
+        assert evaluate() == math.inf
+        assert not recwarn.list
+
+    def test_finite_values_keep_their_formulas(self):
+        assert total_cost_bound(20, 1.5, 0.5, 2.5) == (
+            12.0 * (3.0 * 1.5 + 0.5 + 2.0 * 2.5) * 36.0**20 * 20.0**40)
+        assert gronwall_mlp(1, 1e100, 1.0, 0.0, 2.0, 2, 3, 1.0) == (
+            (1 + 1e100) * math.exp(2**1.0 / 2.0) * 2 ** (-3 / 2.0) * (1.0 + 1e100) ** 2)
+        assert lyapunov_bound(4.0, 0.5, 5.5, 2.0) == math.exp(2.0 * 4.0**3 * 5.0) * 2.0
 
 
 class TestLyapunovPhi:

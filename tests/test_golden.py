@@ -79,7 +79,7 @@ def test_estimate_matches_pinned_value(name, overrides, x, seed, value, tally):
     prob = instantiate(name, **overrides)
     result = estimate(prob, MlpParams(n=3, M=3, root_seed=seed), (0,), 0.1, np.array(x))
     assert result.value == value
-    assert result.cost.as_dict() == tally
+    assert dataclasses.asdict(result.cost) == tally
 
 
 def test_shipped_baseline_rep0_recomputes():

@@ -33,6 +33,7 @@ from mlpicard.problems import instantiate
 from helpers import read_csv
 
 MINIMAL = "problem = heat-quadratic\n"
+HEAT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "heat_quadratic_d1.cfg"
 
 
 class TestParseConfig:
@@ -111,6 +112,15 @@ class TestParseConfig:
             parse_config(MINIMAL + extra)
         assert err.value.violations == [
             f"depth {depth} exceeds the cost ceiling: cost_recursion_bound = inf > 1e+12"]
+
+    def test_deep_single_base_depth_rejected_at_once(self):
+        # the cost recursion stops at its first inf depth, about 1000 here
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "depths = 100000:1\n")
+        assert time.perf_counter() - start < 5.0
+        assert err.value.violations == [
+            "depth (100000,1) exceeds the cost ceiling: cost_recursion_bound = inf > 1e+12"]
 
     @pytest.mark.parametrize("ceiling", ["nan", "inf"])
     def test_non_finite_cost_ceiling_rejected(self, ceiling):
@@ -343,6 +353,24 @@ class TestRunExperiment:
         assert len(body) == 2 * 8
         seeds = sorted(int(r[3]) for r in body[:8])
         assert seeds == list(range(42, 50))
+
+    def test_depths_set_after_parsing_meet_the_cost_ceiling(self, tmp_path, monkeypatch,
+                                                            started):
+        # parse_config would have rejected (6, 6); run_experiment does so too,
+        # before it evaluates a block, starts a child or writes a CSV
+        with open(HEAT_CONFIG, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        cfg.depths, cfg.workers, cfg.output_dir = [(6, 6)], 2, str(tmp_path)
+
+        def evaluate_block(task):
+            raise AssertionError("a seed block ran")
+
+        monkeypatch.setattr(harness, "_evaluate_block", evaluate_block)
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg)
+        assert err.value.violations == [
+            "depth (6,6) exceeds the cost ceiling: cost_recursion_bound = 3.40745e+11 > 1e+09"]
+        assert started == [] and list(tmp_path.iterdir()) == []
 
     def test_rmse_decreases_on_richer_depths(self, tmp_path):
         cfg = parse_config(

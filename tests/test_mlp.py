@@ -1,8 +1,11 @@
 """Estimator semantics: flat-loop reference, cost ledger, statistics."""
 
 import dataclasses
+import functools
+import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -82,7 +85,7 @@ class TestZeroDepth:
         prob = instantiate("heat-quadratic", d=3)
         res = estimate(prob, MlpParams(n=0, M=5, root_seed=9), (0,), 0.2, np.zeros(3))
         assert res.value == 0.0
-        assert res.cost.as_dict() == CostTally().as_dict()
+        assert res.cost == CostTally()
 
 
 class TestFlatReference:
@@ -199,7 +202,7 @@ class TestWaveMatchesRecursion:
             monkeypatch.setattr(euler, "_CHUNK_SCALARS", chunk_scalars)
         got = estimate(prob, params, (0,), t, x)
         assert got.value == want
-        assert got.cost.as_dict() == tally.as_dict()
+        assert got.cost == tally
 
 
 def _bits(value: float) -> bytes:
@@ -221,7 +224,7 @@ class TestEstimateMany:
             want = estimate(prob, dataclasses.replace(params, root_seed=seed), theta,
                             float(t_i), x_i)
             assert _bits(est.value) == _bits(want.value), seed
-            assert est.cost.as_dict() == want.cost.as_dict(), seed
+            assert est.cost == want.cost, seed
 
     @staticmethod
     def _mixed_roots(prob, t, x, count):
@@ -282,7 +285,7 @@ class TestDeterminism:
         a = estimate(prob, params, (0,), 0.0, np.zeros(1))
         b = estimate(prob, params, (0,), 0.0, np.zeros(1))
         assert a.value == b.value
-        assert a.cost.as_dict() == b.cost.as_dict()
+        assert a.cost == b.cost
 
     def test_distribution_invariant_across_labels(self):
         # same (t, x, n, M) under different root labels: same law
@@ -349,6 +352,73 @@ class TestCostLedger:
     def test_recursion_bound_is_inf_past_the_float_range(self, n, M, N):
         # M**k or N * d too large for a float: inf, where it used to raise
         assert cost_recursion_bound(n, M, 1, N, (1, 1, 1, 1)) == math.inf
+
+    @pytest.mark.parametrize("weights,pins", [
+        ((1, 1, 1, 1), [
+            ((1, 1, 1, 1), 8),
+            ((3, 3, 10, 27), 76266),
+            ((4, 4, 1, 256), 2527132),
+            ((6, 3, 10, 4), 3177987),
+            ((8, 8, 3, 256), 5446988228696),
+            ((9, 8, 3, 16777216), 5.8731636311090319e+18),
+            ((12, 6, 10, 46656), 7.0831527052798321e+18),
+            ((20, 3, 1, 27), 8.6011812377974989e+17),
+            ((40, 2, 10, 4), 3.6906285047895689e+27),
+            ((60, 1, 3, 1), 5.5482926320255205e+23),
+            ((100, 7, 1, 1), 4.7812278285918944e+116),
+        ]),
+        ((0.3, 1.7, 0.05, 2.5), [
+            ((1, 1, 1, 1), 9.3499999999999996),
+            ((3, 3, 10, 27), 33096.75),
+            ((4, 4, 1, 256), 2530950.7999999998),
+            ((6, 3, 10, 4), 1496112.6000000001),
+            ((8, 8, 3, 256), 3548169893565.5991),
+            ((9, 8, 3, 16777216), 3.817556485963094e+18),
+            ((12, 6, 10, 46656), 3.0264643648424576e+18),
+            ((20, 3, 1, 27), 8.7255941157128294e+17),
+            ((40, 2, 10, 4), 1.7448223887090718e+27),
+            ((60, 1, 3, 1), 5.2819693422433831e+23),
+            ((100, 7, 1, 1), 5.6497493824776147e+116),
+        ]),
+    ], ids=["unit", "fractional"])
+    def test_recursion_bound_is_pinned(self, weights, pins):
+        # 17-digit values of the memoized recursion (the reference below); the
+        # deeper half lies above 2^53, where integer-valued floats round
+        for (n, M, d, N), want in pins:
+            assert cost_recursion_bound(n, M, d, N, weights) == want, (n, M, d, N)
+
+    def test_recursion_bound_matches_the_recursion(self):
+        # the recursion as the paper states it, memoized: every float
+        # operation in the same order, so the loop matches it bit for bit
+        def recursion(n, M, d, N, weights):
+            w_draw, w_step, w_g, w_f = (float(w) for w in weights)
+
+            @functools.lru_cache(maxsize=None)
+            def rec(k):
+                if k <= 0:
+                    return 0.0
+                total = float(M**k) * (N * d * w_draw + N * w_step + w_g)
+                for level in range(k):
+                    total += float(M ** (k - level)) * (
+                        (N * d + 1) * w_draw + N * w_step + 2.0 * w_f + rec(level)
+                        + rec(level - 1))
+                return total
+
+            return rec(n)
+
+        for weights in [(1, 1, 1, 1), (0.3, 1.7, 0.05, 2.5), (1e-3, 1, 7.5, 0)]:
+            for n, M, d, N in itertools.product(range(9), range(1, 9), (1, 3, 10),
+                                                (1, 4, 27, 256)):
+                assert (cost_recursion_bound(n, M, d, N, weights)
+                        == recursion(n, M, d, N, weights)), (n, M, d, N, weights)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_recursion_bound_stops_at_inf(self, M):
+        # at M = 1 the bound is inf from about depth 1000 on; depths past it
+        # cost nothing more
+        start = time.perf_counter()
+        assert cost_recursion_bound(100_000, M, 1, 1, (1, 1, 1, 1)) == math.inf
+        assert time.perf_counter() - start < 1.0
 
     def test_tallied_cost_below_recursion_bound(self):
         for prob in (instantiate("heat-quadratic", d=2),
@@ -474,4 +544,4 @@ class TestValidation:
         want = estimate(prob, MlpParams(n=2, M=2, euler_steps=4, root_seed=-5), (0,), 0.0,
                         np.zeros(1))
         assert _bits(got.value) == _bits(want.value)
-        assert got.cost.as_dict() == want.cost.as_dict()
+        assert got.cost == want.cost

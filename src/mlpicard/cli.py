@@ -36,12 +36,12 @@ def _cmd_run(args) -> int:
     if cfg is None:
         return 2
     if args.workers is not None:
-        if args.workers < 1:
-            print(ConfigError([f"workers must be >= 1, got {args.workers}"]), file=sys.stderr)
-            return 2
         cfg.workers = args.workers
     try:
         rows, reference, paths = run_experiment(cfg)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except OracleError as exc:
         print(f"no reference: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ import numpy as np
 
 from .bounds import lyapunov_bound, lyapunov_phi_batch
 from .problems import _CHUNK_SCALARS, Problem, check_query, is_integer
-from .rng import draw_uniforms, keys_at, uniforms_to_gaussians
+from .rng import draw_uniforms, first_blocks, keys_at, uniforms_to_gaussians
 
 # Step slots (rows * W) in one block of the map pass: 2^15, so a block's mask
 # and the square roots of its step sizes take (d + 8) * 32 KiB.  Sized by
@@ -131,12 +131,13 @@ def _check_steps(steps) -> None:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
 
-def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_times):
+def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_times, block0=None):
     """Simulate one path per stream key of ``keys`` from its start ``(t, x)`` to its end time.
 
     ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``keys`` is
     ``(P, 2)``, as :func:`~mlpicard.rng.keys_at` gives them; path ``i`` reads
-    the Gaussians of its stream, words 1, 2, ..., and never its uniform.
+    the Gaussians of its stream, words 1, 2, ..., and never its uniform; its
+    block 0 is ``block0[i]``, from :func:`~mlpicard.rng.first_blocks` if not given.
     ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``, finite.
     Returns the terminal states ``(P, d)`` and per-path step counts ``(P,)``.
     """
@@ -154,6 +155,7 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
     states = np.array(x)
     if P == 0:
         return states, counts
+    block0 = first_blocks(keys) if block0 is None else block0
 
     order = np.argsort(-counts, kind="stable")
     # chunk k is rows order[cuts[k]:cuts[k + 1]], at most _CHUNK_SCALARS scalars
@@ -176,7 +178,7 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
         rows = order[slice(*spans[k])]
         c = counts[rows]
         incs = buffers[k % 2][:len(rows) * int(c[0]) * d].reshape(len(rows), int(c[0]), d)
-        draw_uniforms(keys[rows], c * d, incs.reshape(len(rows), -1))
+        draw_uniforms(keys[rows], c * d, incs.reshape(len(rows), -1), block0[rows])
         return rows, c, incs
 
     def mapped(rows, c, incs):

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import error_bound, total_cost_bound
+from .bounds import error_bound, inf_past_float_range, total_cost_bound
 from .mlp import MlpParams, cost_recursion_bound, estimate_many
 from .oracle import Reference, closed_form, picard_quadrature_1d
 from .problems import PARAMETERS, Problem, instantiate
@@ -97,7 +97,7 @@ class ExperimentConfig:
         return int(self.overrides.get("d", 1))
 
     def resolved_steps(self, M: int) -> int:
-        return self.euler_override if self.euler_override is not None else M**M
+        return MlpParams(n=0, M=M, euler_steps=self.euler_override).resolved_steps
 
     def query_point(self) -> np.ndarray:
         if self.x0 is None:
@@ -266,8 +266,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     if cfg.replications < 2:
         errors.append(f"replications must be >= 2 (standard errors need variance), got {cfg.replications}")
-    if cfg.workers < 1:
-        errors.append(f"workers must be >= 1, got {cfg.workers}")
+    errors.extend(_workers_violations(cfg))
     steps_ok = cfg.euler_override is None or cfg.euler_override >= 1
     if not steps_ok:
         errors.append(f"euler_steps must be >= 1, got {cfg.euler_override}")
@@ -313,12 +312,22 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
         errors.extend(_cost_ceiling_violations(cfg))
 
 
+def _workers_violations(cfg: ExperimentConfig) -> list:
+    """The message of a worker count below 1, which could cut no seed block."""
+    return [f"workers must be >= 1, got {cfg.workers}"] if cfg.workers < 1 else []
+
+
+@inf_past_float_range  # N = M**M past the float range
+def _cost_bound(cfg: ExperimentConfig, n: int, M: int) -> float:
+    """The cost recursion bound of depth ``(n, M)`` at the config's path
+    length, dimension and weights."""
+    return cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M), cfg.cost_weights)
+
+
 def _cost_ceiling_violations(cfg: ExperimentConfig) -> list:
     """One message per configured depth ``n >= 0, M >= 1`` whose cost
     recursion bound exceeds the cost ceiling."""
-    bounds = [(n, M, cost_recursion_bound(n, M, cfg.dimension, cfg.resolved_steps(M),
-                                          cfg.cost_weights))
-              for n, M in cfg.depths if n >= 0 and M >= 1]
+    bounds = [(n, M, _cost_bound(cfg, n, M)) for n, M in cfg.depths if n >= 0 and M >= 1]
     return [f"depth ({n},{M}) exceeds the cost ceiling: "
             f"cost_recursion_bound = {bound:.6g} > {cfg.cost_ceiling:.6g}"
             for n, M, bound in bounds if bound > cfg.cost_ceiling]
@@ -455,8 +464,7 @@ def _report_row(cfg: ExperimentConfig, problem: Problem, run: _DepthRun,
         reference_ci_halfwidth=reference.ci_halfwidth,
         theoretical_error_bound=error_bound(run.n, run.M, bp),
         tallied_cost=float(costs.mean()),
-        cost_recursion_bound=cost_recursion_bound(
-            run.n, run.M, problem.d, run.N, cfg.cost_weights),
+        cost_recursion_bound=_cost_bound(cfg, run.n, run.M),
         wall_time_seconds=run.wall,
     )
 
@@ -483,11 +491,11 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every configured depth and write the three CSV reports.
 
     Returns ``(rows, reference, paths)`` with one :class:`ReportRow` per
-    configured (n, M), in config order.  A depth past the cost ceiling
-    raises :class:`ConfigError` before any depth runs.
+    configured (n, M), in config order.  A worker count below 1 or a depth
+    past the cost ceiling raises :class:`ConfigError` before any depth runs.
     """
     problem = cfg.build_problem()
-    violations = _cost_ceiling_violations(cfg)
+    violations = _workers_violations(cfg) + _cost_ceiling_violations(cfg)
     if violations:
         raise ConfigError(violations)
     reference = resolve_reference(cfg, problem)
@@ -533,8 +541,12 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons):
     use ``cfg.workers`` processes, as in :func:`run_experiment`: each depth
     run forks its children and joins them before the scan goes on.
     Reported cost is the per-realization mean of the weighted tally, summed
-    over all depths up to n*.
+    over all depths up to n*.  A worker count below 1 raises
+    :class:`ConfigError` before any depth runs.
     """
+    violations = _workers_violations(cfg)
+    if violations:
+        raise ConfigError(violations)
     if np.isscalar(epsilons):
         epsilons = [float(epsilons)]
     for eps in epsilons:
@@ -556,8 +568,7 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons):
             if n > cfg.max_depth:
                 row = SweepRow(eps, "max-depth", tripped_bound=float(cfg.max_depth))
                 break
-            bound = cost_recursion_bound(n, n, problem.d, cfg.resolved_steps(n),
-                                         cfg.cost_weights)
+            bound = _cost_bound(cfg, n, n)
             if bound > cfg.cost_ceiling:
                 row = SweepRow(eps, "cost-ceiling", tripped_bound=bound)
                 break

@@ -58,7 +58,7 @@ import numpy as np
 from .bounds import inf_past_float_range
 from .euler import simulate_batch
 from .problems import Problem, check_query, is_integer
-from .rng import check_label, keys_at, uniforms
+from .rng import check_label, first_blocks, keys_at
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -105,6 +105,8 @@ class MlpParams:
 
     @property
     def resolved_steps(self) -> int:
+        if self.euler_steps is None and self.M * math.log2(self.M) >= 1024:  # floats < 2**1024
+            raise OverflowError(f"N = M**M is past the float range at M = {self.M}")
         return self.euler_steps if self.euler_steps is not None else self.M**self.M
 
 
@@ -279,13 +281,14 @@ def _forest(problem, N, waves, seeds, theta, t, x) -> list:
         keys = np.concatenate([
             keys_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(), width)
             for seed, lo, hi in zip(seeds, starts, starts[1:])])
+        block0 = first_blocks(keys)
         level = is_level[paths]
-        r = uniforms(keys[level])  # terminal paths never read theirs
+        r = block0[level, 0]  # terminal paths never read theirs
         t0 = ends[rows, wave.path_parent[paths]]
         path_ends = np.full(len(paths), T)
         path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)
-        path_states, counts = simulate_batch(problem, N, keys, t0,
-                                             states[rows, wave.path_parent[paths]], path_ends)
+        path_states, counts = simulate_batch(
+            problem, N, keys, t0, states[rows, wave.path_parent[paths]], path_ends, block0)
         ends = np.zeros(sim.shape)
         ends[rows, paths] = path_ends
         states = np.zeros(sim.shape + (d,))
@@ -360,11 +363,13 @@ def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
     evaluation, and one nonlinearity evaluation.  ``N`` replaces the
     default ``M**M`` path length where overridden.  Depth ``n <= 0`` costs 0.
     With nonnegative weights the bound grows with depth, so it is ``inf``
-    from the first depth at which it is.
+    from the first depth at which it is; with all-zero weights it is 0.
     """
     if M < 1 or d < 1 or N < 1:
         raise ValueError("cost_recursion_bound requires M, d, N >= 1")
     w_draw, w_step, w_g, w_f = (float(w) for w in weights)
+    if not any((w_draw, w_step, w_g, w_f)):
+        return 0.0
     terminal = N * d * w_draw + N * w_step + w_g
     level_sample = (N * d + 1) * w_draw + N * w_step + 2.0 * w_f
     scale = [1.0]  # scale[j] = float(M**j)

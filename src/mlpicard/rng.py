@@ -19,32 +19,32 @@ Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
 A stream is its Philox key, a ``(2,)`` row of ``uint64`` words, low word
 first; many streams are a ``(P, 2)`` array of keys (:func:`keys_at`), and a
 single stream (:func:`stream_for`) is one of one row.  Every stream has one
-fixed layout: word 0 is its uniform (:func:`uniforms`), and words 1, 2, ...
-are its standard Gaussians in consumption order.  The Gaussians come in two
-phases: :func:`draw_uniforms` writes words ``1..n`` as uniforms, and
-:func:`uniforms_to_gaussians` maps them in place.  A consumer that needs no
-uniform never reads word 0, so the Gaussians it sees depend only on the
-stream address.
+fixed layout: word 0 is its uniform, and words 1, 2, ... are its standard
+Gaussians in consumption order.  A consumer that needs no uniform never
+reads word 0, so the Gaussians it sees depend only on the stream address.
 
 Philox is counter based (Salmon et al., SC'11), so word ``w`` of a stream is
 a pure function of its key and ``w``: word ``w % 4`` of the 4-word block
-``w // 4``, which Philox computes at counter ``w // 4 + 1``.  Words are read
-in one of two ways, with the same bits:
+``w // 4``, which Philox computes at counter ``w // 4 + 1``.  Each block is
+read once: :func:`first_blocks` reads block 0 of a batch of streams, the
+uniform and the draw phase of the first three Gaussians, and
+:func:`draw_uniforms` takes those three and reads words ``4..n``, block 1
+on; :func:`uniforms_to_gaussians` then maps all ``n`` in place.  A block is
+read in one of two ways, with the same bits:
 
 * the native generator: a draw sets this thread's one numpy Philox generator
-  to the key at the block that holds its first word, discards the words
-  before it, and reads on.  It costs about 3 µs per keying and 7 ns per word.
+  to the key at its first block and reads on.  It costs about 3 µs per
+  keying and 7 ns per word.
 * the kernel: :func:`philox_blocks`, Philox-4x64-10 in numpy ``uint64``
   arithmetic, computes the blocks of many ``(key, block)`` pairs in one
   vectorized pass.  It costs about 0.1-0.2 ms per call, whatever the batch
   size, and 30-100 ns per word.
 
-A batch of at least ``_KERNEL_MIN_STREAMS`` streams draws from the kernel
-every word of a stream that draws at most ``_KERNEL_MAX_WORDS`` Gaussians,
-and words 1-3 of a longer one, which the native generator continues from
-word 4, block 1, with no words to discard.  The kernel runs in passes of
-about ``_KERNEL_BLOCKS`` blocks, which bounds its scratch memory.  Smaller
-batches, single streams among them, use the native generator alone.
+A batch of at least ``_KERNEL_MIN_STREAMS`` streams reads its block 0 from
+the kernel in one pass, and from block 1 on every draw of at most
+``_KERNEL_MAX_WORDS`` words, in passes of about ``_KERNEL_BLOCKS`` blocks,
+which bound its scratch memory.  Longer draws and smaller batches use the
+native generator.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ _HALF_ULP = 2.0**-54
 # Measured crossover (2-vCPU VM, numpy 2.4): 48-64 streams that draw 1 word
 # each, 96-192 streams that draw 11 or 27 words each.
 _KERNEL_MIN_STREAMS = 128
-# A longer draw takes only words 1-3, the rest of block 0, from the kernel: past
-# this length one native keying (about 3-5 µs) costs less than the kernel's
-# premium per word.  Measured crossover: 40-48 words, 1000 streams from word 1.
+# A longer draw reads natively from block 1: past this length one native keying
+# (about 3-5 µs) costs less than the kernel's premium per word.  Measured
+# crossover: 40-48 words, 1000 streams from word 1.
 _KERNEL_MAX_WORDS = 40
 # Kernel passes of about this many blocks keep its scratch (about 150 bytes
 # per block, plus about 30 per word for the scatter into rows) near 0.6 MiB.
@@ -162,89 +162,82 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
 _local = threading.local()
 
 
-def _generator_at(key, word: int) -> np.random.Generator:
-    """This thread's generator, set to word ``word`` of the stream keyed by ``key``.
-
-    ``key`` is the key's ``(low, high)`` word pair.  The one place that keys a
-    native Philox generator.  Its ``random`` reads the next words as uniforms
-    ``(raw >> 11) * 2**-53``.
+def _generator_at(key, block: int) -> np.random.Generator:
+    """This thread's generator, set to block ``block`` of the stream keyed by
+    ``key``, its ``(low, high)`` word pair: the one place that keys a native
+    Philox generator.  Its ``random`` reads on as uniforms ``(raw >> 11) * 2**-53``.
     """
     try:
         gen = _local.generator
     except AttributeError:
         gen = _local.generator = np.random.Generator(np.random.Philox(key=0))
-    block, skip = divmod(word, 4)
     # Philox increments the counter before it computes a block
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (block, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    if skip:
-        gen.bit_generator.random_raw(skip)
     return gen
 
 
+def first_blocks(keys: np.ndarray) -> np.ndarray:
+    """Block 0 of the stream keyed by each row of ``keys``, as ``(P, 4)``
+    uniforms in [0, 1): column 0 is the stream's uniform, and columns 1-3
+    the draw phase of its first three Gaussians."""
+    if len(keys) >= _KERNEL_MIN_STREAMS:
+        return _uniforms(philox_blocks(keys, np.zeros(len(keys), dtype=np.int64)))
+    return np.array([_generator_at(key, 0).random(4) for key in keys.tolist()]).reshape(-1, 4)
+
+
 def _draw(keys: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-    """Write words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``
-    into ``out[i, :counts[i]]``, as uniforms in [0, 1)."""
-    if len(keys) < _KERNEL_MIN_STREAMS:
-        for key, n, row in zip(keys.tolist(), counts.tolist(), out):
-            if n:
-                _generator_at(key, 1).random(out=row[:n])
-        return
-    # a long draw takes words 1-3 from the kernel, so the native generator
-    # starts on the boundary of block 1
-    long = counts > _KERNEL_MAX_WORDS
-    heads = np.where(long, 3, counts)
-    rows = np.flatnonzero(heads)
-    n_blocks = heads[rows] // 4 + 1
+    """Write words ``4`` to ``counts[i]`` of the stream keyed by ``keys[i]``,
+    block 1 on, into ``out[i, 3:counts[i]]``, as uniforms in [0, 1)."""
+    kernel = (counts <= _KERNEL_MAX_WORDS) & (len(keys) >= _KERNEL_MIN_STREAMS)
+    rows = np.flatnonzero(kernel & (counts > 3))
+    n_blocks = counts[rows] // 4
     for part in np.split(rows, np.flatnonzero(np.diff((np.cumsum(n_blocks) - 1)
                                                       // _KERNEL_BLOCKS)) + 1):
         if len(part):
-            _kernel_draw(keys[part], heads[part], part, out)
-    rows = np.flatnonzero(long)
+            _kernel_draw(keys[part], counts[part], part, out)
+    rows = np.flatnonzero(~kernel & (counts > 3))
     for i, key, n in zip(rows.tolist(), keys[rows].tolist(), counts[rows].tolist()):
-        _generator_at(key, 4).random(out=out[i, 3:n])
+        _generator_at(key, 1).random(out=out[i, 3:n])
 
 
 def _kernel_draw(keys, counts, rows, out) -> None:
-    """Write words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``
-    into ``out[rows[i], :counts[i]]``, in one kernel pass."""
-    n_blocks = counts // 4 + 1
+    """Write words ``4`` to ``counts[i]`` of the stream keyed by ``keys[i]``
+    into ``out[rows[i], 3:counts[i]]``, in one kernel pass."""
+    n_blocks = counts // 4
     block_starts = np.cumsum(n_blocks) - n_blocks
-    blocks = np.arange(block_starts[-1] + n_blocks[-1]) - np.repeat(block_starts, n_blocks)
+    blocks = np.arange(block_starts[-1] + n_blocks[-1]) - np.repeat(block_starts - 1, n_blocks)
     words = philox_blocks(np.repeat(keys, n_blocks, axis=0), blocks).reshape(-1)
-    # word j of draw i is kernel word base[i] + j and goes to out[rows[i], j]
-    base = 4 * block_starts + 1
-    index = np.repeat(base - (np.cumsum(counts) - counts), counts)
+    # word 4 + j of draw i is kernel word base[i] + j and goes to out[rows[i], 3 + j]
+    base, tails = 4 * block_starts, counts - 3
+    index = np.repeat(base - (np.cumsum(tails) - tails), tails)
     index += np.arange(len(index))
     words = words[index]
-    index += np.repeat(rows * out.shape[1] - base, counts)
+    index += np.repeat(rows * out.shape[1] + 3 - base, tails)
     np.put(out, index, _uniforms(words))
 
 
-def uniforms(keys: np.ndarray) -> np.ndarray:
-    """Word 0 of the stream keyed by each row of ``keys``: its uniform in [0, 1)."""
-    if len(keys) < _KERNEL_MIN_STREAMS:
-        return np.array([_generator_at(key, 0).random() for key in keys.tolist()])
-    return _uniforms(philox_blocks(keys, np.zeros(len(keys), dtype=np.int64))[:, 0])
-
-
-def draw_uniforms(keys: np.ndarray, counts, out: np.ndarray) -> None:
+def draw_uniforms(keys: np.ndarray, counts, out: np.ndarray, block0: np.ndarray) -> None:
     """Words ``1`` to ``counts[i]`` of the stream keyed by ``keys[i]``, as
     uniforms in [0, 1), into ``out[i, :counts[i]]``: the draw phase of its
-    first ``counts[i]`` Gaussians.
+    first ``counts[i]`` Gaussians.  Words 1-3 come from ``block0[i]``, its
+    block 0 as :func:`first_blocks` gives it.
 
     ``counts`` is an integer array and ``out`` a float64 ``(len(keys),
     width)`` array; the rest of each row is left as it is.  Checks every
     count before it draws.
     """
-    if not (len(counts) == len(keys) == out.shape[0]):
-        raise ValueError(f"need one count and one row of out per stream, got {len(counts)} "
-                         f"counts and {out.shape[0]} rows for {len(keys)} streams")
+    if not (len(counts) == len(keys) == out.shape[0] == len(block0)):
+        raise ValueError(f"need one count, one row of out and one block 0 per stream, got "
+                         f"{len(counts)} counts, {out.shape[0]} rows and {len(block0)} blocks "
+                         f"for {len(keys)} streams")
     if np.any((counts < 0) | (counts > out.shape[1])):
         raise ValueError(f"counts must lie in [0, {out.shape[1]}], the width of out")
+    width = min(3, out.shape[1])
+    np.copyto(out[:, :width], block0[:, 1:1 + width], where=np.arange(width) < counts[:, None])
     _draw(keys, counts, out)
 
 

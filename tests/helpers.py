@@ -10,8 +10,8 @@ from mlpicard.problems import instantiate
 from mlpicard.rng import (
     _generator_at,
     draw_uniforms,
+    first_blocks,
     stream_for,
-    uniforms,
     uniforms_to_gaussians,
 )
 
@@ -30,13 +30,13 @@ def raw_uniform_sequence(root_seed, theta, count):
 
 def draw_uniform(keys) -> float:
     """The uniform of a one-row key array, word 0 of its stream."""
-    return float(uniforms(keys)[0])
+    return float(first_blocks(keys)[0, 0])
 
 
 def fill_gaussians(keys, counts, out) -> None:
     """The first ``counts[i]`` Gaussians of the stream keyed by ``keys[i]`` into
     ``out[i, :counts[i]]``: the draw phase, then the map phase."""
-    draw_uniforms(keys, counts, out)
+    draw_uniforms(keys, counts, out, first_blocks(keys))
     uniforms_to_gaussians(counts, out)
 
 

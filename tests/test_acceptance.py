@@ -22,7 +22,7 @@ from mlpicard.harness import (
 )
 from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
-from mlpicard.rng import keys_at, stream_for, uniforms
+from mlpicard.rng import first_blocks, keys_at, stream_for
 
 from helpers import build_recursive_family, fill_gaussians
 
@@ -260,7 +260,7 @@ def test_criterion_08_mean_identity():
     g_part = prob.terminal(terminal_states)
 
     level_keys = np.concatenate([stream_for(seed, (2,)) for seed in seeds])
-    r = uniforms(level_keys)
+    r = first_blocks(level_keys)[:, 0]
     eval_times = np.minimum(horizon * r, horizon)
     states, _ = simulate_batch(prob, n_steps, level_keys, 0.0, np.zeros(1), eval_times)
     inner = np.array([

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mlpicard import harness
 from mlpicard.cli import main
 from mlpicard.harness import parse_config, run_experiment
 
@@ -38,6 +39,25 @@ def test_validate_problem_samples_below_one_exits_2(capsys, samples):
 def test_run_workers_below_one_exits_2(capsys, workers):
     assert main(["run", HEAT_CONFIG, "--workers", workers]) == 2
     assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_run_workers_override_forks_and_matches_one_worker(capsys, monkeypatch, tmp_path):
+    children = []
+    start = harness._start_child
+    monkeypatch.setattr(harness, "_start_child", lambda task: children.append(start(task))
+                        or children[-1])
+    monkeypatch.setenv("MLPICARD_OUTPUT_DIR", str(tmp_path / "two"))
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_HEAT)
+    assert main(["run", str(config), "--workers", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    assert [first for _, _, first in children] == [2]  # seeds 0, 1 | 2, 3
+    cfg = parse_config(SMALL_HEAT)
+    cfg.output_dir = str(tmp_path / "one")
+    _, _, paths = run_experiment(cfg)
+    for path in paths.values():
+        assert (tmp_path / "two" / os.path.basename(path)).read_bytes() == \
+            Path(path).read_bytes()
 
 
 @pytest.mark.parametrize("extra, message", [("euler_steps = 0", "euler_steps must be >= 1"),

@@ -135,6 +135,7 @@ class TestSimulate:
     def test_non_integer_steps_rejected_before_drawing(self, steps, monkeypatch):
         prob, key = instantiate("heat-quadratic"), stream_for(1, (1,))
         monkeypatch.setattr(euler, "keys_at", None)  # any keying or draw would fail here
+        monkeypatch.setattr(euler, "first_blocks", None)
         monkeypatch.setattr(euler, "draw_uniforms", None)
         message = re.escape(f"steps must be an integer, got {steps!r}")
         with pytest.raises(TypeError, match=message):
@@ -145,7 +146,8 @@ class TestSimulate:
     @pytest.mark.parametrize("x, row", [([math.nan], "row 0: [nan]"),
                                         ([[0.5], [math.inf]], "row 1: [inf]")])
     def test_non_finite_start_rejected_before_drawing(self, x, row, monkeypatch):
-        monkeypatch.setattr(euler, "draw_uniforms", None)  # any draw would fail here
+        monkeypatch.setattr(euler, "first_blocks", None)  # any draw would fail here
+        monkeypatch.setattr(euler, "draw_uniforms", None)
         with pytest.raises(ValueError, match=re.escape(f"x must be finite, got {row}")):
             simulate_batch(instantiate("heat-quadratic"), 4, _path_batch(2, 0), 0.0,
                            np.array(x), np.ones(2))

@@ -122,6 +122,36 @@ class TestParseConfig:
         assert err.value.violations == [
             "depth (100000,1) exceeds the cost ceiling: cost_recursion_bound = inf > 1e+12"]
 
+    @pytest.mark.parametrize("depths", ["1:2000000", "99999999999999999999"])
+    def test_huge_base_rejected_without_building_its_path_length(self, depths):
+        # N = M**M is past the float range, so the bound is inf
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + f"depths = {depths}\n")
+        assert time.perf_counter() - start < 1.0
+        n, _, M = depths.partition(":")
+        assert err.value.violations == [f"depth ({n},{M or n}) exceeds the cost ceiling: "
+                                         "cost_recursion_bound = inf > 1e+12"]
+
+    @pytest.mark.parametrize("text, violations", [
+        (MINIMAL + "x0 = a,b\n", ["line 2: x0 must be a comma-separated float list"]),
+        (MINIMAL + "depths = 1, x, 3\n", ["line 2: depth entry 'x' is not 'n' or 'n:M'"]),
+        (MINIMAL + "depths = 2:3:4\n", ["line 2: depth entry '2:3:4' is not 'n' or 'n:M'",
+                                        "depths must contain at least one entry"]),
+        (MINIMAL + "cost_weights = 1, 1, 1\n", ["line 2: cost_weights needs exactly 4 values"]),
+        (MINIMAL + "cost_weights = 1, 1, x, 1\n", ["line 2: cost_weights must be floats"]),
+        (MINIMAL + "depths\n", ["line 2: expected 'key = value', got 'depths'"]),
+        ("depths = 1\n", ["missing required key 'problem'"]),
+        (MINIMAL + "depths = ,\n", ["depths must contain at least one entry"]),
+        (MINIMAL + "depths = 1:0, -1\n", ["depth (1,0) violates n >= 0, M >= 1",
+                                          "depth (-1,-1) violates n >= 0, M >= 1"]),
+    ], ids=["x0", "depth-entry", "depth-triple", "weights-length", "weights-float",
+            "no-equals", "no-problem", "depths-empty", "depths-below-range"])
+    def test_malformed_value_messages(self, text, violations):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == violations
+
     @pytest.mark.parametrize("ceiling", ["nan", "inf"])
     def test_non_finite_cost_ceiling_rejected(self, ceiling):
         with pytest.raises(ConfigError) as err:
@@ -447,6 +477,20 @@ class TestDispatch:
         assert [first for _, _, first in started] == [43, 45]
         assert _all_joined(started)
         assert [child.exitcode for child, _, _ in started] == [0, 0]
+
+    @pytest.mark.parametrize("search", [False, True])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_any_block(self, tmp_path, monkeypatch, started,
+                                                         search, workers):
+        # a worker count set after parsing; it used to raise ZeroDivisionError
+        # (0) or IndexError (-1)
+        cfg = self._cfg(tmp_path, "w", 1)
+        cfg.workers = workers
+        monkeypatch.setattr(harness, "_evaluate_block", _fail_first_block)
+        with pytest.raises(ConfigError) as err:
+            find_depth_for_epsilon(cfg, 1.0) if search else run_experiment(cfg)
+        assert err.value.violations == [f"workers must be >= 1, got {workers}"]
+        assert started == [] and not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("search", [False, True])
     def test_child_block_error_propagates_and_child_is_joined(self, tmp_path, monkeypatch,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlpicard import euler, mlp
+from mlpicard import euler, mlp, rng
 from mlpicard.mlp import (
     CostTally,
     MlpParams,
@@ -420,6 +420,13 @@ class TestCostLedger:
         assert cost_recursion_bound(100_000, M, 1, 1, (1, 1, 1, 1)) == math.inf
         assert time.perf_counter() - start < 1.0
 
+    def test_recursion_bound_with_zero_weights_is_zero_at_once(self):
+        # every depth costs 0, so the depths are not walked
+        start = time.perf_counter()
+        assert cost_recursion_bound(100_000, 1, 1, 1, (0, 0, 0, 0)) == 0.0
+        assert time.perf_counter() - start < 1.0
+        assert cost_recursion_bound(4, 3, 2, 27, (0.0, -0.0, 0, 0)) == 0.0
+
     def test_tallied_cost_below_recursion_bound(self):
         for prob in (instantiate("heat-quadratic", d=2),
                      instantiate("nonlinear-coeff-sine", kappa=0.5)):
@@ -529,6 +536,15 @@ class TestValidation:
         assert MlpParams(n=2, M=3).resolved_steps == 27
         assert MlpParams(n=2, M=3, euler_steps=12).resolved_steps == 12
 
+    def test_default_steps_past_the_float_range_are_not_built(self):
+        assert MlpParams(n=1, M=143).resolved_steps == 143**143  # 1.6e308
+        assert MlpParams(n=1, M=144, euler_steps=5).resolved_steps == 5
+        start = time.perf_counter()
+        for M in (144, 2_000_000, 10**20):
+            with pytest.raises(OverflowError, match=f"past the float range at M = {M}"):
+                MlpParams(n=1, M=M).resolved_steps
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("field", ["n", "M", "euler_steps", "root_seed"])
     @pytest.mark.parametrize("bad", [True, 1.5, 2.0, np.float64(2.0), "2"])
     def test_non_integer_params_rejected(self, field, bad):
@@ -545,3 +561,65 @@ class TestValidation:
                         np.zeros(1))
         assert _bits(got.value) == _bits(want.value)
         assert got.cost == want.cost
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Reads the ``(key, block)`` pairs that the Philox kernel and the native
+    generator computed while the test ran, in order.  A native keying's
+    blocks are read off its generator's counter, one past the last block it
+    computed, when the next keying starts or the pairs are read."""
+    pairs, keyed = [], []
+    philox_blocks, generator_at = rng.philox_blocks, rng._generator_at
+
+    def close():
+        if keyed:
+            key, first, gen = keyed.pop()
+            pairs.extend((key, b) for b in range(first, int(gen.bit_generator.state["state"]
+                                                                ["counter"][0])))
+
+    def kernel(keys, blocks):
+        pairs.extend(zip(map(tuple, keys.tolist()), np.asarray(blocks).tolist()))
+        return philox_blocks(keys, blocks)
+
+    def native(key, *args):
+        close()
+        gen = generator_at(key, *args)
+        # a block already in the buffer was computed at keying
+        state = gen.bit_generator.state
+        keyed.append((tuple(key), int(state["state"]["counter"][0]) - (state["buffer_pos"] < 4),
+                      gen))
+        return gen
+
+    monkeypatch.setattr(rng, "philox_blocks", kernel)
+    monkeypatch.setattr(rng, "_generator_at", native)
+
+    def read() -> list:
+        close()
+        return pairs
+
+    return read
+
+
+class TestEachBlockOnce:
+    """Within an estimate or a seed block, no ``(key, block)`` pair of Philox
+    is computed twice: block 0 once per wave, every later block once by the
+    draws."""
+
+    @pytest.mark.parametrize("name, overrides, n, M, N, x, seeds, wide", [
+        ("linear-reaction", {}, 2, 2, 8, 0.3, [5], False),
+        ("nonlinear-coeff-sine", {"kappa": 0.5}, 3, 4, 64, 0.0, [0], True),
+        ("scaled-bs", {"d": 8}, 2, 8, 64, 1.0, [0], True),
+        ("heat-quadratic", {}, 3, 3, 27, 0.0, range(1000, 1064), True),
+    ], ids=["narrow", "sine-d1", "bs-d8", "heat-seed-block"])
+    def test_no_block_is_computed_twice(self, generated, name, overrides, n, M, N, x, seeds,
+                                        wide):
+        prob = instantiate(name, **overrides)
+        params = MlpParams(n=n, M=M, euler_steps=N)
+        # waves of fewer than _KERNEL_MIN_STREAMS streams read natively only
+        widest = max(len(wave.path_node) for wave in mlp._tree_plan(n, M)) * len(seeds)
+        assert (widest >= rng._KERNEL_MIN_STREAMS) == wide
+        assert len(seed_blocks(params, seeds)) == 1
+        estimate_many(prob, params, seeds, (0,), 0.0, np.full(prob.d, x))
+        pairs = generated()
+        assert pairs and len(set(pairs)) == len(pairs)

@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from mlpicard import rng
-from mlpicard.rng import keys_at, philox_blocks, stream_for, uniforms
+from mlpicard.rng import first_blocks, keys_at, philox_blocks, stream_for
 
 from helpers import draw_gaussians, draw_uniform, fill_gaussians, raw_uniform_sequence
 
@@ -289,9 +289,11 @@ def _batch(size, seed=21):
 def test_batch_uniforms_equal_stream_uniforms(size):
     singles, keys = _batch(size)
     drawn = np.arange(size) % 3 != 0
-    r = uniforms(keys[drawn])
-    assert r.tolist() == [draw_uniform(key) for key, on in zip(singles, drawn) if on]
-    assert uniforms(keys[:0]).shape == (0,)
+    block0 = first_blocks(keys[drawn])
+    assert block0[:, 0].tolist() == [draw_uniform(key) for key, on in zip(singles, drawn) if on]
+    assert np.array_equal(block0, [raw_uniform_sequence(21, (4, 1, i), 4)
+                                   for i in np.flatnonzero(drawn).tolist()])
+    assert first_blocks(keys[:0]).shape == (0, 4)
 
 
 @pytest.mark.parametrize("size", [rng._KERNEL_MIN_STREAMS - 1, rng._KERNEL_MIN_STREAMS,
@@ -351,7 +353,7 @@ def test_fill_rejects_counts_that_do_not_fit_out(size, counts, shape):
 def first_uniforms():
     # one real uniform draw per stream, 1e5 distinct labels (271828, (i,))
     labels = np.arange(100_000, dtype="<i8").tobytes()
-    return uniforms(keys_at(271828, (), labels, 8))
+    return first_blocks(keys_at(271828, (), labels, 8))[:, 0]
 
 
 def test_uniform_mean(first_uniforms):

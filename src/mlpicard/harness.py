@@ -165,7 +165,7 @@ def _parse_depths(value: str) -> list:
         except ValueError:
             bad.append(f"depth entry {chunk!r} is not 'n' or 'n:M'")
     if bad:
-        raise _BadValue(*bad, partial=depths)
+        raise _BadValue(*bad, partial=depths or None)
     return depths
 
 
@@ -356,7 +356,7 @@ def _evaluate_block(task) -> list:
     return outcomes
 
 
-# A forked child inherits the loaded numpy, scipy and plan caches instead of
+# A forked child inherits the loaded numpy and scipy modules instead of
 # importing them again.  The estimator joins its helper threads before it
 # returns, so the calling process has no other thread when it forks.
 _CONTEXT = multiprocessing.get_context(

@@ -9,26 +9,26 @@ sub-estimates, which recurse with fresh child stream labels.  Labels carry
 the whole recursion history, so any two branches use disjoint random
 sources and the result is independent of evaluation order.
 
-That independence lets the tree be evaluated level-synchronously, and a
-block of root seeds together as one forest.  Each seed's tree starts from
-its own root ``(t, x)``, as every sub-estimate starts from its own sampled
-point.  The full tree of ``(n, M)`` is planned once and cached as index
-arrays, one set per recursion depth (a "wave"): each path's node, the path
-row of the previous wave its node starts from, the tally it adds when
-simulated (which marks it a terminal or a level path), and its packed label
-suffix below the root label.  Top-down,
-the paths of a wave are simulated for every seed of the block in one
-``simulate_batch`` call, each child node starting from its parent's sampled
-``(R_i, X_i)``.  The plan is only an upper bound on the shape: a node at
-``t >= T`` draws no level samples and has no subtree (every level term
-carries the factor ``T - t = 0``), and evaluation times can land exactly
-at ``T``, so each seed masks the subtrees it skips and never simulates
-them.  Bottom-up, the nodes of one depth in one wave are reduced together as
-2-D arrays, in the fixed order: the ascending sum of a node's terminal
-values, then per level the nonlinearity at the minuend and at the
-subtrahend values.  Every float operation is the one a depth-first
-recursion would perform, so the result does not depend on the evaluation
-order or on which seeds share a block.
+That independence lets the sub-estimates of one depth be evaluated
+together, for a block of root seeds as one forest.  Every depth-``k``
+sub-estimate has the same shape, ``M^k`` terminal paths and ``M^(k-l)``
+level-``l`` samples, and its own seed row, label and start ``(t, x)``: a
+root starts from its seed's ``(t, x)``, a child from its sample's
+``(R_i, X_i)``.  Top-down, from depth ``n`` to 1, the paths of every pending
+depth-``k`` sub-estimate are simulated in one ``simulate_batch`` call, the
+terminal paths are reduced to their mean of ``g`` at once, and the two
+sub-estimates of each level-``l`` sample join the pending ones of depths
+``l`` and ``l - 1``.  A sub-estimate at ``t >= T`` draws no level samples
+and has no children (every level term carries the factor ``T - t = 0``), and
+evaluation times can land exactly at ``T``.  Bottom-up, from depth 1 to
+``n``, the sub-estimates of one depth are reduced together, each in the fixed
+order: the ascending sum of its terminal values, then per level the
+nonlinearity at the minuend and at the subtrahend values.  Every float
+operation is the one a depth-first recursion would perform, so the result
+does not depend on the evaluation order or on which seeds share a block.
+A sub-estimate carries the BLAKE2b state of its label, so a child's label
+and a path's key each cost one extension by a 16-byte pair
+(:func:`~mlpicard.rng.extended`).
 
 Stream label conventions for a node with base label ``theta``:
 
@@ -48,7 +48,6 @@ one-sided.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,7 +57,7 @@ import numpy as np
 from .bounds import inf_past_float_range
 from .euler import simulate_batch
 from .problems import Problem, check_query, is_integer
-from .rng import check_label, first_blocks, keys_at
+from .rng import check_label, extended, first_blocks, keys_of, label_state
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -136,8 +135,8 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t, x) -> li
     single-seed call there, with its own exact tally.  ``t`` is a number or
     has shape ``(S,)`` and ``x`` has shape ``(d,)`` or ``(S, d)``, for
     ``S = len(seeds)``; a number or a ``(d,)`` point is every seed's root.
-    The seeds are evaluated as forests over the cached tree plan of
-    ``(params.n, params.M)``, in blocks of bounded size (:func:`seed_blocks`).
+    The seeds are evaluated as forests, one ``simulate_batch`` call per
+    recursion depth, in blocks of bounded size (:func:`seed_blocks`).
     """
     seeds = list(seeds)
     t, x = check_query(problem, t, x, rows=len(seeds))
@@ -149,11 +148,10 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t, x) -> li
     seeds = [int(seed) for seed in seeds]
     if params.n <= 0:
         return [Estimate(value=0.0) for _ in seeds]
-    waves = _tree_plan(int(params.n), int(params.M))
     results = []
     for block in seed_blocks(params, seeds):
         roots = slice(len(results), len(results) + len(block))
-        results += _forest(problem, params.resolved_steps, waves, block, theta, t[roots], x[roots])
+        results += _forest(problem, params, block, theta, t[roots], x[roots])
     return results
 
 
@@ -164,188 +162,112 @@ def seed_blocks(params: MlpParams, seeds) -> list:
     seeds = list(seeds)
     if params.n <= 0:
         return [seeds] if seeds else []
-    paths = sum(len(wave.path_node) for wave in _tree_plan(int(params.n), int(params.M)))
-    size = max(1, _BLOCK_PATHS // paths)
+    # one per terminal path and one per level sample of the full tree
+    paths = cost_recursion_bound(int(params.n), int(params.M), 1, 1, (0, 0, 1, 0.5))
+    size = max(1, int(_BLOCK_PATHS // paths))
     return [seeds[lo: lo + size] for lo in range(0, len(seeds), size)]
 
 
-@dataclass(frozen=True)
-class _Group:
-    """The nodes of one depth ``k`` within one wave, as index arrays.
-
-    ``nodes`` (G,) are node rows of the wave, ``terminal`` (G, M^k) their
-    terminal path rows, and ``levels[l]`` per level ``l`` a triple: the path
-    rows (G, c), the minuend child node rows of the next wave (``None`` at
-    level 0, whose minuends are depth 0) and the subtrahend child node rows
-    (``None`` at levels 0 and 1).
-    """
-
-    nodes: np.ndarray
-    terminal: np.ndarray
-    levels: tuple
-
-
-@dataclass(frozen=True)
-class _Wave:
-    """The nodes and paths of one recursion depth of the full tree.
-
-    A node starts from path row ``node_parent`` of the previous wave (wave 0
-    has the root alone, with a pseudo-row 0 that holds each seed's root
-    ``(t, x)``).  Per path: its node, the tally columns ``(uniforms, g_evals,
-    f_evals)`` it adds when it is simulated (``work``: ``(0, 1, 0)`` for a
-    terminal path, ``(1, 0, 1)`` for a level-0 and ``(1, 0, 2)`` for a deeper
-    level path, so column 0 marks the level paths), and its label suffix below
-    the root label, packed as stream labels are, in row ``suffix``.
-    """
-
-    node_parent: np.ndarray
-    path_node: np.ndarray
-    path_parent: np.ndarray
-    work: np.ndarray
-    suffix: np.ndarray
-    groups: tuple
-
-
-@functools.lru_cache(maxsize=8)
-def _tree_plan(n: int, M: int) -> tuple:
-    """The waves of the full depth-``n`` tree with base ``M``, as read-only arrays."""
-    waves = []
-    nodes = [((), n, 0)]  # (label suffix, depth, parent path row)
-    while nodes:
-        paths, children, groups = [], [], {}  # paths: (label suffix, node, work)
-        for j, (label, k, _) in enumerate(nodes):
-            members, terminal, levels = groups.setdefault(
-                k, ([], [], [([], [], []) for _ in range(k)]))
-            members.append(j)
-            terminal.append(range(len(paths), len(paths) + M**k))
-            paths += [(label + (0, -i), j, (0, 1, 0)) for i in range(1, M**k + 1)]
-            for level, (rows, minuends, subtrahends) in enumerate(levels):
-                first, count = len(paths), M ** (k - level)
-                rows.append(range(first, first + count))
-                paths += [(label + (level, i), j, (1, 0, 1 + (level > 0)))
-                          for i in range(1, count + 1)]
-                # sample i's sub-estimates start from its path, row first + i - 1
-                if level > 0:
-                    minuends.append(range(len(children), len(children) + count))
-                    children += [(label + (level, i), level, first + i - 1)
-                                 for i in range(1, count + 1)]
-                if level > 1:
-                    subtrahends.append(range(len(children), len(children) + count))
-                    children += [(label + (-level, i), level - 1, first + i - 1)
-                                 for i in range(1, count + 1)]
-        labels, path_node, work = zip(*paths)
-        node_parent = _frozen([parent for _, _, parent in nodes])
-        path_node = _frozen(path_node)
-        waves.append(_Wave(
-            node_parent=node_parent,
-            path_node=path_node,
-            path_parent=_frozen(node_parent[path_node]),
-            work=_frozen(work),
-            suffix=_frozen(np.array(labels, dtype="<i8").view(np.uint8), np.uint8),
-            groups=tuple(
-                _Group(_frozen(members), _frozen(terminal),
-                       tuple((_frozen(rows), _frozen(mins) if mins else None,
-                              _frozen(subs) if subs else None)
-                             for rows, mins, subs in levels))
-                for members, terminal, levels in groups.values()),
-        ))
-        nodes = children
-    return tuple(waves)
-
-
-def _frozen(values, dtype=np.int64) -> np.ndarray:
-    """A read-only array: cached plans are shared by every caller."""
-    array = np.array(values, dtype=dtype)
-    array.flags.writeable = False
-    return array
-
-
-def _forest(problem, N, waves, seeds, theta, t, x) -> list:
-    """Evaluate the tree of ``seeds[i]`` at its root ``(t[i], x[i])`` with ``N``
-    grid steps, one batch per wave."""
-    S, d, T = len(seeds), problem.d, problem.T
+def _forest(problem, params, seeds, theta, t, x) -> list:
+    """Evaluate the tree of ``seeds[i]`` at its root ``(t[i], x[i])``, one batch
+    per recursion depth."""
+    S, d, T, n, M = len(seeds), problem.d, problem.T, int(params.n), int(params.M)
     work = np.zeros((S, 3), dtype=np.int64)  # uniforms, g_evals, f_evals
     steps = np.zeros(S, dtype=np.int64)
-    # the previous wave's simulated paths and their end times and states
-    sim, ends, states = np.ones((S, 1), bool), t[:, None], x[:, None]
-    done = []
-    for wave in waves:
-        exists = sim[:, wave.node_parent]
-        node_t = ends[:, wave.node_parent]
-        live = exists & (node_t < T)
-        is_level = wave.work[:, 0] == 1
-        sim = np.where(is_level, live[:, wave.path_node], exists[:, wave.path_node])
-        rows, paths = np.nonzero(sim)
-        starts = np.searchsorted(rows, np.arange(S + 1))
-        width = wave.suffix.shape[1]
-        keys = np.concatenate([
-            keys_at(seed, theta, wave.suffix[paths[lo:hi]].tobytes(), width)
-            for seed, lo, hi in zip(seeds, starts, starts[1:])])
-        block0 = first_blocks(keys)
-        level = is_level[paths]
-        r = block0[level, 0]  # terminal paths never read theirs
-        t0 = ends[rows, wave.path_parent[paths]]
-        path_ends = np.full(len(paths), T)
-        path_ends[level] = np.minimum(t0[level] + (T - t0[level]) * r, T)
-        path_states, counts = simulate_batch(
-            problem, N, keys, t0, states[rows, wave.path_parent[paths]], path_ends, block0)
-        ends = np.zeros(sim.shape)
-        ends[rows, paths] = path_ends
-        states = np.zeros(sim.shape + (d,))
-        states[rows, paths] = path_states
-        np.add.at(steps, rows, counts)
-        work += sim @ wave.work
-        done.append((exists, live, node_t, ends, states))
+    # per depth, the pending sub-estimates as chunks (label states, seed rows, t, x)
+    pending = [[] for _ in range(n + 1)]
+    filled = [0] * (n + 1)
 
-    values = None
-    for wave, (exists, live, node_t, ends, states) in reversed(list(zip(waves, done))):
-        child_values, values = values, np.zeros(exists.shape)
-        for group in wave.groups:
-            _reduce_group(problem, group, exists, live, node_t, ends, states, child_values,
-                          values)
+    def defer(depth, *chunk) -> int:
+        """Queue a chunk of depth-``depth`` sub-estimates; returns the row of its first."""
+        pending[depth].append(chunk)
+        filled[depth] += len(chunk[1])
+        return filled[depth] - len(chunk[1])
+
+    defer(n, [label_state(seed, theta) for seed in seeds], np.arange(S), t, x)
+    done = [None] * (n + 1)
+    for k in range(n, 0, -1):
+        if not pending[k]:
+            continue
+        states = [state for chunk in pending[k] for state in chunk[0]]
+        rows, t0, x0 = (np.concatenate([chunk[i] for chunk in pending[k]]) for i in (1, 2, 3))
+        pending[k] = None
+        live = np.flatnonzero(t0 < T)
+        live_states = [states[j] for j in live]
+        # the paths: M^k terminal ones per sub-estimate, then per level l the
+        # M^(k-l) samples of each live one, each set sub-estimate by sub-estimate;
+        # a level-l sample's label is its minuend's
+        counts = [M ** (k - level) for level in range(k)]
+        minuend_states = [list(extended(live_states, _pairs(level, count), 16))
+                          for level, count in enumerate(counts) if level > 0]
+        keys = np.concatenate([keys_of(extended(states, _pairs(0, -M**k), 16)),
+                               keys_of(extended(live_states, _pairs(0, counts[0]), 16))]
+                              + [keys_of(chunk) for chunk in minuend_states])
+        node = np.concatenate([np.repeat(np.arange(len(rows)), M**k)]
+                              + [np.repeat(live, count) for count in counts])
+        block0 = first_blocks(keys)
+        lo = len(rows) * M**k  # the first level path
+        r = block0[lo:, 0]  # terminal paths never read theirs
+        path_t = t0[node]
+        ends = np.full(len(node), T)
+        ends[lo:] = np.minimum(path_t[lo:] + (T - path_t[lo:]) * r, T)
+        path_x, path_steps = simulate_batch(problem, params.resolved_steps, keys, path_t,
+                                            x0[node], ends, block0)
+        np.add.at(steps, rows[node], path_steps)
+        # a level-0 sample evaluates f once, a deeper one twice
+        np.add.at(work, rows, (0, M**k, 0))
+        np.add.at(work, rows[live], (sum(counts), 0, 2 * sum(counts) - counts[0]))
+        g = problem.terminal(path_x[:lo]).reshape(len(rows), M**k)
+        levels = []
+        for level, count in enumerate(counts):
+            at = slice(lo, lo + len(live) * count)
+            lo = at.stop
+            children = np.repeat(rows[live], count), ends[at], path_x[at]
+            minuend = defer(level, minuend_states[level - 1], *children) if level > 0 else None
+            subtrahend = None
+            if level > 1:
+                subtrahend_states = list(extended(live_states, _pairs(-level, count), 16))
+                subtrahend = defer(level - 1, subtrahend_states, *children)
+            levels.append((ends[at], path_x[at], minuend, subtrahend))
+        done[k] = (_row_sums(g) / g.shape[1], t0, live, levels)
+
+    values = [None] * (n + 1)  # per depth, its sub-estimates in pending order
+    for k in range(1, n + 1):
+        if done[k] is None:
+            continue
+        value, t0, live, levels = done[k]
+        if len(live):
+            t_live, value_live = t0[live], value[live]
+            for level, (times, xs, minuend, subtrahend) in enumerate(levels):
+                correction = problem.nonlinearity(
+                    times, xs, _child_values(values[level], minuend, times))
+                if level > 0:
+                    correction = correction - problem.nonlinearity(
+                        times, xs, _child_values(values[level - 1], subtrahend, times))
+                count = M ** (k - level)
+                value_live += (T - t_live) * _row_sums(correction.reshape(-1, count)) / count
+            value[live] = value_live
+        values[k] = value
     return [
         Estimate(value=value, cost=CostTally(uniforms=u, gaussians=d * n_steps,
                                              euler_steps=n_steps, g_evals=g, f_evals=f))
-        for value, (u, g, f), n_steps in zip(values[:, 0].tolist(), work.tolist(), steps.tolist())
+        for value, (u, g, f), n_steps in zip(values[n].tolist(), work.tolist(), steps.tolist())
     ]
 
 
-def _reduce_group(problem, group, exists, live, node_t, ends, states, child_values,
-                  values) -> None:
-    """Set ``values`` of the group's nodes: ``(seed, node)`` rows reduced together,
-    each in the fixed per-node order of the depth-first recursion."""
-    T, d = problem.T, problem.d
-    seeds, members = np.nonzero(exists[:, group.nodes])
-    if not len(seeds):
-        return
-    nodes = group.nodes[members]
-    terminal = states[seeds[:, None], group.terminal[members]]
-    g = problem.terminal(terminal.reshape(-1, d)).reshape(terminal.shape[:2])
-    value = _row_sums(g) / g.shape[1]
-    values[seeds, nodes] = value
-    on = live[seeds, nodes]
-    if not on.any():
-        return
-    seeds, members, nodes = seeds[on], members[on], nodes[on]
-    t = node_t[seeds, nodes]
-    value = value[on]
-    for level, (rows, minuends, subtrahends) in enumerate(group.levels):
-        at = seeds[:, None], rows[members]
-        times, xs = ends[at].ravel(), states[at].reshape(-1, d)
-        correction = problem.nonlinearity(
-            times, xs, _child_values(child_values, seeds, minuends, members, times))
-        if level > 0:
-            correction = correction - problem.nonlinearity(
-                times, xs, _child_values(child_values, seeds, subtrahends, members, times))
-        value += (T - t) * _row_sums(correction.reshape(rows[members].shape)) / rows.shape[1]
-    values[seeds, nodes] = value
+def _pairs(first: int, count: int) -> bytes:
+    """The packed label pairs ``(first, i)`` for ``i = 1..count``, or
+    ``(first, -i)`` for a negative ``count``."""
+    seconds = np.arange(1, abs(count) + 1) * (1 if count > 0 else -1)
+    return np.column_stack((np.full(len(seconds), first), seconds)).astype("<i8").tobytes()
 
 
-def _child_values(child_values, seeds, children, members, like) -> np.ndarray:
-    """Flat values of one level's child nodes; ``None`` stands for depth-0 children."""
-    if children is None:
+def _child_values(values, at, like) -> np.ndarray:
+    """The values of one level's children, from row ``at`` of their depth's
+    values on; ``None`` stands for depth-0 children."""
+    if at is None:
         return np.zeros_like(like)
-    return child_values[seeds[:, None], children[members]].ravel()
+    return values[at: at + len(like)]
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:

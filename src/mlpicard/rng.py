@@ -11,7 +11,11 @@ Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
 * key derivation: BLAKE2b-256 keyed with the root seed (an ``int`` or
   ``np.integer`` modulo 2**64, 8 bytes, little endian) over the label
   elements packed as signed 64-bit little-endian words; the first 128 bits
-  of the digest key a Philox-4x64 counter-based generator.
+  of the digest key a Philox-4x64 counter-based generator.  BLAKE2b is
+  incremental, so a label's state (:func:`label_state`) extends to longer
+  labels with one ``copy`` and ``update`` per suffix (:func:`extended`), the
+  one loop that derives keys (:func:`keys_of`), for a batch of streams and
+  for the estimator's recursion tree alike.
 * uniforms: ``(raw >> 11) * 2**-53`` from 64-bit Philox words, in [0, 1).
 * Gaussians: inverse normal CDF (``scipy.special.ndtri``) applied to
   ``((raw >> 11) + 0.5) * 2**-53``, which lies in (0, 1).
@@ -97,7 +101,10 @@ def _packed(label) -> bytes:
         raise OverflowError(f"stream label elements must fit in 64 bits: {exc}") from None
 
 
-def _hasher(root_seed: int, theta: tuple):
+def label_state(root_seed: int, theta: tuple):
+    """The BLAKE2b state of the label ``theta`` under ``root_seed``: keyed with
+    the seed, fed the packed label.  Extending it (:func:`extended`) and taking
+    its digest (:func:`keys_of`) gives the keys of longer labels."""
     if isinstance(root_seed, bool) or not isinstance(root_seed, (int, np.integer)):
         raise TypeError(f"root seed must be an integer, got {root_seed!r}")
     seed_bytes = (int(root_seed) % 2**64).to_bytes(8, "little")
@@ -273,11 +280,22 @@ def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.nd
     elements packed as signed 64-bit little-endian words.
     Hashes the root seed and ``parent`` once for the whole batch.
     """
-    h = _hasher(root_seed, parent)
-    digests = []
-    for lo in range(0, len(suffixes), width):
-        h_child = h.copy()
-        h_child.update(suffixes[lo: lo + width])
-        digests.append(h_child.digest())
-    # a key is the first 16 digest bytes, little endian
-    return np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 4)[:, :2]
+    return keys_of(extended([label_state(root_seed, parent)], suffixes, width))
+
+
+def extended(parents, suffixes: bytes, width: int):
+    """The label states of each state of ``parents`` extended by each
+    ``width``-byte packed suffix of ``suffixes``, parent by parent, as an
+    iterator: one ``copy`` and ``update`` each, the one way a label grows."""
+    for parent in parents:
+        for lo in range(0, len(suffixes), width):
+            state = parent.copy()
+            state.update(suffixes[lo: lo + width])
+            yield state
+
+
+def keys_of(states) -> np.ndarray:
+    """The Philox keys of label states, as ``(P, 2)`` uint64 words, low word
+    first: a key is the first 16 bytes of its state's digest, little endian."""
+    digests = b"".join([state.digest() for state in states])
+    return np.frombuffer(digests, dtype="<u8").reshape(-1, 4)[:, :2]

@@ -96,7 +96,7 @@ def update_times_reference(t, s, steps, T):
 
 def recursive_node(problem, N, M, seed, theta, n, t, x, tally):
     """Depth-first evaluation of one estimator node, one ``simulate_batch``
-    call per path set; reference for the level-synchronous evaluation."""
+    call per path set; reference for the forest's one batch per recursion depth."""
     if n <= 0:
         return 0.0
     d, T = problem.d, problem.T

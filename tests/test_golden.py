@@ -90,3 +90,13 @@ def test_shipped_baseline_rep0_recomputes():
     params = MlpParams(n=5, M=5, euler_steps=512, root_seed=777)
     result = estimate(prob, params, (0,), 0.0, np.zeros(1))
     assert format(result.value, ".17g") == "3.3671698897795719"
+
+
+def test_depth_five_sine_pin():
+    """The sine estimate at (n, M, N) = (5, 5, 25), root seed 0 and (t, x) =
+    (0, 0): a deep tree whose sub-estimates of one depth start from many
+    different points, value bits and tally."""
+    prob = instantiate("nonlinear-coeff-sine", d=1)
+    result = estimate(prob, MlpParams(5, 5, 25, root_seed=0), (0,), 0.0, [0.0])
+    assert result.value == float.fromhex("0x1.b34aa4ee5f418p+1")
+    assert dataclasses.asdict(result.cost) == _tally(63_705, 776_910, 776_910, 57_625, 69_785)

@@ -185,8 +185,8 @@ WAVE_CASES = [
 
 
 class TestWaveMatchesRecursion:
-    """The level-synchronous evaluation against the depth-first recursion in
-    helpers, which makes one ``simulate_batch`` call per path set."""
+    """The forest, one batch per recursion depth, against the depth-first
+    recursion in helpers, which makes one ``simulate_batch`` call per path set."""
 
     @pytest.mark.parametrize("chunk_scalars", [None, 200])
     @pytest.mark.parametrize("name,overrides,n,M,N,t,x", WAVE_CASES)
@@ -601,10 +601,24 @@ def generated(monkeypatch):
     return read
 
 
+@pytest.fixture
+def batch_widths(monkeypatch):
+    """The path count of every ``simulate_batch`` call the estimator made while the
+    test ran, one width per call, in order."""
+    widths = []
+
+    def recorded(problem, steps, keys, *args):
+        widths.append(len(keys))
+        return euler.simulate_batch(problem, steps, keys, *args)
+
+    monkeypatch.setattr(mlp, "simulate_batch", recorded)
+    return widths
+
+
 class TestEachBlockOnce:
     """Within an estimate or a seed block, no ``(key, block)`` pair of Philox
-    is computed twice: block 0 once per wave, every later block once by the
-    draws."""
+    is computed twice: block 0 once per depth batch, every later block once by
+    the draws."""
 
     @pytest.mark.parametrize("name, overrides, n, M, N, x, seeds, wide", [
         ("linear-reaction", {}, 2, 2, 8, 0.3, [5], False),
@@ -612,14 +626,53 @@ class TestEachBlockOnce:
         ("scaled-bs", {"d": 8}, 2, 8, 64, 1.0, [0], True),
         ("heat-quadratic", {}, 3, 3, 27, 0.0, range(1000, 1064), True),
     ], ids=["narrow", "sine-d1", "bs-d8", "heat-seed-block"])
-    def test_no_block_is_computed_twice(self, generated, name, overrides, n, M, N, x, seeds,
-                                        wide):
+    def test_no_block_is_computed_twice(self, generated, batch_widths, name, overrides, n, M,
+                                        N, x, seeds, wide):
         prob = instantiate(name, **overrides)
         params = MlpParams(n=n, M=M, euler_steps=N)
-        # waves of fewer than _KERNEL_MIN_STREAMS streams read natively only
-        widest = max(len(wave.path_node) for wave in mlp._tree_plan(n, M)) * len(seeds)
-        assert (widest >= rng._KERNEL_MIN_STREAMS) == wide
         assert len(seed_blocks(params, seeds)) == 1
         estimate_many(prob, params, seeds, (0,), 0.0, np.full(prob.d, x))
         pairs = generated()
         assert pairs and len(set(pairs)) == len(pairs)
+        # depth batches of fewer than _KERNEL_MIN_STREAMS streams read natively only
+        assert (max(batch_widths) >= rng._KERNEL_MIN_STREAMS) == wide
+
+
+def _tree_paths(n: int, M: int) -> int:
+    """Terminal paths plus level samples of the full depth-``n`` tree, counted
+    node by node."""
+    if n <= 0:
+        return 0
+    return M**n + sum(M ** (n - level) * (1 + _tree_paths(level, M) + _tree_paths(level - 1, M))
+                      for level in range(n))
+
+
+class TestOneBatchPerDepth:
+    """The forest's shape: one ``simulate_batch`` call per recursion depth and
+    seed block, and blocks sized by the tree's path count."""
+
+    @pytest.mark.parametrize("n,M,t", [(1, 3, 0.0), (3, 2, 0.0), (4, 2, 0.5), (3, 3, 1.0)])
+    def test_at_most_n_calls_per_seed_block(self, monkeypatch, batch_widths, n, M, t):
+        prob = instantiate("linear-reaction", d=1)
+        params = MlpParams(n=n, M=M, euler_steps=4)
+        seeds = list(range(7))
+        monkeypatch.setattr(mlp, "_BLOCK_PATHS", 3 * _tree_paths(n, M))
+        blocks = seed_blocks(params, seeds)
+        assert [len(block) for block in blocks] == [3, 3, 1]
+        got = estimate_many(prob, params, seeds, (0,), t, np.zeros(1))
+        assert 0 < len(batch_widths) <= n * len(blocks)
+        # at t = 0 no sub-estimate of these seeds lands at T, so every path of
+        # the tree is simulated
+        if t == 0.0:
+            assert sum(batch_widths) == len(seeds) * _tree_paths(n, M)
+            assert [est.cost.uniforms + est.cost.g_evals for est in got] == [
+                _tree_paths(n, M)] * len(seeds)
+
+    def test_block_size_from_the_closed_form_path_count(self, monkeypatch):
+        # blocks of two seeds at twice the path count and of one just below,
+        # so the count seed_blocks uses is exactly the reference's
+        for n, M in itertools.product(range(1, 6), range(1, 6)):
+            paths = _tree_paths(n, M)
+            for block_paths, size in [(2 * paths, 2), (2 * paths - 1, 1)]:
+                monkeypatch.setattr(mlp, "_BLOCK_PATHS", block_paths)
+                assert max(map(len, seed_blocks(MlpParams(n=n, M=M), range(5)))) == size, (n, M)

@@ -11,7 +11,15 @@ from scipy import stats
 from scipy.special import ndtri
 
 from mlpicard import rng
-from mlpicard.rng import first_blocks, keys_at, philox_blocks, stream_for
+from mlpicard.rng import (
+    extended,
+    first_blocks,
+    keys_at,
+    keys_of,
+    label_state,
+    philox_blocks,
+    stream_for,
+)
 
 from helpers import draw_gaussians, draw_uniform, fill_gaussians, raw_uniform_sequence
 
@@ -81,6 +89,18 @@ def test_batch_keys_equal_single_keys():
     for parent in [(0,), (4, -1, 2), ()]:
         batch = keys_at(9, parent, np.array(pairs, dtype="<i8").tobytes(), 16)
         assert batch.tolist() == [stream_for(9, parent + tuple(p))[0].tolist() for p in pairs]
+
+
+def test_extended_states_key_longer_labels():
+    # a label grown pair by pair, as the estimator grows its sub-estimates'
+    # labels, keys the stream of the whole label; many parents go parent by parent
+    pairs = np.array([(2, 3), (-1, 4)], dtype="<i8").tobytes()
+    children = list(extended([label_state(6, (0,))], pairs, 16))
+    grandchildren = keys_of(extended(children, pairs[:16], 16))
+    assert grandchildren.tolist() == [stream_for(6, (0, 2, 3, 2, 3))[0].tolist(),
+                                      stream_for(6, (0, -1, 4, 2, 3))[0].tolist()]
+    assert keys_of(children).tolist() == keys_at(6, (0,), pairs, 16).tolist()
+    assert keys_of([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("bad", [-1, -5])

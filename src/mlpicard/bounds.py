@@ -10,11 +10,15 @@ One rule covers the float range: where an evaluator's arithmetic leaves it,
 the bound is ``math.inf``.  :func:`inf_past_float_range` turns the
 ``OverflowError`` of ``math.exp``, a float power or an int-to-float
 conversion into ``math.inf``; an overflowing product is ``inf`` already.
+One rule covers NaN: :func:`_rejects_nan` raises ``ValueError`` naming the
+first argument that is or holds a NaN, as :class:`BoundParams` names a
+non-finite parameter.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -30,6 +34,21 @@ def inf_past_float_range(evaluate):
         except OverflowError:
             return math.inf
     return bounded
+
+
+def _rejects_nan(evaluate):
+    """Decorator: ``evaluate`` raises ``ValueError`` for an argument that is,
+    or holds, a NaN."""
+    signature = inspect.signature(evaluate)
+
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs):
+        for name, value in signature.bind(*args, **kwargs).arguments.items():
+            values = np.asarray(value)
+            if values.dtype.kind in "fc" and np.isnan(values).any():
+                raise ValueError(f"bound parameter {name} must not be NaN, got {value!r}")
+        return evaluate(*args, **kwargs)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -60,6 +79,7 @@ class BoundParams:
             raise ValueError("bound parameters require T > 0 and phi_x >= 1")
 
 
+@_rejects_nan
 @inf_past_float_range
 def error_bound(n: int, M: int, bp: BoundParams) -> float:
     """A priori bound on the RMS error of the depth-``n``, base-``M`` estimator.
@@ -77,6 +97,7 @@ def error_bound(n: int, M: int, bp: BoundParams) -> float:
     return decay * prefactor
 
 
+@_rejects_nan
 @inf_past_float_range
 def total_cost_bound(n: int, weight_mu_sigma: float, weight_g: float, weight_f: float) -> float:
     """Bound on the summed cost of the depth-1 through depth-(n+1) estimators.
@@ -91,6 +112,7 @@ def total_cost_bound(n: int, weight_mu_sigma: float, weight_g: float, weight_f: 
     return 12.0 * (3.0 * weight_mu_sigma + weight_g + 2.0 * weight_f) * 36.0**n * float(n) ** (2 * n)
 
 
+@_rejects_nan
 def gronwall_discrete(alphas, beta: float) -> np.ndarray:
     """Explicit solution of the discrete Gronwall recursion.
 
@@ -117,6 +139,7 @@ def _gronwall_entry(alphas: list, beta: float, n: int) -> float:
     return alphas[n] + beta * acc
 
 
+@_rejects_nan
 @inf_past_float_range
 def gronwall_mlp(a: float, b: float, T: float, tau: float, p: float, M: int, N: int,
                  sup_f0: float) -> float:
@@ -136,6 +159,7 @@ def gronwall_mlp(a: float, b: float, T: float, tau: float, p: float, M: int, N: 
             * (1.0 + b * horizon) ** (N - 1))
 
 
+@_rejects_nan
 @inf_past_float_range
 def perturbation_bound(L: float, rho: float, p: float, q: float, eta: float, T: float,
                        t: float, phi_x: float, psi_tx: float, delta: float) -> float:
@@ -153,6 +177,7 @@ def perturbation_bound(L: float, rho: float, p: float, q: float, eta: float, T: 
     return 4.0 * (1.0 + L * T) * T**-0.5 * growth * phi_x ** (1.0 / p) * psi_tx ** (1.0 / q) * delta
 
 
+@_rejects_nan
 @inf_past_float_range
 def lyapunov_bound(c: float, t: float, s: float, phi_x: float) -> float:
     """Bound ``exp(2 c^3 (s-t)) phi(x)`` on ``E[phi(Y_{t,s})]``, coefficient constant ``c``."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import lyapunov_bound, lyapunov_phi_batch
-from .problems import _CHUNK_SCALARS, Problem, check_query, is_integer
+from .problems import _CHUNK_SCALARS, C, Problem, check_query, is_integer
 from .rng import draw_uniforms, first_blocks, keys_at, uniforms_to_gaussians
 
 # Step slots (rows * W) in one block of the map pass: 2^15, so a block's mask
@@ -244,5 +244,5 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())
     se = float(phis.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    bound = lyapunov_bound(problem.coeff_lip, t, s, problem.phi(x))
+    bound = lyapunov_bound(C, t, s, problem.phi(x))
     return LyapunovCheck(empirical_mean=mean, bound=bound, std_error=se)

@@ -257,6 +257,27 @@ class TestFloatRange:
         assert lyapunov_bound(4.0, 0.5, 5.5, 2.0) == math.exp(2.0 * 4.0**3 * 5.0) * 2.0
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("evaluate,name", [
+    (lambda: gronwall_discrete([NAN], 1.0), "alphas"),
+    (lambda: gronwall_discrete([1.0, NAN], 1.0), "alphas"),
+    (lambda: gronwall_discrete([1.0], NAN), "beta"),
+    (lambda: gronwall_mlp(NAN, 1, 1.0, 0.0, 2.0, 2, 2, 1.0), "a"),
+    (lambda: total_cost_bound(1, NAN, 1, 1), "weight_mu_sigma"),
+    (lambda: perturbation_bound(NAN, 1, 2, 2, 1, 1.0, 0.0, 1, 1, 1), "L"),
+    (lambda: lyapunov_bound(NAN, 0.0, 0.5, 2.0), "c"),
+    (lambda: error_bound(NAN, 1, _bp()), "n"),
+], ids=["gronwall_discrete-alphas", "gronwall_discrete-alpha-1", "gronwall_discrete-beta",
+        "gronwall_mlp", "total_cost_bound", "perturbation_bound", "lyapunov_bound",
+        "error_bound"])
+def test_nan_argument_rejected(evaluate, name):
+    # these returned NaN; the message names the argument as BoundParams does
+    with pytest.raises(ValueError, match=f"^bound parameter {name} must not be NaN, got "):
+        evaluate()
+
+
 class TestLyapunovPhi:
     def test_point_values(self):
         assert lyapunov_phi(np.zeros(3), 0.0) == 0.0

@@ -13,7 +13,7 @@ import pytest
 from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
 from mlpicard.euler import DomainError, _plan, _step_sizes, lyapunov_check, simulate_batch
-from mlpicard.problems import Problem, instantiate
+from mlpicard.problems import C, Problem, instantiate
 from mlpicard.rng import keys_at, stream_for
 
 from helpers import draw_gaussians, fill_gaussians, update_times, update_times_reference
@@ -177,8 +177,7 @@ class TestSimulate:
             diffusion=lambda x, dw: sig0 * dw,
             terminal=lambda x: np.sum(x, axis=-1),
             nonlinearity=lambda t, x, v: np.zeros_like(v),
-            lip_f=0.0, coeff_lip=4.0, growth_b=2.0, growth_beta=1.0,
-            growth_p=2.0, lyapunov_a=1.0,
+            growth_b=2.0, lyapunov_a=1.0,
         )
         t, s = 0.15, 0.85
         x = np.array([0.5, -0.25])
@@ -504,7 +503,7 @@ class TestLyapunovCheck:
         phis = lyapunov_phi_batch(states, prob.lyapunov_a)
         assert res.empirical_mean == float(phis.mean())
         assert res.std_error == float(phis.std(ddof=1) / math.sqrt(paths))
-        assert res.bound == math.exp(2.0 * prob.coeff_lip**3 * (0.9 - 0.1)) * prob.phi(x)
+        assert res.bound == math.exp(2.0 * C**3 * (0.9 - 0.1)) * prob.phi(x)
 
     @pytest.mark.parametrize("s", [5.5, 5.54, 5.55, 6.0])
     def test_bound_is_inf_past_the_float_range(self, s, recwarn):
@@ -512,7 +511,7 @@ class TestLyapunovCheck:
         # it used to raise OverflowError there, after simulating the paths
         prob = instantiate("heat-quadratic", T=6.0)
         res = lyapunov_check(prob, 4, 0.0, [0.0], s, 4, 0)
-        rate = 2.0 * prob.coeff_lip**3 * s
+        rate = 2.0 * C**3 * s
         assert res.bound == (math.exp(rate) * prob.phi([0.0]) if rate < 709.78 else math.inf)
         assert math.isfinite(res.empirical_mean)
         assert not recwarn.list

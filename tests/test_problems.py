@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from mlpicard.problems import (
+    BETA,
     CATALOGUE,
     PARAMETERS,
+    C,
+    P,
     Problem,
     ProblemError,
     instantiate,
@@ -22,7 +25,6 @@ from helpers import rotated_sine
 
 def test_heat_quadratic_has_no_reaction_term():
     prob = instantiate("heat-quadratic", d=1, T=1.0)
-    assert prob.lip_f == 0.0
     t = np.zeros(4)
     x = np.ones((4, 1))
     v = np.linspace(-2, 2, 4)
@@ -107,8 +109,7 @@ def test_problem_rejects_non_integer_dimension(d):
         dataclasses.replace(instantiate("heat-quadratic"), d=d)
 
 
-@pytest.mark.parametrize("name", ["T", "lip_f", "coeff_lip", "growth_b", "growth_beta",
-                                  "growth_p", "lyapunov_a"])
+@pytest.mark.parametrize("name", ["T", "growth_b", "lyapunov_a"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_constant_rejected(name, value):
     with pytest.raises(ProblemError, match=f"finite {name}"):
@@ -146,6 +147,33 @@ def test_override_variants_pass_hypothesis_checks(name, overrides):
     assert report.passed, report.violations[:3]
 
 
+@pytest.mark.parametrize("name,overrides", [
+    ("scaled-bs", {"mu_bar": 4.0, "sigma_bar": -4.0, "lip_f": 4.0}),
+    ("nonlinear-coeff-sine", {"d": 3, "kappa": -2.0, "lip_f": 4.0}),
+])
+def test_builder_guard_edge_passes_hypothesis_checks(name, overrides):
+    # the builders cap their Lipschitz constants at C; the cap itself is admissible
+    report = validate(instantiate(name, **overrides), samples=10_000, seed=20240)
+    assert report.passed, report.violations[:3]
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("scaled-bs", {"sigma_bar": 4.01}),
+    ("scaled-bs", {"lip_f": 4.01}),
+    ("nonlinear-coeff-sine", {"lip_f": 4.01}),
+    ("nonlinear-coeff-sine", {"lip_f": -0.5}),
+])
+def test_builder_guard_rejects_past_the_edge(name, overrides):
+    with pytest.raises(ProblemError, match=f"^{name} requires"):
+        instantiate(name, **overrides)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "10", None])
+def test_validate_rejects_non_integer_samples(samples):
+    with pytest.raises(TypeError, match="^" + re.escape(f"samples must be an integer, got {samples!r}")):
+        validate(instantiate("heat-quadratic"), samples, 0)
+
+
 def test_rotated_sigma_passes_hypothesis_checks():
     # sigma(x) = Q diag(1 + kappa cos(Q^T x)) Q^T, neither diagonal nor affine
     report = validate(rotated_sine(10)[0], samples=10_000, seed=20240)
@@ -179,7 +207,7 @@ def test_benchmark_tracer_wraps_problem_fields():
 
 def test_broken_constant_is_reported_not_raised():
     prob = instantiate("nonlinear-coeff-sine", kappa=0.5)
-    broken = dataclasses.replace(prob, coeff_lip=1.0)  # too small for phi terms
+    broken = dataclasses.replace(prob, growth_b=1.0)  # too small for the growth of g
     report = validate(broken, samples=2000, seed=7)
     assert not report.passed
     first = report.violations[0]
@@ -200,7 +228,8 @@ def test_phi_and_bound_params():
     assert prob.phi(np.zeros(2)) == 2.0
     bp = prob.bound_params(np.array([1.0, 1.0]))
     assert bp.phi_x == pytest.approx(2.0 + 4.0)
-    assert bp.c == prob.coeff_lip and bp.T == prob.T
+    assert bp.c == C and bp.T == prob.T
+    assert (bp.beta, bp.p) == (BETA, P)
 
 
 def test_growth_constant_scales_with_dimension():

@@ -12,6 +12,7 @@ streams with forward paths discretized on a uniform grid.
 
 from .bounds import (
     BoundParams,
+    cost_recursion_bound,
     error_bound,
     gronwall_discrete,
     gronwall_mlp,
@@ -25,12 +26,11 @@ from .mlp import (
     CostTally,
     Estimate,
     MlpParams,
-    cost_recursion_bound,
     estimate,
     estimate_many,
 )
 from .problems import CATALOGUE, Problem, instantiate, validate
-from .rng import RNG_ALGORITHM, stream_for
+from .rng import RNG_ALGORITHM
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "lyapunov_check",
     "lyapunov_phi",
     "perturbation_bound",
-    "stream_for",
     "total_cost_bound",
     "validate",
 ]

@@ -36,17 +36,26 @@ def inf_past_float_range(evaluate):
     return bounded
 
 
+def _holds_nan(value) -> bool:
+    """Whether ``value`` is, or holds, a NaN."""
+    if isinstance(value, (int, float)):
+        return value != value
+    values = np.asarray(value)
+    return values.dtype.kind in "fc" and bool(np.isnan(values).any())
+
+
 def _rejects_nan(evaluate):
     """Decorator: ``evaluate`` raises ``ValueError`` for an argument that is,
-    or holds, a NaN."""
+    or holds, a NaN.  The arguments are bound to their names only once a NaN
+    is found, which keeps the check cheap on the calls that pass it."""
     signature = inspect.signature(evaluate)
 
     @functools.wraps(evaluate)
     def checked(*args, **kwargs):
-        for name, value in signature.bind(*args, **kwargs).arguments.items():
-            values = np.asarray(value)
-            if values.dtype.kind in "fc" and np.isnan(values).any():
-                raise ValueError(f"bound parameter {name} must not be NaN, got {value!r}")
+        if any(_holds_nan(value) for value in (*args, *kwargs.values())):
+            for name, value in signature.bind(*args, **kwargs).arguments.items():
+                if _holds_nan(value):
+                    raise ValueError(f"bound parameter {name} must not be NaN, got {value!r}")
         return evaluate(*args, **kwargs)
     return checked
 
@@ -110,6 +119,38 @@ def total_cost_bound(n: int, weight_mu_sigma: float, weight_g: float, weight_f: 
     if n < 1:
         raise ValueError("total_cost_bound requires n >= 1")
     return 12.0 * (3.0 * weight_mu_sigma + weight_g + 2.0 * weight_f) * 36.0**n * float(n) ** (2 * n)
+
+
+@_rejects_nan
+@inf_past_float_range  # an int too large for a float: M**k or N * d
+def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
+    """Evaluate the cost recursion upper bound, depth by depth from 1 to ``n``.
+
+    ``weights = (w_draw, w_step, w_g, w_f)`` price one scalar random draw,
+    one path step (one drift plus one diffusion evaluation), one terminal
+    evaluation, and one nonlinearity evaluation.  ``N`` replaces the
+    default ``M**M`` path length where overridden.  Depth ``n <= 0`` costs 0.
+    With nonnegative weights the bound grows with depth, so it is ``inf``
+    from the first depth at which it is; with all-zero weights it is 0.
+    """
+    if M < 1 or d < 1 or N < 1:
+        raise ValueError("cost_recursion_bound requires M, d, N >= 1")
+    w_draw, w_step, w_g, w_f = (float(w) for w in weights)
+    if not any((w_draw, w_step, w_g, w_f)):
+        return 0.0
+    terminal = N * d * w_draw + N * w_step + w_g
+    level_sample = (N * d + 1) * w_draw + N * w_step + 2.0 * w_f
+    scale = [1.0]  # scale[j] = float(M**j)
+    bound = [0.0, 0.0]  # bound[k + 1] is the bound at depth k, from depth -1
+    for k in range(1, n + 1):
+        scale.append(float(M**k))
+        total = scale[k] * terminal
+        for level in range(k):
+            total += scale[k - level] * (level_sample + bound[level + 1] + bound[level])
+        if total == math.inf:
+            return math.inf
+        bound.append(total)
+    return bound[-1]
 
 
 @_rejects_nan

@@ -49,7 +49,8 @@ import numpy as np
 
 from .bounds import lyapunov_bound, lyapunov_phi_batch
 from .problems import _CHUNK_SCALARS, C, Problem, check_query, is_integer
-from .rng import draw_uniforms, first_blocks, keys_at, uniforms_to_gaussians
+from .rng import (draw_uniforms, extended, first_blocks, keys_of, label_state,
+                  uniforms_to_gaussians)
 
 # Step slots (rows * W) in one block of the map pass: 2^15, so a block's mask
 # and the square roots of its step sizes take (d + 8) * 32 KiB.  Sized by
@@ -135,7 +136,7 @@ def simulate_batch(problem: Problem, steps: int, keys: np.ndarray, t, x, end_tim
     """Simulate one path per stream key of ``keys`` from its start ``(t, x)`` to its end time.
 
     ``steps`` is ``N``, the grid intervals over ``[0, T]``.  ``keys`` is
-    ``(P, 2)``, as :func:`~mlpicard.rng.keys_at` gives them; path ``i`` reads
+    ``(P, 2)``, as :func:`~mlpicard.rng.keys_of` gives them; path ``i`` reads
     the Gaussians of its stream, words 1, 2, ..., and never its uniform; its
     block 0 is ``block0[i]``, from :func:`~mlpicard.rng.first_blocks` if not given.
     ``t`` is a scalar or ``(P,)`` and ``x`` is ``(d,)`` or ``(P, d)``, finite.
@@ -239,7 +240,7 @@ def lyapunov_check(problem: Problem, steps: int, t: float, x, s: float,
         raise ValueError("paths must be >= 1")
     x = check_query(problem, t, x)
     check_query(problem, s, x, time_name="s")
-    keys = keys_at(seed, (), np.arange(paths, dtype="<i8").tobytes(), 8)
+    keys = keys_of(extended([label_state(seed, ())], np.arange(paths)[:, None]))
     states, _ = simulate_batch(problem, steps, keys, t, x, np.full(paths, s))
     phis = lyapunov_phi_batch(states, problem.lyapunov_a)
     mean = float(phis.mean())

@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import error_bound, inf_past_float_range, total_cost_bound
-from .mlp import MlpParams, cost_recursion_bound, estimate_many
+from .bounds import cost_recursion_bound, error_bound, inf_past_float_range, total_cost_bound
+from .mlp import MlpParams, estimate_many
 from .oracle import Reference, closed_form, picard_quadrature_1d
 from .problems import PARAMETERS, Problem, instantiate
 
@@ -257,16 +257,20 @@ def parse_config(text: str) -> ExperimentConfig:
     # environment override for the output directory
     cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir)
 
-    _validate_config(cfg, errors)
+    errors += _validate_config(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
+def _validate_config(cfg: ExperimentConfig) -> list:
+    """Every invariant violation of ``cfg``, as messages; the one check of a
+    config, at parse time and again wherever a config is used."""
+    errors = []
     if cfg.replications < 2:
         errors.append(f"replications must be >= 2 (standard errors need variance), got {cfg.replications}")
-    errors.extend(_workers_violations(cfg))
+    if cfg.workers < 1:  # it could cut no seed block
+        errors.append(f"workers must be >= 1, got {cfg.workers}")
     steps_ok = cfg.euler_override is None or cfg.euler_override >= 1
     if not steps_ok:
         errors.append(f"euler_steps must be >= 1, got {cfg.euler_override}")
@@ -310,11 +314,7 @@ def _validate_config(cfg: ExperimentConfig, errors: list) -> None:
     # the bound needs d, N >= 1; a d below 1 is reported as a problem violation
     if weights_ok and steps_ok and cfg.dimension >= 1:
         errors.extend(_cost_ceiling_violations(cfg))
-
-
-def _workers_violations(cfg: ExperimentConfig) -> list:
-    """The message of a worker count below 1, which could cut no seed block."""
-    return [f"workers must be >= 1, got {cfg.workers}"] if cfg.workers < 1 else []
+    return errors
 
 
 @inf_past_float_range  # N = M**M past the float range
@@ -491,13 +491,14 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every configured depth and write the three CSV reports.
 
     Returns ``(rows, reference, paths)`` with one :class:`ReportRow` per
-    configured (n, M), in config order.  A worker count below 1 or a depth
-    past the cost ceiling raises :class:`ConfigError` before any depth runs.
+    configured (n, M), in config order.  A config that :func:`parse_config`
+    would reject, such as one edited after parsing, raises
+    :class:`ConfigError` before any depth runs.
     """
-    problem = cfg.build_problem()
-    violations = _workers_violations(cfg) + _cost_ceiling_violations(cfg)
+    violations = _validate_config(cfg)
     if violations:
         raise ConfigError(violations)
+    problem = cfg.build_problem()
     reference = resolve_reference(cfg, problem)
     # the children are joined after the reports, which their exit overlaps
     with _depth_runs(cfg, cfg.depths) as runs:
@@ -541,10 +542,10 @@ def find_depth_for_epsilon(cfg: ExperimentConfig, epsilons):
     use ``cfg.workers`` processes, as in :func:`run_experiment`: each depth
     run forks its children and joins them before the scan goes on.
     Reported cost is the per-realization mean of the weighted tally, summed
-    over all depths up to n*.  A worker count below 1 raises
-    :class:`ConfigError` before any depth runs.
+    over all depths up to n*.  A config that :func:`parse_config` would
+    reject raises :class:`ConfigError` before any depth runs.
     """
-    violations = _workers_violations(cfg)
+    violations = _validate_config(cfg)
     if violations:
         raise ConfigError(violations)
     if np.isscalar(epsilons):

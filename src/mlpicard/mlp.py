@@ -54,10 +54,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import inf_past_float_range
+from .bounds import cost_recursion_bound
 from .euler import simulate_batch
 from .problems import Problem, check_query, is_integer
-from .rng import check_label, extended, first_blocks, keys_of, label_state
+from .rng import extended, first_blocks, keys_of, label_state
 
 ESTIMATOR_VERSION = "single-kernel v1"
 """Version tag of the estimator's float arithmetic.  It changes whenever
@@ -141,17 +141,14 @@ def estimate_many(problem: Problem, params: MlpParams, seeds, theta, t, x) -> li
     seeds = list(seeds)
     t, x = check_query(problem, t, x, rows=len(seeds))
     theta = tuple(theta)
-    check_label(theta)
-    for seed in seeds:
-        if not is_integer(seed):
-            raise TypeError(f"root seeds must be integers, got {seed!r}")
-    seeds = [int(seed) for seed in seeds]
-    if params.n <= 0:
-        return [Estimate(value=0.0) for _ in seeds]
+    if not theta:
+        raise ValueError("stream label must be a nonempty integer sequence")
     results = []
     for block in seed_blocks(params, seeds):
-        roots = slice(len(results), len(results) + len(block))
-        results += _forest(problem, params, block, theta, t[roots], x[roots])
+        # label_state checks each seed and the label
+        roots = [label_state(seed, theta) for seed in block]
+        at = slice(len(results), len(results) + len(block))
+        results += _forest(problem, params, roots, t[at], x[at])
     return results
 
 
@@ -168,10 +165,12 @@ def seed_blocks(params: MlpParams, seeds) -> list:
     return [seeds[lo: lo + size] for lo in range(0, len(seeds), size)]
 
 
-def _forest(problem, params, seeds, theta, t, x) -> list:
-    """Evaluate the tree of ``seeds[i]`` at its root ``(t[i], x[i])``, one batch
-    per recursion depth."""
-    S, d, T, n, M = len(seeds), problem.d, problem.T, int(params.n), int(params.M)
+def _forest(problem, params, roots, t, x) -> list:
+    """Evaluate the tree whose root label state is ``roots[i]`` at its root
+    ``(t[i], x[i])``, one batch per recursion depth."""
+    S, d, T, n, M = len(roots), problem.d, problem.T, int(params.n), int(params.M)
+    if n <= 0:
+        return [Estimate(value=0.0) for _ in roots]
     work = np.zeros((S, 3), dtype=np.int64)  # uniforms, g_evals, f_evals
     steps = np.zeros(S, dtype=np.int64)
     # per depth, the pending sub-estimates as chunks (label states, seed rows, t, x)
@@ -184,7 +183,7 @@ def _forest(problem, params, seeds, theta, t, x) -> list:
         filled[depth] += len(chunk[1])
         return filled[depth] - len(chunk[1])
 
-    defer(n, [label_state(seed, theta) for seed in seeds], np.arange(S), t, x)
+    defer(n, roots, np.arange(S), t, x)
     done = [None] * (n + 1)
     for k in range(n, 0, -1):
         if not pending[k]:
@@ -198,10 +197,10 @@ def _forest(problem, params, seeds, theta, t, x) -> list:
         # M^(k-l) samples of each live one, each set sub-estimate by sub-estimate;
         # a level-l sample's label is its minuend's
         counts = [M ** (k - level) for level in range(k)]
-        minuend_states = [list(extended(live_states, _pairs(level, count), 16))
+        minuend_states = [list(extended(live_states, _pairs(level, count)))
                           for level, count in enumerate(counts) if level > 0]
-        keys = np.concatenate([keys_of(extended(states, _pairs(0, -M**k), 16)),
-                               keys_of(extended(live_states, _pairs(0, counts[0]), 16))]
+        keys = np.concatenate([keys_of(extended(states, _pairs(0, -M**k))),
+                               keys_of(extended(live_states, _pairs(0, counts[0])))]
                               + [keys_of(chunk) for chunk in minuend_states])
         node = np.concatenate([np.repeat(np.arange(len(rows)), M**k)]
                               + [np.repeat(live, count) for count in counts])
@@ -226,7 +225,7 @@ def _forest(problem, params, seeds, theta, t, x) -> list:
             minuend = defer(level, minuend_states[level - 1], *children) if level > 0 else None
             subtrahend = None
             if level > 1:
-                subtrahend_states = list(extended(live_states, _pairs(-level, count), 16))
+                subtrahend_states = list(extended(live_states, _pairs(-level, count)))
                 subtrahend = defer(level - 1, subtrahend_states, *children)
             levels.append((ends[at], path_x[at], minuend, subtrahend))
         done[k] = (_row_sums(g) / g.shape[1], t0, live, levels)
@@ -255,11 +254,11 @@ def _forest(problem, params, seeds, theta, t, x) -> list:
     ]
 
 
-def _pairs(first: int, count: int) -> bytes:
-    """The packed label pairs ``(first, i)`` for ``i = 1..count``, or
-    ``(first, -i)`` for a negative ``count``."""
+def _pairs(first: int, count: int) -> np.ndarray:
+    """The label pairs ``(first, i)`` for ``i = 1..count``, or ``(first, -i)``
+    for a negative ``count``, one a row."""
     seconds = np.arange(1, abs(count) + 1) * (1 if count > 0 else -1)
-    return np.column_stack((np.full(len(seconds), first), seconds)).astype("<i8").tobytes()
+    return np.column_stack((np.full(len(seconds), first), seconds))
 
 
 def _child_values(values, at, like) -> np.ndarray:
@@ -274,34 +273,3 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     """Per-row strict ascending-index float sums; the fixed order keeps results
     reproducible and lets flat reference loops match bit for bit."""
     return np.cumsum(values, axis=1)[:, -1]
-
-
-@inf_past_float_range  # an int too large for a float: M**k or N * d
-def cost_recursion_bound(n: int, M: int, d: int, N: int, weights) -> float:
-    """Evaluate the cost recursion upper bound, depth by depth from 1 to ``n``.
-
-    ``weights = (w_draw, w_step, w_g, w_f)`` price one scalar random draw,
-    one path step (one drift plus one diffusion evaluation), one terminal
-    evaluation, and one nonlinearity evaluation.  ``N`` replaces the
-    default ``M**M`` path length where overridden.  Depth ``n <= 0`` costs 0.
-    With nonnegative weights the bound grows with depth, so it is ``inf``
-    from the first depth at which it is; with all-zero weights it is 0.
-    """
-    if M < 1 or d < 1 or N < 1:
-        raise ValueError("cost_recursion_bound requires M, d, N >= 1")
-    w_draw, w_step, w_g, w_f = (float(w) for w in weights)
-    if not any((w_draw, w_step, w_g, w_f)):
-        return 0.0
-    terminal = N * d * w_draw + N * w_step + w_g
-    level_sample = (N * d + 1) * w_draw + N * w_step + 2.0 * w_f
-    scale = [1.0]  # scale[j] = float(M**j)
-    bound = [0.0, 0.0]  # bound[k + 1] is the bound at depth k, from depth -1
-    for k in range(1, n + 1):
-        scale.append(float(M**k))
-        total = scale[k] * terminal
-        for level in range(k):
-            total += scale[k - level] * (level_sample + bound[level + 1] + bound[level])
-        if total == math.inf:
-            return math.inf
-        bound.append(total)
-    return bound[-1]

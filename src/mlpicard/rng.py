@@ -13,19 +13,20 @@ Algorithm (version tag ``RNG_ALGORITHM``, fixed for reproducibility):
   elements packed as signed 64-bit little-endian words; the first 128 bits
   of the digest key a Philox-4x64 counter-based generator.  BLAKE2b is
   incremental, so a label's state (:func:`label_state`) extends to longer
-  labels with one ``copy`` and ``update`` per suffix (:func:`extended`), the
-  one loop that derives keys (:func:`keys_of`), for a batch of streams and
-  for the estimator's recursion tree alike.
+  labels with one ``copy`` and ``update`` per suffix (:func:`extended`), and
+  its digest is the key (:func:`keys_of`).  These three are the one way a
+  label becomes a key, for a batch of streams and for the estimator's
+  recursion tree alike, and this module is the one place a label is packed.
 * uniforms: ``(raw >> 11) * 2**-53`` from 64-bit Philox words, in [0, 1).
 * Gaussians: inverse normal CDF (``scipy.special.ndtri``) applied to
   ``((raw >> 11) + 0.5) * 2**-53``, which lies in (0, 1).
 
 A stream is its Philox key, a ``(2,)`` row of ``uint64`` words, low word
-first; many streams are a ``(P, 2)`` array of keys (:func:`keys_at`), and a
-single stream (:func:`stream_for`) is one of one row.  Every stream has one
-fixed layout: word 0 is its uniform, and words 1, 2, ... are its standard
-Gaussians in consumption order.  A consumer that needs no uniform never
-reads word 0, so the Gaussians it sees depend only on the stream address.
+first; many streams are a ``(P, 2)`` array of keys, as :func:`keys_of` gives
+them.  Every stream has one fixed layout: word 0 is its uniform, and words
+1, 2, ... are its standard Gaussians in consumption order.  A consumer that
+needs no uniform never reads word 0, so the Gaussians it sees depend only on
+the stream address.
 
 Philox is counter based (Salmon et al., SC'11), so word ``w`` of a stream is
 a pure function of its key and ``w``: word ``w % 4`` of the 4-word block
@@ -60,6 +61,8 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
+from .problems import is_integer
+
 RNG_ALGORITHM = "blake2b256/philox4x64/inverse-cdf v1"
 
 # (raw >> 11) * 2**-53 + 2**-54 rounds the same real number as
@@ -93,7 +96,7 @@ _PHILOX_BUMPS = (np.arange(10, dtype=np.uint64)[:, None, None]
 def _packed(label) -> bytes:
     """Label elements as signed 64-bit little-endian words; integers only."""
     for el in label:
-        if type(el) is not int and (isinstance(el, bool) or not isinstance(el, np.integer)):
+        if not is_integer(el):
             raise TypeError(f"stream label elements must be integers, got {el!r}")
     try:
         return struct.pack(f"<{len(label)}q", *label)
@@ -105,20 +108,12 @@ def label_state(root_seed: int, theta: tuple):
     """The BLAKE2b state of the label ``theta`` under ``root_seed``: keyed with
     the seed, fed the packed label.  Extending it (:func:`extended`) and taking
     its digest (:func:`keys_of`) gives the keys of longer labels."""
-    if isinstance(root_seed, bool) or not isinstance(root_seed, (int, np.integer)):
-        raise TypeError(f"root seed must be an integer, got {root_seed!r}")
+    if not is_integer(root_seed):
+        raise TypeError(f"root seeds must be integers, got {root_seed!r}")
     seed_bytes = (int(root_seed) % 2**64).to_bytes(8, "little")
     h = hashlib.blake2b(digest_size=32, key=seed_bytes)
     h.update(_packed(theta))
     return h
-
-
-def check_label(theta: tuple) -> None:
-    """Raise unless ``theta`` is a valid stream label: nonempty, integers only,
-    each fitting in 64 bits."""
-    if len(theta) < 1:
-        raise ValueError("stream label must be a nonempty integer sequence")
-    _packed(theta)
 
 
 def philox_blocks(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -260,37 +255,25 @@ def uniforms_to_gaussians(counts, out: np.ndarray) -> None:
     ndtri(out, out=out, where=drawn)
 
 
-def stream_for(root_seed: int, theta: tuple) -> np.ndarray:
-    """The key of the stream addressed by ``(root_seed, theta)``, as the
-    ``(1, 2)`` array that :func:`keys_at` gives.
+def extended(parents, suffixes):
+    """The label states of each state of ``parents`` extended by each row of
+    ``suffixes``, parent by parent, as an iterator: one ``copy`` and
+    ``update`` each, the one way a label grows.
 
-    Deterministic: the same address always yields the same key and so
-    bit-identical words.  The root seed is reduced modulo 2**64.  Label elements must
-    be integers (``int`` or ``np.integer``, not ``bool``).
+    ``suffixes`` is an integer array of shape ``(count, width)``, one label
+    suffix a row; each row is packed as signed 64-bit little-endian words.
     """
-    check_label(theta)
-    return keys_at(root_seed, (), _packed(theta), 8 * len(theta))
-
-
-def keys_at(root_seed: int, parent: tuple, suffixes: bytes, width: int) -> np.ndarray:
-    """The Philox keys of the labels ``parent`` plus each packed suffix, as
-    ``(P, 2)`` uint64 words, low word first.
-
-    ``suffixes`` holds one ``width``-byte suffix after another, each label
-    elements packed as signed 64-bit little-endian words.
-    Hashes the root seed and ``parent`` once for the whole batch.
-    """
-    return keys_of(extended([label_state(root_seed, parent)], suffixes, width))
-
-
-def extended(parents, suffixes: bytes, width: int):
-    """The label states of each state of ``parents`` extended by each
-    ``width``-byte packed suffix of ``suffixes``, parent by parent, as an
-    iterator: one ``copy`` and ``update`` each, the one way a label grows."""
+    suffixes = np.asarray(suffixes)
+    if suffixes.dtype.kind not in "iu":
+        raise TypeError(f"stream label elements must be integers, got {suffixes.dtype} suffixes")
+    words = suffixes.astype("<i8", copy=False)
+    if suffixes.dtype.kind == "u" and (words < 0).any():
+        raise OverflowError("stream label elements must fit in 64 bits")
+    rows = [row.tobytes() for row in words]
     for parent in parents:
-        for lo in range(0, len(suffixes), width):
+        for row in rows:
             state = parent.copy()
-            state.update(suffixes[lo: lo + width])
+            state.update(row)
             yield state
 
 

@@ -10,8 +10,10 @@ from mlpicard.problems import instantiate
 from mlpicard.rng import (
     _generator_at,
     draw_uniforms,
+    extended,
     first_blocks,
-    stream_for,
+    keys_of,
+    label_state,
     uniforms_to_gaussians,
 )
 
@@ -19,6 +21,20 @@ from mlpicard.rng import (
 def _sum_ascending(values: np.ndarray) -> float:
     """Strict ascending-index float sum, the order of every estimator reduction."""
     return float(np.cumsum(values)[-1])
+
+
+def stream_for(root_seed, theta):
+    """The key of the stream addressed by ``(root_seed, theta)``, a nonempty
+    label, as a one-row ``(1, 2)`` key array."""
+    if len(theta) < 1:
+        raise ValueError("stream label must be a nonempty integer sequence")
+    return keys_of([label_state(root_seed, theta)])
+
+
+def keys_at(root_seed, parent, suffixes):
+    """The keys of the labels ``parent`` plus each row of ``suffixes``, an
+    integer array of shape ``(count, width)``."""
+    return keys_of(extended([label_state(root_seed, parent)], suffixes))
 
 
 def raw_uniform_sequence(root_seed, theta, count):

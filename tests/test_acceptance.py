@@ -22,9 +22,9 @@ from mlpicard.harness import (
 )
 from mlpicard.mlp import MlpParams, cost_recursion_bound, estimate, estimate_many
 from mlpicard.problems import CATALOGUE, instantiate
-from mlpicard.rng import first_blocks, keys_at, stream_for
+from mlpicard.rng import first_blocks
 
-from helpers import build_recursive_family, fill_gaussians
+from helpers import build_recursive_family, fill_gaussians, keys_at, stream_for
 
 
 def _announce(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -200,7 +200,7 @@ def test_criterion_06_euler_strong_rate():
     errors = []
     for n_steps in steps_grid:
         # path i draws the Gaussians of stream (60_000 + n_steps, (i,))
-        keys = keys_at(60_000 + n_steps, (), np.arange(n_paths, dtype="<i8").tobytes(), 8)
+        keys = keys_at(60_000 + n_steps, (), np.arange(n_paths)[:, None])
         states, _ = simulate_batch(prob, n_steps, keys, 0.0, np.array([x0]),
                                    np.full(n_paths, horizon))
         # exact lognormal endpoint from the same increments

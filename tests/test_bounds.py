@@ -7,6 +7,7 @@ import pytest
 
 from mlpicard.bounds import (
     BoundParams,
+    cost_recursion_bound,
     error_bound,
     gronwall_discrete,
     gronwall_mlp,
@@ -15,7 +16,6 @@ from mlpicard.bounds import (
     perturbation_bound,
     total_cost_bound,
 )
-from mlpicard.mlp import cost_recursion_bound
 
 from helpers import build_recursive_family
 
@@ -269,9 +269,10 @@ NAN = math.nan
     (lambda: perturbation_bound(NAN, 1, 2, 2, 1, 1.0, 0.0, 1, 1, 1), "L"),
     (lambda: lyapunov_bound(NAN, 0.0, 0.5, 2.0), "c"),
     (lambda: error_bound(NAN, 1, _bp()), "n"),
+    (lambda: cost_recursion_bound(2, 2, 1, 1, (0, 0, 1, NAN)), "weights"),
 ], ids=["gronwall_discrete-alphas", "gronwall_discrete-alpha-1", "gronwall_discrete-beta",
         "gronwall_mlp", "total_cost_bound", "perturbation_bound", "lyapunov_bound",
-        "error_bound"])
+        "error_bound", "cost_recursion_bound"])
 def test_nan_argument_rejected(evaluate, name):
     # these returned NaN; the message names the argument as BoundParams does
     with pytest.raises(ValueError, match=f"^bound parameter {name} must not be NaN, got "):

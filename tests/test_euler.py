@@ -14,9 +14,15 @@ from mlpicard import euler
 from mlpicard.bounds import lyapunov_phi_batch
 from mlpicard.euler import DomainError, _plan, _step_sizes, lyapunov_check, simulate_batch
 from mlpicard.problems import C, Problem, instantiate
-from mlpicard.rng import keys_at, stream_for
 
-from helpers import draw_gaussians, fill_gaussians, update_times, update_times_reference
+from helpers import (
+    draw_gaussians,
+    fill_gaussians,
+    keys_at,
+    stream_for,
+    update_times,
+    update_times_reference,
+)
 
 
 class TestUpdateTimes:
@@ -121,7 +127,7 @@ def _mixed_paths(prob, P, seed):
 
 def _path_batch(P, seed):
     """The keys of streams ``(seed, (i,))``."""
-    return keys_at(seed, (), np.arange(P, dtype="<i8").tobytes(), 8)
+    return keys_at(seed, (), np.arange(P)[:, None])
 
 
 class TestSimulate:
@@ -134,7 +140,7 @@ class TestSimulate:
     @pytest.mark.parametrize("steps", [True, 2.5, np.float64(4.0)])
     def test_non_integer_steps_rejected_before_drawing(self, steps, monkeypatch):
         prob, key = instantiate("heat-quadratic"), stream_for(1, (1,))
-        monkeypatch.setattr(euler, "keys_at", None)  # any keying or draw would fail here
+        monkeypatch.setattr(euler, "label_state", None)  # any keying or draw would fail here
         monkeypatch.setattr(euler, "first_blocks", None)
         monkeypatch.setattr(euler, "draw_uniforms", None)
         message = re.escape(f"steps must be an integer, got {steps!r}")
@@ -461,14 +467,14 @@ class TestLyapunovCheck:
     @pytest.mark.parametrize("paths", [2.5, True, np.float64(4.0), np.True_])
     def test_rejects_non_integer_paths_before_keying(self, paths, monkeypatch):
         prob = instantiate("heat-quadratic")
-        monkeypatch.setattr(euler, "keys_at", None)  # any keying would fail here
+        monkeypatch.setattr(euler, "label_state", None)  # any keying would fail here
         with pytest.raises(TypeError, match=re.escape(f"paths must be an integer, got {paths!r}")):
             lyapunov_check(prob, 4, 0.0, np.zeros(1), 1.0, paths=paths, seed=0)
 
     @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [[0.5, -1.0]]])
     def test_rejects_bad_x_before_drawing(self, x, monkeypatch):
         prob = instantiate("heat-quadratic", d=2)
-        monkeypatch.setattr(euler, "keys_at", None)  # any draw would fail here
+        monkeypatch.setattr(euler, "label_state", None)  # any draw would fail here
         with pytest.raises(ValueError, match="x must"):
             lyapunov_check(prob, 4, 0.0, np.array(x), 1.0, paths=8, seed=0)
 
@@ -478,7 +484,7 @@ class TestLyapunovCheck:
     ])
     def test_rejects_bool_or_out_of_range_times_before_keying(self, t, s, error, monkeypatch):
         prob = instantiate("heat-quadratic")
-        monkeypatch.setattr(euler, "keys_at", None)  # any keying would fail here
+        monkeypatch.setattr(euler, "label_state", None)  # any keying would fail here
         bad = "s" if t == 0.0 else "t"  # t = 0.0 is the one valid t in the table
         with pytest.raises(error, match=f"^{bad} must"):
             lyapunov_check(prob, 4, t, np.zeros(1), s, paths=4, seed=0)

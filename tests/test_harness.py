@@ -401,6 +401,32 @@ class TestRunExperiment:
             "depth (6,6) exceeds the cost ceiling: cost_recursion_bound = 3.40745e+11 > 1e+09"]
         assert started == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("search", [False, True])
+    @pytest.mark.parametrize("edit, violation", [
+        ({"replications": 1}, "replications must be >= 2 (standard errors need variance), got 1"),
+        ({"x0": np.zeros(2)}, "x0 has dimension 2, problem has d = 1"),
+        ({"depths": [(1, 0)]}, "depth (1,0) violates n >= 0, M >= 1"),
+    ], ids=["replications", "x0", "depths"])
+    def test_config_edited_after_parsing_is_validated_in_full(self, tmp_path, monkeypatch,
+                                                              started, search, edit, violation):
+        # each of these used to run (replications = 1 wrote value_se = 0) or
+        # fail deep inside the estimator; both entry points reject them before
+        # any block runs, as parse_config would
+        with open(HEAT_CONFIG, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        cfg.workers, cfg.output_dir = 2, str(tmp_path)
+        for name, value in edit.items():
+            setattr(cfg, name, value)
+
+        def evaluate_block(task):
+            raise AssertionError("a seed block ran")
+
+        monkeypatch.setattr(harness, "_evaluate_block", evaluate_block)
+        with pytest.raises(ConfigError) as err:
+            find_depth_for_epsilon(cfg, 1.0) if search else run_experiment(cfg)
+        assert err.value.violations == [violation]
+        assert started == [] and list(tmp_path.iterdir()) == []
+
     def test_rmse_decreases_on_richer_depths(self, tmp_path):
         cfg = parse_config(
             "problem = heat-quadratic\ndepths = 1, 3\nreplications = 16\n"

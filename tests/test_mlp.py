@@ -21,9 +21,14 @@ from mlpicard.mlp import (
     seed_blocks,
 )
 from mlpicard.problems import instantiate
-from mlpicard.rng import stream_for
-
-from helpers import draw_gaussians, draw_uniform, recursive_node, rotated_sine, update_times
+from helpers import (
+    draw_gaussians,
+    draw_uniform,
+    recursive_node,
+    rotated_sine,
+    stream_for,
+    update_times,
+)
 
 MU_BAR, SIGMA_BAR, LIP, STRIKE = 0.06, 0.4, 0.5, 1.0
 
@@ -516,11 +521,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonempty"):
             estimate(prob, MlpParams(n=n, M=2), (), 0.0, np.zeros(1))
 
+    @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("seed", [1.0, True, "3", None])
-    def test_non_integer_seed_rejected(self, seed):
+    def test_non_integer_seed_rejected(self, seed, n):
         prob = instantiate("heat-quadratic")
         with pytest.raises(TypeError, match="integers"):
-            estimate_many(prob, MlpParams(n=1, M=2), [0, seed], (0,), 0.0, np.zeros(1))
+            estimate_many(prob, MlpParams(n=n, M=2), [0, seed], (0,), 0.0, np.zeros(1))
 
     @pytest.mark.parametrize("t", [True, np.False_, np.array([False, True])])
     def test_bool_time_rejected(self, t):

@@ -31,7 +31,6 @@ PUBLIC = [
     "lyapunov_check",
     "lyapunov_phi",
     "perturbation_bound",
-    "stream_for",
     "total_cost_bound",
     "validate",
 ]
